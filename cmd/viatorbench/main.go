@@ -27,10 +27,7 @@
 // shard kernels over the same model workload, so the K=1 → K=8 ratio is a
 // parallel-speedup measurement; `serve` the live service mode's
 // per-barrier snapshot publication and /metrics rendering; `all` every
-// suite in one document. A bare
-// `-bench` and the old `-bench-routing`/`-bench-mobility` booleans survive
-// as deprecated aliases for `-bench kernel`/`-bench routing`/`-bench
-// mobility`.
+// suite in one document.
 //
 // -shards K overrides how many shard kernels execute scenarios whose spec
 // declares districts (shards > 1): K must divide the district count (other
@@ -78,56 +75,17 @@ var benchSelectors = map[string]bool{
 	"principles": true, "shard": true, "serve": true, "all": true,
 }
 
-// benchFlag is the -bench selector. It keeps bool-flag semantics so the
-// legacy bare `-bench` (PR 2's spelling) still selects the kernel suite,
-// while `-bench=<suite>` picks a suite explicitly; rewriteBenchArg lets
-// the space-separated `-bench <suite>` spelling work too.
+// benchFlag is the -bench selector: a value flag that accepts only the
+// suite names in benchSelectors.
 type benchFlag struct{ suite string }
 
-func (b *benchFlag) String() string   { return b.suite }
-func (b *benchFlag) IsBoolFlag() bool { return true }
+func (b *benchFlag) String() string { return b.suite }
 func (b *benchFlag) Set(s string) error {
-	switch {
-	case s == "true": // bare -bench: deprecated alias for the kernel suite
-		b.suite = "kernel"
-	case s == "false":
-		b.suite = ""
-	case benchSelectors[s]:
-		b.suite = s
-	default:
+	if !benchSelectors[s] {
 		return fmt.Errorf("valid suites: kernel, routing, mobility, telemetry, principles, shard, serve, all")
 	}
+	b.suite = s
 	return nil
-}
-
-// rewriteBenchArg folds the space-separated `-bench <suite>` spelling
-// into `-bench=<suite>` before flag parsing (the flag keeps bool-flag
-// semantics for the deprecated bare `-bench`, and Go's flag package
-// never consumes a separate value for bool flags).
-func rewriteBenchArg(args []string) []string {
-	out := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if (a == "-bench" || a == "--bench") && i+1 < len(args) && benchSelectors[args[i+1]] {
-			out = append(out, "-bench="+args[i+1])
-			i++
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-// resolveSuite folds the -bench selector and the deprecated alias
-// booleans into the effective suite name ("" = no benchmark mode).
-func resolveSuite(bench string, routingAlias, mobilityAlias bool) string {
-	if routingAlias {
-		return "routing"
-	}
-	if mobilityAlias {
-		return "mobility"
-	}
-	return bench
 }
 
 func main() {
@@ -151,25 +109,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 0, "shard kernels for sharded scenarios (0 = one per district; must divide the district count); fixed values replay exactly, unsharded specs unaffected")
 	var bench benchFlag
 	fs.Var(&bench, "bench", "run a micro-benchmark suite (kernel|routing|mobility|telemetry|principles|shard|serve|all) and emit JSON (BENCH_<suite>.json)")
-	benchRouting := fs.Bool("bench-routing", false, "deprecated alias for -bench routing")
-	benchMobility := fs.Bool("bench-mobility", false, "deprecated alias for -bench mobility")
 	telemetryOut := fs.String("telemetry", "", "export streaming telemetry for the selected telemetry-capable experiments as JSON-lines to this file (plus a Prometheus snapshot beside it)")
 	scenarioFile := fs.String("scenario", "", "run one declarative scenario spec (JSON) and evaluate its assertions")
 	scenarioDir := fs.String("scenario-dir", "", "run every *.json scenario spec in this directory as a suite")
-	if err := fs.Parse(rewriteBenchArg(args)); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		// A stray positional arg is almost always a typo'd -bench selector
-		// (bool-flag semantics would otherwise silently run the kernel
-		// suite); refuse instead of guessing.
+		// A stray positional arg is almost always a typo'd -bench selector;
+		// refuse instead of guessing.
 		fmt.Fprintf(stderr, "viatorbench: unexpected argument %q (valid -bench suites: kernel, routing, mobility, telemetry, principles, shard, serve, all)\n", fs.Arg(0))
 		return 2
 	}
 	viator.SetShardOverride(*shards)
 
-	if suite := resolveSuite(bench.suite, *benchRouting, *benchMobility); suite != "" {
-		return runBenchSuite(suite, *seed, *workers, stdout, stderr)
+	if bench.suite != "" {
+		return runBenchSuite(bench.suite, *seed, *workers, stdout, stderr)
 	}
 
 	if *csv && *jsonOut {

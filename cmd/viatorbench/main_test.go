@@ -41,41 +41,8 @@ func writeSpec(t *testing.T, dir, name, body string) string {
 	return path
 }
 
-func TestRewriteBenchArg(t *testing.T) {
-	cases := []struct {
-		in, want []string
-	}{
-		// space-separated suite folds into -bench=<suite>
-		{[]string{"-bench", "routing"}, []string{"-bench=routing"}},
-		{[]string{"--bench", "telemetry", "-seed", "7"}, []string{"-bench=telemetry", "-seed", "7"}},
-		// bare -bench (deprecated kernel alias) is left alone
-		{[]string{"-bench"}, []string{"-bench"}},
-		// non-suite successor is not consumed
-		{[]string{"-bench", "bogus"}, []string{"-bench", "bogus"}},
-		{[]string{"-seed", "7"}, []string{"-seed", "7"}},
-		{nil, []string{}},
-	}
-	for _, c := range cases {
-		got := rewriteBenchArg(c.in)
-		if len(got) != len(c.want) {
-			t.Fatalf("rewriteBenchArg(%q) = %q, want %q", c.in, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("rewriteBenchArg(%q) = %q, want %q", c.in, got, c.want)
-			}
-		}
-	}
-}
-
 func TestBenchFlagSet(t *testing.T) {
 	var b benchFlag
-	if err := b.Set("true"); err != nil || b.suite != "kernel" {
-		t.Fatalf("bare -bench: suite=%q err=%v, want kernel", b.suite, err)
-	}
-	if err := b.Set("false"); err != nil || b.suite != "" {
-		t.Fatalf("-bench=false: suite=%q err=%v, want empty", b.suite, err)
-	}
 	for _, s := range []string{"kernel", "routing", "mobility", "telemetry", "principles", "shard", "serve", "all"} {
 		if err := b.Set(s); err != nil || b.suite != s {
 			t.Fatalf("-bench=%s: suite=%q err=%v", s, b.suite, err)
@@ -83,29 +50,6 @@ func TestBenchFlagSet(t *testing.T) {
 	}
 	if err := b.Set("bogus"); err == nil {
 		t.Fatal("-bench=bogus: want error, got nil")
-	}
-	if !b.IsBoolFlag() {
-		t.Fatal("benchFlag must keep bool-flag semantics for the bare -bench alias")
-	}
-}
-
-func TestResolveSuite(t *testing.T) {
-	// the deprecated alias booleans win over the consolidated selector,
-	// matching the original CLI's precedence (aliases were checked first)
-	if got := resolveSuite("", true, false); got != "routing" {
-		t.Fatalf("-bench-routing: got %q", got)
-	}
-	if got := resolveSuite("", false, true); got != "mobility" {
-		t.Fatalf("-bench-mobility: got %q", got)
-	}
-	if got := resolveSuite("kernel", true, false); got != "routing" {
-		t.Fatalf("alias precedence: got %q", got)
-	}
-	if got := resolveSuite("telemetry", false, false); got != "telemetry" {
-		t.Fatalf("-bench telemetry: got %q", got)
-	}
-	if got := resolveSuite("", false, false); got != "" {
-		t.Fatalf("no bench mode: got %q", got)
 	}
 }
 

@@ -3,51 +3,35 @@ package viator
 import (
 	"strings"
 
-	"viator/internal/ship"
 	"viator/internal/telemetry"
 	"viator/internal/trace"
 )
 
-// Pauseable scenario execution for the live server (internal/serve).
-//
-// A RunHandle is a scenario run held open between steps: StartScenario
-// performs exactly the arming Run performs, StepTo advances the same
-// kernel (or shard group) the same way Run's single advance-to-horizon
-// call does, and Finish runs the identical epilogue. Because the batch
-// Run is itself implemented as start → advance → finish, an observed
-// stepped run and an unobserved batch run share every line of
-// simulation code — the determinism-under-observation contract is
-// structural, not a property tests merely hope for (though they pin it
-// anyway; see TestLiveRunMatchesBatch and the serve race test).
+// RunHandle is the one advance path of the district compiler (see
+// scenario.go): a run held open between steps. The batch Scenario.Run is
+// StartScenario → Finish on it, so an observed stepped run and an
+// unobserved batch run share every line of simulation code
+// (TestLiveRunMatchesBatch and the serve race test pin it anyway).
 //
 // Concurrency: a RunHandle is single-goroutine. The owning driver calls
 // StepTo/Finish and, while the handle is quiescent between those calls,
 // may read Status/Telemetry/Trace — all read-only over simulation state.
-// Nothing here is safe to touch concurrently with a running step; the
-// live server enforces that by doing all of it on one goroutine and
-// publishing immutable snapshots to its HTTP handlers.
+// The live server does all of it on one goroutine and publishes immutable
+// snapshots to its HTTP handlers.
 
 // RunHandle is one scenario run in progress.
 type RunHandle struct {
 	sc   *Scenario
 	seed uint64
-	r    *scenarioRun // single-kernel path
-	sr   *shardedRun  // sharded path (exactly one of r/sr is set)
+	r    *fleetRun
 	res  *ScenarioResult
 	done bool
 }
 
 // StartScenario arms sc for one seed and returns the paused run at sim
-// time zero. The execution path (single-kernel vs sharded) is the one
-// Run would pick for the same spec and shard override.
+// time zero.
 func StartScenario(sc *Scenario, seed uint64) *RunHandle {
-	h := &RunHandle{sc: sc, seed: seed}
-	if k := sc.shardKernels(); k > 0 {
-		h.sr = sc.startSharded(seed, k)
-	} else {
-		h.r = sc.start(seed)
-	}
-	return h
+	return &RunHandle{sc: sc, seed: seed, r: sc.start(seed)}
 }
 
 // Scenario returns the compiled scenario the handle runs.
@@ -62,68 +46,53 @@ func (h *RunHandle) Horizon() float64 { return h.sc.Spec.Horizon }
 // Done reports whether the run has reached the horizon.
 func (h *RunHandle) Done() bool { return h.done }
 
-// Now returns the run's current sim time: the kernel clock, or for
-// sharded runs the slowest shard's clock (the conservative bound on
-// what has definitely happened).
+// Now returns the run's current sim time: the slowest district clock
+// (the conservative bound on what has definitely happened).
 func (h *RunHandle) Now() float64 {
-	if h.r != nil {
-		return h.r.n.K.Now()
-	}
-	now := h.sc.Spec.Horizon
-	for i := 0; i < h.sr.group.NumShards(); i++ {
-		if t := float64(h.sr.group.Shard(i).Now()); t < now {
-			now = t
-		}
+	now := h.Horizon()
+	for _, d := range h.r.ds {
+		now = min(now, d.n.K.Now())
 	}
 	return now
 }
 
 // StepTo advances the run to sim time t (clamped to the horizon) and
-// pauses. Single-kernel runs advance with the same Kernel.Run the batch
-// path uses — chained Run(t1), Run(t2), … is definitionally identical
-// to one Run(horizon). Sharded runs advance whole conservative windows
-// (always cut against the final horizon, never against t, so the window
-// partition — and with it the cross-shard mail commit order — is exactly
-// the batch run's) until the slowest shard passes t.
+// pauses. A one-district run advances its kernel with Kernel.Run —
+// chained Run(t1), Run(t2), … is definitionally identical to one
+// Run(horizon). Sharded runs advance whole conservative windows (always
+// cut against the final horizon, never against t, so the window
+// partition — and with it the cross-shard mail commit order — is the
+// same for any step sequence) until the slowest district passes t; at
+// the horizon they drain exactly as ShardGroup.Run does: windows until no
+// work remains, then the clock settle.
 func (h *RunHandle) StepTo(t float64) {
 	if h.done {
 		return
 	}
-	horizon := h.sc.Spec.Horizon
-	if t > horizon {
-		t = horizon
-	}
-	if h.r != nil {
-		h.r.n.Run(t)
-		if t >= horizon {
-			h.done = true
-		}
-		return
-	}
-	for {
-		if _, more := h.sr.group.StepWindow(horizon); !more {
-			h.sr.settle()
-			h.done = true
-			return
-		}
-		if h.Now() >= t {
-			return
+	horizon := h.Horizon()
+	t = min(t, horizon)
+	if g := h.r.group; g != nil {
+		for {
+			if _, more := g.StepWindow(horizon); !more {
+				h.r.settle()
+				h.done = true
+				return
+			}
+			if t < horizon && h.Now() >= t {
+				return
+			}
 		}
 	}
+	h.r.ds[0].n.Run(t)
+	h.done = t >= horizon
 }
 
-// Finish drives the run to the horizon if needed and seals the result —
-// the same epilogue (ticker stops, dump packaging, assertion
-// evaluation) the batch Run performs. Idempotent.
+// Finish drives the run to the horizon if needed and seals the result:
+// ticker stops, dump packaging, assertion evaluation. Idempotent.
 func (h *RunHandle) Finish() *ScenarioResult {
-	if h.res != nil {
-		return h.res
-	}
-	h.StepTo(h.sc.Spec.Horizon)
-	if h.r != nil {
+	if h.res == nil {
+		h.StepTo(h.Horizon())
 		h.res = h.r.finish()
-	} else {
-		h.res = h.sr.finish()
 	}
 	return h.res
 }
@@ -135,18 +104,18 @@ func (h *RunHandle) Result() *ScenarioResult { return h.res }
 // the handle is paused. Nil for sharded runs (no single recorder exists;
 // Status still reports their merged scorecards).
 func (h *RunHandle) Telemetry() *Telemetry {
-	if h.r != nil {
-		return h.r.tel
+	if h.r.group != nil {
+		return nil
 	}
-	return nil
+	return h.r.ds[0].tel
 }
 
 // Trace exposes the run's structured trace ring, nil for sharded runs.
 func (h *RunHandle) Trace() *trace.Log {
-	if h.r != nil {
-		return h.r.n.Trace
+	if h.r.group != nil {
+		return nil
 	}
-	return nil
+	return h.r.ds[0].n.Trace
 }
 
 // LiveStatus is a read-only mid-run summary of a paused handle.
@@ -163,38 +132,19 @@ type LiveStatus struct {
 	Flows []telemetry.FlowReport
 }
 
-// Status summarizes the paused run. Every read is observational: no
-// flow registration, no RNG draws, no kernel events — the status of an
-// observed run leaves its future bytes untouched.
+// Status summarizes the paused run over the merged district view. Every
+// read is observational: no flow registration, no RNG draws, no kernel
+// events — the status of an observed run leaves its future bytes
+// untouched.
 func (h *RunHandle) Status() LiveStatus {
-	st := LiveStatus{Now: h.Now(), Horizon: h.Horizon(), Done: h.done}
-	if h.r != nil {
-		n := h.r.n
-		st.AliveFrac = n.AliveFraction()
-		st.Delivered, st.Lost = n.DeliveredShuttles, n.LostShuttles
-		if h.r.tel.QoS.NumFlows() > 0 {
-			st.Flows = h.r.tel.QoS.Reports()
-		}
-		return st
+	t := h.r.totals()
+	st := LiveStatus{
+		Now: h.Now(), Horizon: h.Horizon(), Done: h.done,
+		AliveFrac: float64(t.alive) / float64(h.sc.Spec.Ships),
+		Delivered: t.delivered, Lost: t.lost,
 	}
-	alive, total := 0, 0
-	merged := telemetry.NewScoreSet()
-	for _, d := range h.sr.ds {
-		st.Delivered += d.n.DeliveredShuttles
-		st.Lost += d.n.LostShuttles
-		for _, s := range d.n.Ships {
-			total++
-			if s.State() == ship.Alive {
-				alive++
-			}
-		}
-		merged.MergeFrom(d.tel.QoS)
-	}
-	if total > 0 {
-		st.AliveFrac = float64(alive) / float64(total)
-	}
-	if merged.NumFlows() > 0 {
-		st.Flows = merged.Reports()
+	if t.qos.NumFlows() > 0 {
+		st.Flows = t.qos.Reports()
 	}
 	return st
 }

@@ -6,8 +6,9 @@ import (
 	"runtime"
 	"strings"
 
-	"viator/internal/metamorph"
 	"viator/internal/mobility"
+	"viator/internal/netsim"
+	"viator/internal/ployon"
 	"viator/internal/roles"
 	"viator/internal/scenario"
 	"viator/internal/ship"
@@ -19,21 +20,53 @@ import (
 	"viator/internal/workload"
 )
 
-// The scenario compiler: lowers a validated internal/scenario spec onto
-// the Network machinery. The stress scenarios S1 and S2 are themselves
-// specs (scenarios/s1.json, s2.json, embedded below), and the compiled
-// runner reproduces the retired hand-written RunS1/RunS2 byte-for-byte:
-// its arming sequence performs the same kernel registrations and RNG
-// splits in the same order — mobility model split first, then one shared
-// churn+traffic stream split after the jets — so the golden tables and
-// telemetry exports pinned in testdata/scenario are unchanged.
+// The district compiler: lowers a validated internal/scenario spec onto
+// the Network machinery. A spec compiles to D = max(1, shards) spatial
+// districts, each a full Network of ships/D ships in its own arena, all
+// armed by one code path (arena, routing pulses, healer, telemetry, jets,
+// run stream, churn, traffic, cross-traffic, faults). Districts are
+// radio-isolated from each other and connected only by trunks — long-haul
+// links whose propagation delay is the sharded executor's lookahead.
+// Every district snapshots itself on its own kernel at each checkpoint;
+// the snapshots merge into the result rows exactly (counter sums, role
+// entropy over the summed role counts, merged latency histograms for the
+// quantile columns), and the assertions evaluate once over the merged
+// view.
 //
-// Determinism contract: a (spec, seed) pair fully determines the run.
-// Compilation is pure; everything seed-dependent happens inside Run on
-// the per-run kernel RNG, and replicate fan-out reuses the registry's
-// seed-stream discipline (replicateSeed + sim.RunParallel), so tables,
-// telemetry and assertion verdicts are byte-identical for any worker
-// count.
+// An unsharded spec is one district on a plain kernel seeded from the run
+// seed. The stress scenarios S1 and S2 are such specs (scenarios/s1.json,
+// s2.json, embedded below) and reproduce the retired hand-written
+// RunS1/RunS2 byte-for-byte: the arming sequence performs the same kernel
+// registrations and RNG splits in the same order — mobility model split
+// first, then one shared churn+traffic stream split after the jets — so
+// the goldens pinned in testdata/scenario are unchanged.
+//
+// A spec with D > 1 districts runs them on K shard kernels of a
+// sim.ShardGroup (shardrun.go; K divides D, default K = D, overridable
+// with SetShardOverride / viatorbench -shards), each kernel advancing its
+// districts under the windowed conservative protocol. Cross-district
+// packets leave through a trunk on the source kernel and arrive as
+// mailbox events on the destination kernel, committed in (time, seq,
+// shard) order. Traffic generators, churn and jets operate per district
+// on local ships (a fixed onoff/cbr pair must be same-district, enforced
+// by spec validation); cross_traffic is the one inter-district generator.
+//
+// Execution is start → advance → finish, and Scenario.Run is a RunHandle
+// (live.go) driven straight to the horizon — the live server drives the
+// same handle with observation pauses between steps, so an observed run
+// cannot diverge from a batch run by construction. Only the advance step
+// (Kernel.Run, or ShardGroup windows plus a clock settle) and the group
+// shutdown depend on the executor; the single-recorder exports (Dump,
+// RunHandle.Telemetry/Trace) exist only for one-district runs.
+//
+// Determinism contract: a (spec, seed) pair — plus K for sharded specs —
+// fully determines the run. Compilation is pure; everything seed-dependent
+// happens on the per-run kernel RNGs, and replicate fan-out reuses the
+// registry's seed-stream discipline (replicateSeed + sim.RunParallel), so
+// tables, telemetry and assertion verdicts are byte-identical for any
+// worker count. Across different K the model is the same but not
+// bit-identical: districts sharing a kernel interleave their draws from
+// that kernel's RNG (statistically equivalent trajectories).
 
 // Scenario is one compiled spec, ready to run for any seed. Compiled
 // state is read-only after CompileScenario, so one Scenario may run many
@@ -44,9 +77,9 @@ type Scenario struct {
 
 	jets []scenarioJet
 	slo  telemetry.SLO
-	// zipf holds one precomputed sampler per hotspot traffic entry
-	// (nil elsewhere): the harmonic CDF depends only on the spec, so it
-	// is built once here, never per replicate.
+	// zipf holds one precomputed sampler per hotspot traffic entry (nil
+	// elsewhere) over one district's fleet: the harmonic CDF depends only
+	// on the spec, so it is built once here, never per replicate.
 	zipf []*workload.Zipf
 }
 
@@ -80,7 +113,7 @@ func CompileScenario(sp *scenario.Spec) (*Scenario, error) {
 	sc.zipf = make([]*workload.Zipf, len(sp.Traffic))
 	for i := range sp.Traffic {
 		if sp.Traffic[i].Kind == scenario.TrafficHotspot {
-			sc.zipf[i] = workload.NewZipf(sp.Ships, sp.Traffic[i].Exponent)
+			sc.zipf[i] = workload.NewZipf(sp.Ships/max(1, sp.Shards), sp.Traffic[i].Exponent)
 		}
 	}
 	return sc, nil
@@ -119,7 +152,7 @@ type ScenarioResult struct {
 	Title string
 	Rows  []ScenarioRow
 	// Dump is the run's exportable telemetry (recorder series, latency
-	// and queue-depth histograms, QoS scorecards).
+	// and queue-depth histograms, QoS scorecards); nil for sharded runs.
 	Dump *telemetry.Dump
 	// Verdicts are the spec's assertions evaluated against the finished
 	// run, in spec order (flow assertions first, then scenario-level).
@@ -143,9 +176,25 @@ func (r *ScenarioResult) Table() *stats.Table {
 	return t
 }
 
-// run-local state threaded through the arming helpers.
-type scenarioRun struct {
+// Run executes the scenario for one seed: a RunHandle driven straight to
+// the horizon, so batch and live runs share one advance path.
+func (sc *Scenario) Run(seed uint64) *ScenarioResult { return StartScenario(sc, seed).Finish() }
+
+// fleetRun is one armed run: its districts and, for D > 1, the shard
+// group executing them.
+type fleetRun struct {
 	sc  *Scenario
+	ds  []*district
+	per int // ships per district
+	// group runs the districts, dpk per shard kernel; nil for a
+	// one-district run, which advances its plain kernel ds[0].n.K.
+	group *sim.ShardGroup
+	dpk   int
+}
+
+// district is one district's armed machinery.
+type district struct {
+	id  int
 	n   *Network
 	tel *Telemetry
 	// mob/model are set for mobile arenas; pos for static ones.
@@ -156,9 +205,19 @@ type scenarioRun struct {
 	// rng is the shared churn+traffic stream (split after the jets,
 	// matching the retired hand-written scenarios).
 	rng *sim.RNG
-	// res accumulates the checkpoint rows while the kernel runs; finish
-	// seals it.
-	res *ScenarioResult
+	// trunks[dd] carries packets to district dd (nil for dd == id).
+	trunks []*netsim.Trunk
+	checks []rowCheck
+}
+
+// rowCheck is one district's snapshot at a checkpoint, captured on the
+// district's own kernel and merged into the result row after the run.
+type rowCheck struct {
+	alive, links                         int
+	delivered, lost, repairs, partitions uint64
+	roleCounts                           []int
+	sent, deliv                          uint64 // default-flow scorecard
+	lat                                  *telemetry.Hist
 }
 
 // inWindow gates an emission to the [start, stop) window; stop 0 means
@@ -169,265 +228,238 @@ func inWindow(now, start, stop float64) bool {
 }
 
 // positions returns the fleet positions the traffic/fault geometry sees.
-func (r *scenarioRun) positions() []topo.Point {
-	if r.model != nil {
-		return r.model.Positions()
+func (d *district) positions() []topo.Point {
+	if d.model != nil {
+		return d.model.Positions()
 	}
-	return r.pos
+	return d.pos
 }
 
 // linksUp counts directed up links. Mobile arenas read the refresher's
 // count; static ones scan the (small, fixed) link table.
-func (r *scenarioRun) linksUp() int {
-	if r.mob != nil {
-		return r.mob.LinksUp
+func (d *district) linksUp() int {
+	if d.mob != nil {
+		return d.mob.LinksUp
 	}
 	up := 0
-	for i := 0; i < r.n.G.Links(); i++ {
-		if r.n.G.Link(i).Up {
+	for i := 0; i < d.n.G.Links(); i++ {
+		if d.n.G.Link(i).Up {
 			up++
 		}
 	}
 	return up
 }
 
-// partitions counts refreshes that left the fleet split (mobile only;
+// partitions counts refreshes that left the district split (mobile only;
 // static arenas have no periodic refresh to probe).
-func (r *scenarioRun) partitions() uint64 {
-	if r.mob != nil {
-		return r.mob.Partitions
+func (d *district) partitions() uint64 {
+	if d.mob != nil {
+		return d.mob.Partitions
 	}
 	return 0
 }
 
 // repairs reads the healer counter, 0 when healing is disarmed.
-func (r *scenarioRun) repairs() uint64 {
-	if r.healer != nil {
-		return r.healer.Repairs
+func (d *district) repairs() uint64 {
+	if d.healer != nil {
+		return d.healer.Repairs
 	}
 	return 0
 }
 
-// Run executes the scenario for one seed. Specs declaring shards > 1
-// compile onto the sharded executor (see shardrun.go); everything else
-// takes the single-kernel path below, whatever the -shards override says
-// — so S1/S2 output is bit-for-bit independent of the shard knob.
-//
-// Run is literally start → advance-to-horizon → finish, the same three
-// calls a live RunHandle (live.go) makes with observation pauses between
-// the advance steps — one code path, so an observed run cannot diverge
-// from a batch run by construction.
-func (sc *Scenario) Run(seed uint64) *ScenarioResult {
+// start arms the scenario for one seed and returns without running:
+// every district in index order (see arm), then the faults, the trunk
+// mesh and the checkpoint schedule. Same-time events fire in scheduling
+// order, so the rows go last, in row-major district order.
+func (sc *Scenario) start(seed uint64) *fleetRun {
+	sp := sc.Spec
+	D := max(1, sp.Shards)
+	r := &fleetRun{sc: sc, ds: make([]*district, D), per: sp.Ships / D}
 	if k := sc.shardKernels(); k > 0 {
-		r := sc.startSharded(seed, k)
-		r.group.Run(sc.Spec.Horizon)
-		return r.finish()
+		r.group = sim.NewShardGroup(k, seed, sp.Trunk.Delay)
+		r.dpk = D / k
 	}
-	r := sc.start(seed)
-	r.n.Run(sc.Spec.Horizon)
-	return r.finish()
+	for i := range r.ds {
+		r.ds[i] = r.arm(i, seed)
+	}
+	// Fault coordinates address the whole fleet; validation admits faults
+	// only for one-district specs.
+	for _, f := range sp.Faults {
+		r.ds[0].n.K.At(f.At, func() { r.ds[0].applyFault(f) })
+	}
+	if r.group != nil {
+		r.armTrunks()
+	}
+	for row, t := 0, sp.RowEvery; t <= sp.Horizon; row, t = row+1, t+sp.RowEvery {
+		for _, d := range r.ds {
+			d.n.K.At(t, func() { d.capture(row) })
+		}
+	}
+	return r
 }
 
-// start arms the scenario for one seed on a fresh single-kernel Network
-// and returns without running: topology, arena, routing pulses, healing,
-// telemetry, jets, churn, traffic, faults and the checkpoint-row
-// schedule, in the fixed order the golden byte-identity tests pin.
-func (sc *Scenario) start(seed uint64) *scenarioRun {
-	sp := sc.Spec
-	cfg := DefaultConfig(sp.Ships, seed)
+// arm builds district id on its kernel — a fresh plain kernel seeded from
+// seed for a one-district run, else its shard's — in the fixed order the
+// golden byte-identity tests pin: arena, routing pulses, healer,
+// telemetry, jets, run stream, churn, traffic, cross-traffic.
+func (r *fleetRun) arm(id int, seed uint64) *district {
+	sc, sp, per := r.sc, r.sc.Spec, r.per
+	cfg := DefaultConfig(per, seed)
 	cfg.UnfairFraction = sp.UnfairFraction
 	// Radio-range topology from the arena's own positions; the default
 	// Waxman generator would be far denser than a city radio mesh.
 	g := topo.New()
-	g.AddNodes(sp.Ships)
+	g.AddNodes(per)
 	cfg.Graph = g
+	base := id * per // classes cycle over global ship indices
+	cfg.ClassOf = func(i int) ployon.Class { return ployon.Class((base + i) % int(ployon.NumClasses)) }
+	if r.group != nil {
+		cfg.Kernel = r.group.Shard(id / r.dpk)
+	}
 	n := NewNetwork(cfg)
-
-	r := &scenarioRun{sc: sc, n: n}
+	k := n.K
+	d := &district{id: id, n: n, trunks: make([]*netsim.Trunk, len(r.ds)), checks: make([]rowCheck, sp.NumRows())}
 	switch sp.Arena.Kind {
 	case scenario.ArenaMobile:
-		r.model = mobility.NewRandomWaypoint(sp.Ships, sp.Arena.Side,
-			sp.Arena.MinSpeed, sp.Arena.MaxSpeed, sp.Arena.Pause, n.K.Rand.Split())
-		r.mob = n.EnableMobility(r.model, sp.Arena.Radius, sp.Arena.Refresh)
-		r.mob.RefreshNow()
+		d.model = mobility.NewRandomWaypoint(per, sp.Arena.Side,
+			sp.Arena.MinSpeed, sp.Arena.MaxSpeed, sp.Arena.Pause, k.Rand.Split())
+		d.mob = n.EnableMobility(d.model, sp.Arena.Radius, sp.Arena.Refresh)
+		d.mob.RefreshNow()
 	case scenario.ArenaStatic:
 		// Positions are drawn once from their own split — the static
 		// arena's analogue of the mobility model's stream — and the link
 		// table is synthesized in one pass. No periodic refresh runs, so
 		// injected link faults persist until a rejoin fault undoes them.
-		prng := n.K.Rand.Split()
-		r.pos = make([]topo.Point, sp.Ships)
-		for i := range r.pos {
-			r.pos[i] = topo.Point{X: prng.Float64() * sp.Arena.Side, Y: prng.Float64() * sp.Arena.Side}
+		prng := k.Rand.Split()
+		d.pos = make([]topo.Point, per)
+		for i := range d.pos {
+			d.pos[i] = topo.Point{X: prng.Float64() * sp.Arena.Side, Y: prng.Float64() * sp.Arena.Side}
 		}
-		mobility.Connectivity(g, r.pos, sp.Arena.Radius)
+		mobility.Connectivity(g, d.pos, sp.Arena.Radius)
 	}
 	n.Router.Pulse()
 	n.StartPulses(sp.PulsePeriod)
 	if sp.HealPeriod > 0 {
-		r.healer = n.EnableSelfHealing(sp.HealPeriod)
+		d.healer = n.EnableSelfHealing(sp.HealPeriod)
 	}
 
 	// Telemetry: fixed-memory sinks plus the flight-recorder tick.
 	// Strictly observational — a scenario's pre-telemetry columns replay
 	// byte-identical (pinned by the cross-worker CI gates).
-	r.tel = n.EnableTelemetry(TelemetryConfig{Tick: sp.TelemetryTick, SLO: sc.slo})
-	r.tel.Rec.Gauge("links.up", func() float64 { return float64(r.linksUp()) })
-	if r.healer != nil {
-		r.tel.Rec.CounterFn("healer.repairs", func() float64 { return float64(r.healer.Repairs) })
+	d.tel = n.EnableTelemetry(TelemetryConfig{Tick: sp.TelemetryTick, SLO: sc.slo})
+	d.tel.Rec.Gauge("links.up", func() float64 { return float64(d.linksUp()) })
+	if d.healer != nil {
+		d.tel.Rec.CounterFn("healer.repairs", func() float64 { return float64(d.healer.Repairs) })
 	}
 
 	// Role deployment: epidemic jets seed functional differentiation.
 	for _, j := range sc.jets {
-		n.InjectJet(j.at, j.kind, j.fanout)
+		if j.at/per == id {
+			n.InjectJet(j.at%per, j.kind, j.fanout)
+		}
 	}
 
-	// One shared stream for churn and every traffic generator, split
-	// after the jets — the retired RunS1/RunS2 split order, which the
-	// golden byte-identity tests pin.
-	r.rng = n.K.Rand.Split()
-
+	d.rng = k.Rand.Split()
 	if c := sp.Churn; c != nil {
-		n.K.Every(c.Period, func() {
-			if !inWindow(n.K.Now(), c.Start, c.Stop) {
+		k.Every(c.Period, func() {
+			if !inWindow(k.Now(), c.Start, c.Stop) {
 				return
 			}
-			i := r.rng.Intn(sp.Ships)
+			i := d.rng.Intn(per)
 			if n.Ships[i].State() == ship.Alive {
 				n.KillShip(i)
 			}
 		})
 	}
-
 	for i := range sp.Traffic {
-		r.armTraffic(&sp.Traffic[i], sc.zipf[i])
+		d.armTraffic(&sp.Traffic[i], sc.zipf[i])
 	}
-	for _, f := range sp.Faults {
-		f := f
-		n.K.At(f.At, func() { r.applyFault(f) })
-	}
-
-	r.res = &ScenarioResult{Title: sp.Title}
-	for t := sp.RowEvery; t <= sp.Horizon; t += sp.RowEvery {
-		t := t
-		n.K.At(t, func() {
-			qos := r.tel.Report("")
-			slo := 0.0
-			if qos.SLOPass {
-				slo = 1
+	if ct := sp.CrossTraffic; ct != nil {
+		// Each district sends from one of its ships to a random ship of
+		// another district every Period.
+		k.Every(ct.Period, func() {
+			if !inWindow(k.Now(), ct.Start, ct.Stop) {
+				return
 			}
-			r.res.Rows = append(r.res.Rows, ScenarioRow{
-				T:          t,
-				AliveFrac:  n.AliveFraction(),
-				LinksUp:    r.linksUp(),
-				Delivered:  n.DeliveredShuttles,
-				Lost:       n.LostShuttles,
-				Repairs:    r.repairs(),
-				Partitions: r.partitions(),
-				Entropy:    metamorph.RoleEntropy(n.Ships),
-				P50ms:      qos.P50 * 1e3,
-				P95ms:      qos.P95 * 1e3,
-				P99ms:      qos.P99 * 1e3,
-				SLOOK:      slo,
-			})
+			src := d.rng.Intn(per)
+			dd := d.rng.Intn(len(r.ds) - 1)
+			if dd >= id {
+				dd++
+			}
+			r.sendCross(d, src, dd*per+d.rng.Intn(per), ct.Overlay)
 		})
 	}
-	return r
+	return d
 }
 
-// finish seals a run whose kernel has reached the horizon: stops the
-// pulse and telemetry tickers, packages the telemetry dump and evaluates
-// the spec's assertions. Exactly the epilogue Run always performed, so
-// stepped (live) runs and batch runs end identically.
-func (r *scenarioRun) finish() *ScenarioResult {
-	r.n.StopPulses()
-	r.tel.Stop()
-	r.res.Dump = r.tel.Dump()
-	r.res.Verdicts = r.evaluate()
-	return r.res
-}
-
-// armTraffic schedules one traffic generator. Every per-slot closure
-// draws only from the shared run stream and sends through the standard
-// shuttle path, so generators compose without perturbing each other's
-// schedules — only the stream consumption interleaves, deterministically.
-func (r *scenarioRun) armTraffic(tr *scenario.Traffic, zipf *workload.Zipf) {
-	n, sp, rng := r.n, r.sc.Spec, r.rng
+// armTraffic schedules one traffic generator over the district's ships.
+// Every per-slot closure draws only from the shared run stream and sends
+// through the standard shuttle path, so generators compose without
+// perturbing each other's schedules — only the stream consumption
+// interleaves, deterministically. Fixed-pair generators (onoff, cbr) run
+// only in the district that owns the pair.
+func (d *district) armTraffic(tr *scenario.Traffic, zipf *workload.Zipf) {
+	n, k, rng, per := d.n, d.n.K, d.rng, len(d.n.Ships)
 	send := func(src, dst int) {
 		n.SendShuttle(n.NewShuttle(shuttle.Data, src, dst), tr.Overlay)
 	}
-	gated := func() bool { return inWindow(n.K.Now(), tr.Start, tr.Stop) }
+	gated := func() bool { return inWindow(k.Now(), tr.Start, tr.Stop) }
+	// pair sends between a random source and a uniform (or, for hotspot
+	// traffic, Zipf-drawn) destination.
+	pair := func() {
+		if !gated() {
+			return
+		}
+		src, dst := rng.Intn(per), 0
+		if zipf != nil {
+			dst = zipf.Draw(rng)
+		} else {
+			dst = rng.Intn(per)
+		}
+		if src != dst {
+			send(src, dst)
+		}
+	}
+	fixed := func(roles.Chunk) {
+		if gated() {
+			send(tr.Src%per, tr.Dst%per)
+		}
+	}
 	switch tr.Kind {
-	case scenario.TrafficUniform:
-		n.K.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src, dst := rng.Intn(sp.Ships), rng.Intn(sp.Ships)
-			if src != dst {
-				send(src, dst)
-			}
-		})
+	case scenario.TrafficUniform, scenario.TrafficHotspot:
+		k.Every(tr.Period, pair)
+	case scenario.TrafficPoisson:
+		workload.Poisson(k, rng, tr.Rate, func(int) { pair() })
 	case scenario.TrafficDistrict:
 		tries := tr.Tries
 		if tries == 0 {
 			tries = 64
 		}
-		maxDist := tr.MaxDist
-		n.K.Every(tr.Period, func() {
+		k.Every(tr.Period, func() {
 			if !gated() {
 				return
 			}
-			src := rng.Intn(sp.Ships)
-			pos := r.positions()
+			src := rng.Intn(per)
+			pos := d.positions()
 			for try := 0; try < tries; try++ {
-				dst := rng.Intn(sp.Ships)
-				if dst == src || pos[src].Dist(pos[dst]) > maxDist {
+				dst := rng.Intn(per)
+				if dst == src || pos[src].Dist(pos[dst]) > tr.MaxDist {
 					continue
 				}
 				send(src, dst)
 				break
 			}
 		})
-	case scenario.TrafficPoisson:
-		workload.Poisson(n.K, rng, tr.Rate, func(int) {
-			if !gated() {
-				return
-			}
-			src, dst := rng.Intn(sp.Ships), rng.Intn(sp.Ships)
-			if src != dst {
-				send(src, dst)
-			}
-		})
-	case scenario.TrafficHotspot:
-		n.K.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src := rng.Intn(sp.Ships)
-			dst := zipf.Draw(rng)
-			if src != dst {
-				send(src, dst)
-			}
-		})
 	case scenario.TrafficOnOff:
-		workload.OnOff(n.K, rng, flowName(tr.Overlay),
-			tr.Rate*float64(scenarioChunkBytes), tr.OnMean, tr.OffMean, scenarioChunkBytes,
-			func(roles.Chunk) {
-				if !gated() {
-					return
-				}
-				send(tr.Src, tr.Dst)
-			})
+		if tr.Src/per == d.id {
+			workload.OnOff(k, rng, flowName(tr.Overlay),
+				tr.Rate*float64(scenarioChunkBytes), tr.OnMean, tr.OffMean, scenarioChunkBytes, fixed)
+		}
 	case scenario.TrafficCBR:
-		workload.CBR(n.K, flowName(tr.Overlay),
-			tr.Rate*float64(scenarioChunkBytes), scenarioChunkBytes,
-			func(roles.Chunk) {
-				if !gated() {
-					return
-				}
-				send(tr.Src, tr.Dst)
-			})
+		if tr.Src/per == d.id {
+			workload.CBR(k, flowName(tr.Overlay),
+				tr.Rate*float64(scenarioChunkBytes), scenarioChunkBytes, fixed)
+		}
 	}
 }
 
@@ -438,8 +470,8 @@ const scenarioChunkBytes = 1000
 // applyFault injects one scheduled fault. Faults that change the link
 // table re-pulse the router immediately so traffic reacts at the fault
 // instant rather than the next pulse tick.
-func (r *scenarioRun) applyFault(f scenario.Fault) {
-	n, g := r.n, r.n.G
+func (d *district) applyFault(f scenario.Fault) {
+	n, g := d.n, d.n.G
 	switch f.Kind {
 	case scenario.FaultPartition, scenario.FaultRejoin:
 		up := f.Kind == scenario.FaultRejoin
@@ -452,7 +484,7 @@ func (r *scenarioRun) applyFault(f scenario.Fault) {
 		n.Router.Pulse()
 	case scenario.FaultBlackout:
 		center := topo.Point{X: f.X, Y: f.Y}
-		pos := r.positions()
+		pos := d.positions()
 		for i, s := range n.Ships {
 			if s.State() == ship.Alive && pos[i].Dist(center) <= f.R {
 				n.KillShip(i)
@@ -474,40 +506,148 @@ func (r *scenarioRun) applyFault(f scenario.Fault) {
 	}
 }
 
-// evaluate renders the spec's assertions against the finished run: flow
-// SLO assertions from the telemetry scorecards first (spec order), then
-// the scenario-level predicates in grammar order. Verdict order and text
+// capture snapshots the district at checkpoint row.
+func (d *district) capture(row int) {
+	c := &d.checks[row]
+	c.roleCounts = make([]int, roles.NumKinds)
+	for _, s := range d.n.Ships {
+		if s.State() == ship.Alive {
+			c.alive++
+			c.roleCounts[s.ModalRole()]++
+		}
+	}
+	c.links, c.repairs, c.partitions = d.linksUp(), d.repairs(), d.partitions()
+	c.delivered, c.lost = d.n.DeliveredShuttles, d.n.LostShuttles
+	f := d.tel.Flow("")
+	rep := d.tel.QoS.Report(f)
+	c.sent, c.deliv = rep.Sent, rep.Delivered
+	c.lat = telemetry.NewHist()
+	c.lat.Merge(d.tel.QoS.Latency(f))
+}
+
+// finish seals a run that has reached the horizon: releases the shard
+// workers, stops the tickers, packages the one-district telemetry dump,
+// merges the checkpoint rows and evaluates the assertions.
+func (r *fleetRun) finish() *ScenarioResult {
+	if r.group != nil {
+		r.group.Close()
+	}
+	for _, d := range r.ds {
+		d.n.StopPulses()
+		d.tel.Stop()
+	}
+	res := &ScenarioResult{Title: r.sc.Spec.Title, Rows: r.mergeRows()}
+	if r.group == nil {
+		res.Dump = r.ds[0].tel.Dump()
+	}
+	res.Verdicts = r.evaluate()
+	return res
+}
+
+// mergeRows folds the per-district checkpoints into result rows: counts
+// sum, entropy is computed over the summed role counts, and the latency
+// quantile columns and SLO bit come from the exactly merged histograms.
+func (r *fleetRun) mergeRows() []ScenarioRow {
+	sp := r.sc.Spec
+	rows := make([]ScenarioRow, 0, sp.NumRows())
+	for row, t := 0, sp.RowEvery; t <= sp.Horizon; row, t = row+1, t+sp.RowEvery {
+		m := ScenarioRow{T: t}
+		alive, sent, deliv := 0, uint64(0), uint64(0)
+		counts := make([]int, roles.NumKinds)
+		lat := telemetry.NewHist()
+		for _, d := range r.ds {
+			c := &d.checks[row]
+			alive += c.alive
+			m.LinksUp += c.links
+			m.Delivered += c.delivered
+			m.Lost += c.lost
+			m.Repairs += c.repairs
+			m.Partitions += c.partitions
+			sent += c.sent
+			deliv += c.deliv
+			for i, n := range c.roleCounts {
+				counts[i] += n
+			}
+			lat.Merge(c.lat)
+		}
+		m.AliveFrac = float64(alive) / float64(sp.Ships)
+		m.Entropy = stats.Entropy(counts)
+		m.P50ms, m.P95ms, m.P99ms = lat.Quantile(0.50)*1e3, lat.Quantile(0.95)*1e3, lat.Quantile(0.99)*1e3
+		if r.sc.slo.Check(sent, deliv, lat) {
+			m.SLOOK = 1
+		}
+		rows = append(rows, m)
+	}
+	return rows
+}
+
+// fleetTotals is the merged view of every district: summed counters and
+// the scorecards merged by flow name.
+type fleetTotals struct {
+	alive, excluded          int
+	delivered, lost, repairs uint64
+	qos                      *telemetry.ScoreSet
+}
+
+// totals reads the merged view. Read-only: no flow registration, no RNG
+// draws, no kernel events.
+func (r *fleetRun) totals() fleetTotals {
+	t := fleetTotals{qos: telemetry.NewScoreSet()}
+	for _, d := range r.ds {
+		for _, s := range d.n.Ships {
+			if s.State() == ship.Alive {
+				t.alive++
+			}
+		}
+		t.delivered += d.n.DeliveredShuttles
+		t.lost += d.n.LostShuttles
+		t.repairs += d.repairs()
+		t.excluded += d.n.Community.ExcludedCount()
+		t.qos.MergeFrom(d.tel.QoS)
+	}
+	return t
+}
+
+// evaluate renders the spec's assertions against the finished run's
+// merged view: flow SLO assertions first (spec order), then the
+// scenario-level predicates in grammar order. Verdict order and text
 // depend only on the spec and the run state, never on evaluation timing.
-func (r *scenarioRun) evaluate() []scenario.Verdict {
-	n, a := r.n, &r.sc.Spec.Asserts
+func (r *fleetRun) evaluate() []scenario.Verdict {
+	a := &r.sc.Spec.Asserts
+	// Asserted flows register in every district's own scorecards first, so
+	// a one-district Dump — rendered after this — exports them even when
+	// no traffic ever touched them.
+	for _, d := range r.ds {
+		for _, fa := range a.Flows {
+			d.tel.Flow(fa.Flow)
+		}
+	}
+	t := r.totals()
 	var out []scenario.Verdict
 	for _, fa := range a.Flows {
-		f := r.tel.Flow(fa.Flow)
-		rep := r.tel.QoS.Report(f)
+		f, _ := t.qos.Lookup(flowName(fa.Flow))
+		rep, lat := t.qos.Report(f), t.qos.Latency(f)
 		slo := telemetry.SLO{Quantile: fa.Quantile, MaxLatency: fa.MaxLatency, MinDeliveryRatio: fa.MinDeliveryRatio}
-		pass := slo.Check(rep.Sent, rep.Delivered, r.tel.QoS.Latency(f))
 		detail := fmt.Sprintf("delivered %d/%d (ratio %.3f)", rep.Delivered, rep.Sent, rep.DeliveryRatio)
 		if fa.MaxLatency > 0 {
-			q := r.tel.QoS.Latency(f).Quantile(fa.Quantile)
-			detail += fmt.Sprintf(", p%v latency %.4gs (bound %.4gs)", fa.Quantile*100, q, fa.MaxLatency)
+			detail += fmt.Sprintf(", p%v latency %.4gs (bound %.4gs)", fa.Quantile*100, lat.Quantile(fa.Quantile), fa.MaxLatency)
 		}
 		out = append(out, scenario.Verdict{
 			Name:   fmt.Sprintf("flow %q slo", flowName(fa.Flow)),
-			Pass:   pass,
+			Pass:   slo.Check(rep.Sent, rep.Delivered, lat),
 			Detail: detail,
 		})
 	}
 	if a.MinDelivered > 0 {
 		out = append(out, scenario.Verdict{
-			Name: "min_delivered", Pass: n.DeliveredShuttles >= a.MinDelivered,
-			Detail: fmt.Sprintf("delivered %d (floor %d)", n.DeliveredShuttles, a.MinDelivered),
+			Name: "min_delivered", Pass: t.delivered >= a.MinDelivered,
+			Detail: fmt.Sprintf("delivered %d (floor %d)", t.delivered, a.MinDelivered),
 		})
 	}
 	if a.MaxLossRatio > 0 {
-		total := n.DeliveredShuttles + n.LostShuttles
 		ratio := 0.0
-		if total > 0 {
-			ratio = float64(n.LostShuttles) / float64(total)
+		if sum := t.delivered + t.lost; sum > 0 {
+			ratio = float64(t.lost) / float64(sum)
 		}
 		out = append(out, scenario.Verdict{
 			Name: "max_loss_ratio", Pass: ratio <= a.MaxLossRatio,
@@ -515,7 +655,7 @@ func (r *scenarioRun) evaluate() []scenario.Verdict {
 		})
 	}
 	if a.MinAliveFrac > 0 {
-		frac := n.AliveFraction()
+		frac := float64(t.alive) / float64(r.sc.Spec.Ships)
 		out = append(out, scenario.Verdict{
 			Name: "min_alive_frac", Pass: frac >= a.MinAliveFrac,
 			Detail: fmt.Sprintf("alive fraction %.3f (floor %.3f)", frac, a.MinAliveFrac),
@@ -523,15 +663,14 @@ func (r *scenarioRun) evaluate() []scenario.Verdict {
 	}
 	if a.MinRepairs > 0 {
 		out = append(out, scenario.Verdict{
-			Name: "min_repairs", Pass: r.repairs() >= a.MinRepairs,
-			Detail: fmt.Sprintf("repairs %d (floor %d)", r.repairs(), a.MinRepairs),
+			Name: "min_repairs", Pass: t.repairs >= a.MinRepairs,
+			Detail: fmt.Sprintf("repairs %d (floor %d)", t.repairs, a.MinRepairs),
 		})
 	}
 	if a.MinExcluded > 0 {
-		excluded := n.Community.ExcludedCount()
 		out = append(out, scenario.Verdict{
-			Name: "min_excluded", Pass: excluded >= a.MinExcluded,
-			Detail: fmt.Sprintf("excluded %d (floor %d)", excluded, a.MinExcluded),
+			Name: "min_excluded", Pass: t.excluded >= a.MinExcluded,
+			Detail: fmt.Sprintf("excluded %d (floor %d)", t.excluded, a.MinExcluded),
 		})
 	}
 	return out

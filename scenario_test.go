@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"viator/internal/scenario"
 )
 
 // readGolden loads one pre-refactor golden from testdata/scenario. The
@@ -215,6 +218,47 @@ func TestAdversarialSuitePasses(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ghostFlowSpec asserts on an overlay ("ghost") whose only generator
+// opens after the horizon, so no traffic ever touches the flow.
+const ghostFlowSpec = `{
+  "name": "ghost",
+  "title": "ghost: asserted flow without traffic",
+  "ships": 16,
+  "horizon": 2.0,
+  "row_every": 1.0,
+  "arena": {"kind": "static", "side": 100.0, "radius": 60.0},
+  "pulse_period": 1.0,
+  "traffic": [
+    {"kind": "uniform", "period": 0.1},
+    {"kind": "uniform", "period": 0.1, "overlay": "ghost", "start": 100}
+  ],
+  "asserts": {"flows": [{"flow": "ghost", "min_delivery_ratio": 0.5}]}
+}`
+
+// TestAssertedFlowExportedWithoutTraffic: evaluating a flow assertion
+// registers the flow in the run's own scorecards before the telemetry
+// dump is rendered, so the JSONL export carries a line for an asserted
+// flow that never saw traffic, and the verdict is the vacuous pass.
+func TestAssertedFlowExportedWithoutTraffic(t *testing.T) {
+	sc, err := ParseScenario([]byte(ghostFlowSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sc.Run(3)
+	want := []scenario.Verdict{{Name: `flow "ghost" slo`, Pass: true, Detail: "delivered 0/0 (ratio 1.000)"}}
+	if !reflect.DeepEqual(res.Verdicts, want) {
+		t.Fatalf("verdicts = %+v, want %+v", res.Verdicts, want)
+	}
+	var jl bytes.Buffer
+	if err := res.Dump.WriteJSONL(&jl, ""); err != nil {
+		t.Fatal(err)
+	}
+	line := `{"kind":"flow","name":"ghost","sent":0,"delivered":0,"ratio":1,"p50":0,"p95":0,"p99":0,"slo_pass":true}`
+	if !strings.Contains(jl.String(), line+"\n") {
+		t.Fatalf("telemetry JSONL lacks the asserted flow line %s:\n%s", line, jl.String())
 	}
 }
 

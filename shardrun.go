@@ -1,54 +1,19 @@
 package viator
 
 import (
-	"fmt"
 	"strings"
 	"sync/atomic"
 
-	"viator/internal/mobility"
 	"viator/internal/netsim"
 	"viator/internal/ployon"
-	"viator/internal/roles"
-	"viator/internal/scenario"
-	"viator/internal/ship"
 	"viator/internal/shuttle"
 	"viator/internal/sim"
-	"viator/internal/stats"
-	"viator/internal/telemetry"
 	"viator/internal/topo"
-	"viator/internal/workload"
 )
 
-// The sharded scenario runner: a spec with shards = D describes D
-// spatial districts, each a full Network of ships/D ships in its own
-// arena, radio-isolated from the others and connected only by trunks —
-// long-haul links whose propagation delay is the conservative executor's
-// lookahead. The model is fixed by the spec: D, the per-district fleets,
-// the trunk mesh and the traffic mix never depend on how the run is
-// executed.
-//
-// Execution maps the D districts onto K shard kernels (K divides D;
-// default K = D, overridable with SetShardOverride / viatorbench
-// -shards), each kernel advancing its districts under the ShardGroup's
-// windowed conservative protocol. Every cross-district packet leaves
-// through a trunk on the source kernel and arrives as a mailbox event on
-// the destination kernel, committed in (time, seq, shard) order — so a
-// fixed (spec, seed, K) triple replays byte-identical for any worker
-// count. Across different K the model work is the same size and shape
-// but not bit-identical: districts sharing a kernel interleave their
-// draws from that kernel's RNG, so regrouping them perturbs individual
-// random decisions (statistically equivalent trajectories, exact replay
-// only at fixed K).
-//
-// Semantics under sharding: traffic generators, churn and jets operate
-// per district on local ships (a fixed onoff/cbr pair must be
-// same-district, enforced by spec validation); cross_traffic is the one
-// inter-district generator. Checkpoint rows aggregate the districts
-// exactly (counter sums, role-count entropy over the summed counts,
-// merged latency histograms for the quantile columns), and assertions
-// evaluate against the merged scorecards. ScenarioResult.Dump is nil for
-// sharded runs: per-district telemetry exists transiently for the QoS
-// columns but a single-recorder export is not defined for them.
+// The shard executor of the district compiler (see scenario.go): the
+// shard-kernel count, the trunk mesh between districts and the
+// cross-district mail path.
 
 // shardOverride is the process-wide execution override for the number of
 // shard kernels (the viatorbench -shards flag). 0 means "spec default"
@@ -60,14 +25,14 @@ var shardOverride atomic.Int64
 
 // SetShardOverride sets the global shard-kernel override (0 restores the
 // spec default). It applies only to specs that declare shards > 1;
-// unsharded specs always run the plain single-kernel path.
+// unsharded specs always run one district on a plain kernel.
 func SetShardOverride(k int) { shardOverride.Store(int64(k)) }
 
 // ShardOverride returns the current override (0 = spec default).
 func ShardOverride() int { return int(shardOverride.Load()) }
 
 // shardKernels resolves how many shard kernels a run of sc uses: 0 for
-// unsharded specs (plain path), otherwise a divisor of the district
+// unsharded specs (plain kernel), otherwise a divisor of the district
 // count — the override when valid, else one kernel per district.
 func (sc *Scenario) shardKernels() int {
 	d := sc.Spec.Shards
@@ -81,101 +46,40 @@ func (sc *Scenario) shardKernels() int {
 	return k
 }
 
-// shardCheck is one district's snapshot at a checkpoint, captured on the
-// district's own kernel and merged into global rows after the run.
-type shardCheck struct {
-	alive      int
-	links      int
-	delivered  uint64
-	lost       uint64
-	repairs    uint64
-	partitions uint64
-	roleCounts []int
-	qosSent    uint64
-	qosDeliv   uint64
-	lat        *telemetry.Hist
-}
-
-// shardDistrict is one district's compiled machinery.
-type shardDistrict struct {
-	id     int
-	n      *Network
-	tel    *Telemetry
-	mob    *Mobility
-	model  *mobility.RandomWaypoint
-	pos    []topo.Point
-	healer *Healer
-	rng    *sim.RNG
-	// trunks[dd] carries packets to district dd (nil for dd == id).
-	trunks []*netsim.Trunk
-	checks []shardCheck
-}
-
-func (d *shardDistrict) positions() []topo.Point {
-	if d.model != nil {
-		return d.model.Positions()
-	}
-	return d.pos
-}
-
-func (d *shardDistrict) linksUp() int {
-	if d.mob != nil {
-		return d.mob.LinksUp
-	}
-	up := 0
-	for i := 0; i < d.n.G.Links(); i++ {
-		if d.n.G.Link(i).Up {
-			up++
+// armTrunks wires the trunk mesh: one trunk per ordered district pair,
+// owned by the source district's kernel; transmit completion posts the
+// packet to the destination kernel's mailbox.
+func (r *fleetRun) armTrunks() {
+	sp := r.sc.Spec
+	props := netsim.LinkProps{Bandwidth: sp.Trunk.Bandwidth, Delay: sp.Trunk.Delay, QueueCap: sp.Trunk.QueueCap}
+	for _, d := range r.ds {
+		for dd := range r.ds {
+			if dd == d.id {
+				continue
+			}
+			srcK, dstK := d.id/r.dpk, dd/r.dpk
+			d.trunks[dd] = netsim.NewTrunk(d.n.K, props, func(p *netsim.Packet, at sim.Time) {
+				r.group.Post(srcK, dstK, at, p)
+			})
 		}
 	}
-	return up
-}
-
-func (d *shardDistrict) repairs() uint64 {
-	if d.healer != nil {
-		return d.healer.Repairs
+	for ki := 0; ki < r.group.NumShards(); ki++ {
+		r.group.OnMail(ki, func(payload any) { r.deliverCross(payload.(*netsim.Packet)) })
 	}
-	return 0
 }
-
-func (d *shardDistrict) partitions() uint64 {
-	if d.mob != nil {
-		return d.mob.Partitions
-	}
-	return 0
-}
-
-// shardedRun is the whole-run state: the executor, the districts and the
-// row schedule.
-type shardedRun struct {
-	sc      *Scenario
-	group   *sim.ShardGroup
-	ds      []*shardDistrict
-	per     int // ships per district
-	dpk     int // districts per kernel
-	numRows int
-}
-
-func (r *shardedRun) kernelOf(district int) int { return district / r.dpk }
-
-// district resolves a global ship index.
-func (r *shardedRun) district(global int) (d, local int) { return global / r.per, global % r.per }
 
 // sendCross launches a shuttle from district d's local ship src to the
 // global ship gdst over the trunk mesh. Mirrors SendShuttle: scored as
 // sent on the source district's overlay flow at launch, as delivered on
 // the destination district's when the trunk mail lands.
-func (r *shardedRun) sendCross(d *shardDistrict, src, gdst int, overlay string) {
-	dd, _ := r.district(gdst)
+func (r *fleetRun) sendCross(d *district, src, gdst int, overlay string) {
 	n := d.n
 	sh := shuttle.New(n.allocShuttleID(), shuttle.Data, int32(src), int32(gdst), n.Ships[src].Class)
 	sh.DstClass = ployon.Class(gdst % int(ployon.NumClasses))
 	sh.Shape = n.Ships[src].Shape
-	if d.tel != nil {
-		d.tel.QoS.Sent(d.tel.flowFor(overlay))
-	}
+	d.tel.QoS.Sent(d.tel.flowFor(overlay))
 	pkt := n.Net.NewPacket(topo.NodeID(src), topo.NodeID(gdst), sh.WireSize(), "xshard:"+overlay, sh)
-	if !d.trunks[dd].Send(pkt) {
+	if !d.trunks[gdst/r.per].Send(pkt) {
 		n.LostShuttles++
 	}
 }
@@ -184,432 +88,19 @@ func (r *shardedRun) sendCross(d *shardDistrict, src, gdst int, overlay string) 
 // transport records the end-to-end latency (district clocks share one
 // virtual timeline, so created-to-now spans the trunk hop exactly), the
 // destination's scorecard scores the overlay flow, and the shuttle docks.
-func (r *shardedRun) deliverCross(pkt *netsim.Packet) {
-	dd, local := r.district(int(pkt.Dst))
-	d := r.ds[dd]
-	sh := pkt.Payload.(*shuttle.Shuttle)
+func (r *fleetRun) deliverCross(pkt *netsim.Packet) {
+	d := r.ds[int(pkt.Dst)/r.per]
 	d.n.Net.Deliver(pkt)
-	if d.tel != nil {
-		overlay := strings.TrimPrefix(pkt.Class, "xshard:")
-		d.tel.QoS.Delivered(d.tel.flowFor(overlay), d.n.K.Now()-pkt.Created)
-	}
-	d.n.dock(local, sh)
-}
-
-// startSharded arms a sharded scenario for one seed on k shard kernels
-// and returns without running. The arming order is fixed — districts in
-// index order, each mirroring the unsharded compiler's sequence (arena,
-// pulses, healer, telemetry, jets, run stream, churn, traffic,
-// cross-traffic), then the trunk mesh, then the checkpoint schedule — so
-// a (spec, seed, k) triple fully determines the run. Advance the
-// returned run with group.Run(horizon) in one shot, or window-by-window
-// with group.StepWindow(horizon) + settle() (the live path), then seal
-// it with finish().
-func (sc *Scenario) startSharded(seed uint64, kernels int) *shardedRun {
-	sp := sc.Spec
-	D := sp.Shards
-	per := sp.Ships / D
-	r := &shardedRun{
-		sc:    sc,
-		group: sim.NewShardGroup(kernels, seed, sp.Trunk.Delay),
-		ds:    make([]*shardDistrict, D),
-		per:   per,
-		dpk:   D / kernels,
-	}
-	numRows := sp.NumRows()
-	trunkProps := netsim.LinkProps{
-		Bandwidth: sp.Trunk.Bandwidth,
-		Delay:     sp.Trunk.Delay,
-		QueueCap:  sp.Trunk.QueueCap,
-	}
-	zipf := make([]*workload.Zipf, len(sp.Traffic))
-	for i := range sp.Traffic {
-		if sp.Traffic[i].Kind == scenario.TrafficHotspot {
-			zipf[i] = workload.NewZipf(per, sp.Traffic[i].Exponent)
-		}
-	}
-
-	for di := 0; di < D; di++ {
-		k := r.group.Shard(r.kernelOf(di))
-		cfg := DefaultConfig(per, seed)
-		cfg.Kernel = k
-		cfg.UnfairFraction = sp.UnfairFraction
-		g := topo.New()
-		g.AddNodes(per)
-		cfg.Graph = g
-		base := di * per
-		cfg.ClassOf = func(i int) ployon.Class { return ployon.Class((base + i) % int(ployon.NumClasses)) }
-		n := NewNetwork(cfg)
-		d := &shardDistrict{id: di, n: n, trunks: make([]*netsim.Trunk, D), checks: make([]shardCheck, numRows)}
-		r.ds[di] = d
-
-		switch sp.Arena.Kind {
-		case scenario.ArenaMobile:
-			d.model = mobility.NewRandomWaypoint(per, sp.Arena.Side,
-				sp.Arena.MinSpeed, sp.Arena.MaxSpeed, sp.Arena.Pause, k.Rand.Split())
-			d.mob = n.EnableMobility(d.model, sp.Arena.Radius, sp.Arena.Refresh)
-			d.mob.RefreshNow()
-		case scenario.ArenaStatic:
-			prng := k.Rand.Split()
-			d.pos = make([]topo.Point, per)
-			for i := range d.pos {
-				d.pos[i] = topo.Point{X: prng.Float64() * sp.Arena.Side, Y: prng.Float64() * sp.Arena.Side}
-			}
-			mobility.Connectivity(g, d.pos, sp.Arena.Radius)
-		}
-		n.Router.Pulse()
-		n.StartPulses(sp.PulsePeriod)
-		if sp.HealPeriod > 0 {
-			d.healer = n.EnableSelfHealing(sp.HealPeriod)
-		}
-		// Per-district telemetry provides the fixed-memory QoS sinks the
-		// row columns and assertions read; the flight-recorder tick is
-		// not armed (Dump is nil for sharded runs).
-		d.tel = n.EnableTelemetry(TelemetryConfig{SLO: sc.slo})
-
-		for _, j := range sc.jets {
-			if j.at/per == di {
-				n.InjectJet(j.at%per, j.kind, j.fanout)
-			}
-		}
-
-		// One shared churn+traffic stream per district, split after the
-		// jets — the unsharded compiler's split order, per district.
-		d.rng = k.Rand.Split()
-
-		if c := sp.Churn; c != nil {
-			// Per-district interpretation: each district churns one of its
-			// own ships every Period.
-			k.Every(c.Period, func() {
-				if !inWindow(k.Now(), c.Start, c.Stop) {
-					return
-				}
-				i := d.rng.Intn(per)
-				if n.Ships[i].State() == ship.Alive {
-					n.KillShip(i)
-				}
-			})
-		}
-		for i := range sp.Traffic {
-			r.armShardTraffic(d, &sp.Traffic[i], zipf[i])
-		}
-		if ct := sp.CrossTraffic; ct != nil {
-			k.Every(ct.Period, func() {
-				if !inWindow(k.Now(), ct.Start, ct.Stop) {
-					return
-				}
-				src := d.rng.Intn(per)
-				dd := d.rng.Intn(D - 1)
-				if dd >= di {
-					dd++
-				}
-				r.sendCross(d, src, dd*per+d.rng.Intn(per), ct.Overlay)
-			})
-		}
-	}
-
-	// The trunk mesh: one trunk per ordered district pair, owned by the
-	// source district's kernel; transmit completion posts the packet to
-	// the destination kernel's mailbox.
-	for di := 0; di < D; di++ {
-		d := r.ds[di]
-		srcK := r.kernelOf(di)
-		for dd := 0; dd < D; dd++ {
-			if dd == di {
-				continue
-			}
-			dstK := r.kernelOf(dd)
-			d.trunks[dd] = netsim.NewTrunk(d.n.K, trunkProps, func(p *netsim.Packet, at sim.Time) {
-				r.group.Post(srcK, dstK, at, p)
-			})
-		}
-	}
-	for ki := 0; ki < kernels; ki++ {
-		r.group.OnMail(ki, func(payload any) {
-			r.deliverCross(payload.(*netsim.Packet))
-		})
-	}
-
-	// Checkpoint schedule: every district snapshots itself on its own
-	// kernel at each row time (the same float accumulation as NumRows).
-	row := 0
-	for t := sp.RowEvery; t <= sp.Horizon; t += sp.RowEvery {
-		rc := row
-		for di := 0; di < D; di++ {
-			d := r.ds[di]
-			d.n.K.At(t, func() { d.capture(rc) })
-		}
-		row++
-	}
-
-	r.numRows = numRows
-	return r
+	overlay := strings.TrimPrefix(pkt.Class, "xshard:")
+	d.tel.QoS.Delivered(d.tel.flowFor(overlay), d.n.K.Now()-pkt.Created)
+	d.n.dock(int(pkt.Dst)%r.per, pkt.Payload.(*shuttle.Shuttle))
 }
 
 // settle advances every shard clock to the horizon after StepWindow has
 // drained the event queues — the trailing clock sweep ShardGroup.Run
-// performs itself. Live drivers looping StepWindow call it once before
-// finish.
-func (r *shardedRun) settle() {
+// performs itself.
+func (r *fleetRun) settle() {
 	for i := 0; i < r.group.NumShards(); i++ {
 		r.group.Shard(i).Run(r.sc.Spec.Horizon)
 	}
-}
-
-// finish seals a sharded run whose group has reached the horizon:
-// releases the worker pool, stops the per-district tickers, merges the
-// checkpoint rows and evaluates the assertions — the exact epilogue the
-// batch path always ran.
-func (r *shardedRun) finish() *ScenarioResult {
-	r.group.Close()
-	for _, d := range r.ds {
-		d.n.StopPulses()
-		d.tel.Stop()
-	}
-	res := &ScenarioResult{Title: r.sc.Spec.Title}
-	res.Rows = r.mergeRows(r.numRows)
-	res.Verdicts = r.evaluate()
-	return res
-}
-
-// capture snapshots the district at checkpoint row.
-func (d *shardDistrict) capture(row int) {
-	c := &d.checks[row]
-	c.roleCounts = make([]int, roles.NumKinds)
-	for _, s := range d.n.Ships {
-		if s.State() != ship.Alive {
-			continue
-		}
-		c.alive++
-		c.roleCounts[s.ModalRole()]++
-	}
-	c.links = d.linksUp()
-	c.delivered = d.n.DeliveredShuttles
-	c.lost = d.n.LostShuttles
-	c.repairs = d.repairs()
-	c.partitions = d.partitions()
-	f := d.tel.Flow("")
-	rep := d.tel.QoS.Report(f)
-	c.qosSent, c.qosDeliv = rep.Sent, rep.Delivered
-	c.lat = telemetry.NewHist()
-	c.lat.Merge(d.tel.QoS.Latency(f))
-}
-
-// mergeRows folds the per-district checkpoints into global rows: counts
-// sum, entropy is computed over the summed role counts, and the latency
-// quantile columns come from the exactly merged histograms.
-func (r *shardedRun) mergeRows(numRows int) []ScenarioRow {
-	sp := r.sc.Spec
-	rows := make([]ScenarioRow, 0, numRows)
-	row := 0
-	for t := sp.RowEvery; t <= sp.Horizon; t += sp.RowEvery {
-		var alive, links int
-		var delivered, lost, repairs, partitions, sent, deliv uint64
-		counts := make([]int, roles.NumKinds)
-		lat := telemetry.NewHist()
-		for _, d := range r.ds {
-			c := &d.checks[row]
-			alive += c.alive
-			links += c.links
-			delivered += c.delivered
-			lost += c.lost
-			repairs += c.repairs
-			partitions += c.partitions
-			sent += c.qosSent
-			deliv += c.qosDeliv
-			for i, n := range c.roleCounts {
-				counts[i] += n
-			}
-			lat.Merge(c.lat)
-		}
-		slo := 0.0
-		if r.sc.slo.Check(sent, deliv, lat) {
-			slo = 1
-		}
-		rows = append(rows, ScenarioRow{
-			T:          t,
-			AliveFrac:  float64(alive) / float64(sp.Ships),
-			LinksUp:    links,
-			Delivered:  delivered,
-			Lost:       lost,
-			Repairs:    repairs,
-			Partitions: partitions,
-			Entropy:    stats.Entropy(counts),
-			P50ms:      lat.Quantile(0.50) * 1e3,
-			P95ms:      lat.Quantile(0.95) * 1e3,
-			P99ms:      lat.Quantile(0.99) * 1e3,
-			SLOOK:      slo,
-		})
-		row++
-	}
-	return rows
-}
-
-// armShardTraffic arms one generator on district d over its local ships.
-// Random-pair generators run in every district; fixed-pair generators
-// (onoff, cbr) run only in the district that owns the pair.
-func (r *shardedRun) armShardTraffic(d *shardDistrict, tr *scenario.Traffic, zipf *workload.Zipf) {
-	n, per, rng := d.n, r.per, d.rng
-	k := n.K
-	send := func(src, dst int) {
-		n.SendShuttle(n.NewShuttle(shuttle.Data, src, dst), tr.Overlay)
-	}
-	gated := func() bool { return inWindow(k.Now(), tr.Start, tr.Stop) }
-	switch tr.Kind {
-	case scenario.TrafficUniform:
-		k.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src, dst := rng.Intn(per), rng.Intn(per)
-			if src != dst {
-				send(src, dst)
-			}
-		})
-	case scenario.TrafficDistrict:
-		tries := tr.Tries
-		if tries == 0 {
-			tries = 64
-		}
-		maxDist := tr.MaxDist
-		k.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src := rng.Intn(per)
-			pos := d.positions()
-			for try := 0; try < tries; try++ {
-				dst := rng.Intn(per)
-				if dst == src || pos[src].Dist(pos[dst]) > maxDist {
-					continue
-				}
-				send(src, dst)
-				break
-			}
-		})
-	case scenario.TrafficPoisson:
-		workload.Poisson(k, rng, tr.Rate, func(int) {
-			if !gated() {
-				return
-			}
-			src, dst := rng.Intn(per), rng.Intn(per)
-			if src != dst {
-				send(src, dst)
-			}
-		})
-	case scenario.TrafficHotspot:
-		k.Every(tr.Period, func() {
-			if !gated() {
-				return
-			}
-			src := rng.Intn(per)
-			dst := zipf.Draw(rng)
-			if src != dst {
-				send(src, dst)
-			}
-		})
-	case scenario.TrafficOnOff:
-		if tr.Src/per != d.id {
-			return
-		}
-		src, dst := tr.Src%per, tr.Dst%per
-		workload.OnOff(k, rng, flowName(tr.Overlay),
-			tr.Rate*float64(scenarioChunkBytes), tr.OnMean, tr.OffMean, scenarioChunkBytes,
-			func(roles.Chunk) {
-				if !gated() {
-					return
-				}
-				send(src, dst)
-			})
-	case scenario.TrafficCBR:
-		if tr.Src/per != d.id {
-			return
-		}
-		src, dst := tr.Src%per, tr.Dst%per
-		workload.CBR(k, flowName(tr.Overlay),
-			tr.Rate*float64(scenarioChunkBytes), scenarioChunkBytes,
-			func(roles.Chunk) {
-				if !gated() {
-					return
-				}
-				send(src, dst)
-			})
-	}
-}
-
-// evaluate renders the spec's assertions against the merged run: flow
-// assertions against the districts' merged scorecards, scenario-level
-// predicates against the summed counters.
-func (r *shardedRun) evaluate() []scenario.Verdict {
-	a := &r.sc.Spec.Asserts
-	merged := telemetry.NewScoreSet()
-	var deliveredShuttles, lostShuttles, repairs uint64
-	alive, total, excluded := 0, 0, 0
-	for _, d := range r.ds {
-		merged.MergeFrom(d.tel.QoS)
-		deliveredShuttles += d.n.DeliveredShuttles
-		lostShuttles += d.n.LostShuttles
-		repairs += d.repairs()
-		for _, s := range d.n.Ships {
-			total++
-			if s.State() == ship.Alive {
-				alive++
-			}
-		}
-		excluded += d.n.Community.ExcludedCount()
-	}
-	var out []scenario.Verdict
-	for _, fa := range a.Flows {
-		f := merged.Flow(flowName(fa.Flow), r.sc.slo)
-		rep := merged.Report(f)
-		slo := telemetry.SLO{Quantile: fa.Quantile, MaxLatency: fa.MaxLatency, MinDeliveryRatio: fa.MinDeliveryRatio}
-		pass := slo.Check(rep.Sent, rep.Delivered, merged.Latency(f))
-		detail := fmt.Sprintf("delivered %d/%d (ratio %.3f)", rep.Delivered, rep.Sent, rep.DeliveryRatio)
-		if fa.MaxLatency > 0 {
-			q := merged.Latency(f).Quantile(fa.Quantile)
-			detail += fmt.Sprintf(", p%v latency %.4gs (bound %.4gs)", fa.Quantile*100, q, fa.MaxLatency)
-		}
-		out = append(out, scenario.Verdict{
-			Name:   fmt.Sprintf("flow %q slo", flowName(fa.Flow)),
-			Pass:   pass,
-			Detail: detail,
-		})
-	}
-	if a.MinDelivered > 0 {
-		out = append(out, scenario.Verdict{
-			Name: "min_delivered", Pass: deliveredShuttles >= a.MinDelivered,
-			Detail: fmt.Sprintf("delivered %d (floor %d)", deliveredShuttles, a.MinDelivered),
-		})
-	}
-	if a.MaxLossRatio > 0 {
-		sum := deliveredShuttles + lostShuttles
-		ratio := 0.0
-		if sum > 0 {
-			ratio = float64(lostShuttles) / float64(sum)
-		}
-		out = append(out, scenario.Verdict{
-			Name: "max_loss_ratio", Pass: ratio <= a.MaxLossRatio,
-			Detail: fmt.Sprintf("loss ratio %.3f (cap %.3f)", ratio, a.MaxLossRatio),
-		})
-	}
-	if a.MinAliveFrac > 0 {
-		frac := float64(alive) / float64(total)
-		out = append(out, scenario.Verdict{
-			Name: "min_alive_frac", Pass: frac >= a.MinAliveFrac,
-			Detail: fmt.Sprintf("alive fraction %.3f (floor %.3f)", frac, a.MinAliveFrac),
-		})
-	}
-	if a.MinRepairs > 0 {
-		out = append(out, scenario.Verdict{
-			Name: "min_repairs", Pass: repairs >= a.MinRepairs,
-			Detail: fmt.Sprintf("repairs %d (floor %d)", repairs, a.MinRepairs),
-		})
-	}
-	if a.MinExcluded > 0 {
-		out = append(out, scenario.Verdict{
-			Name: "min_excluded", Pass: excluded >= a.MinExcluded,
-			Detail: fmt.Sprintf("excluded %d (floor %d)", excluded, a.MinExcluded),
-		})
-	}
-	return out
 }

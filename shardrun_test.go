@@ -1,6 +1,7 @@
 package viator
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -57,8 +58,18 @@ func fingerprint(res *ScenarioResult) string {
 }
 
 // Fixed (spec, seed, K) must replay byte-identical, for every valid K.
+// The recorder ticks a telemetry_tick arms on the shard kernels are
+// observational: the ticked variant replays the tick-free fingerprint.
 func TestShardedRunDeterministicReplay(t *testing.T) {
 	sc := compileShardTestSpec(t)
+	ticked, err := ParseScenario([]byte(strings.Replace(shardTestSpec,
+		`"pulse_period"`, `"telemetry_tick": 0.25, "pulse_period"`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ticked.Spec.TelemetryTick != 0.25 {
+		t.Fatalf("ticked variant has telemetry_tick %v", ticked.Spec.TelemetryTick)
+	}
 	defer SetShardOverride(0)
 	for _, k := range []int{1, 2, 4} {
 		SetShardOverride(k)
@@ -70,6 +81,9 @@ func TestShardedRunDeterministicReplay(t *testing.T) {
 		}
 		if first == "" {
 			t.Fatalf("K=%d produced empty fingerprint", k)
+		}
+		if got := fingerprint(ticked.Run(11)); got != first {
+			t.Fatalf("K=%d telemetry_tick variant diverged:\n%s\n--- vs ---\n%s", k, got, first)
 		}
 	}
 }
