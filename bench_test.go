@@ -221,6 +221,12 @@ func BenchmarkConnectivityOracle(b *testing.B)      { benchprobe.ConnectivityOra
 func BenchmarkConnectivityGrid(b *testing.B)        { benchprobe.ConnectivityGrid(42)(b) }
 func BenchmarkConnectivityIncremental(b *testing.B) { benchprobe.ConnectivityIncremental(42)(b) }
 
+// BenchmarkPartitionProbe measures Graph.Connected on the S1-scale
+// radio graph — the partition probe every connectivity refresh runs —
+// at a small constant allocs/op. Body shared with `viatorbench -bench
+// mobility` via internal/benchprobe.
+func BenchmarkPartitionProbe(b *testing.B) { benchprobe.PartitionProbe(42)(b) }
+
 // BenchmarkMobilityStep measures pure position advancement for the
 // 1000-ship fleet — the physical layer's per-refresh floor.
 func BenchmarkMobilityStep(b *testing.B) {

@@ -411,14 +411,16 @@ func benchRoutingSuite(seed uint64) []benchSpec {
 
 // benchMobilitySuite is the physical-layer suite (BENCH_mobility.json):
 // the brute-force O(n²) connectivity oracle, the spatial-hash grid
-// refresh, the incremental diff refresh the simulation loop runs, and
-// pure mobility stepping — all at S1 scale (1000 mobile ships, radius
-// 75) — plus one full end-to-end S2 megalopolis run (10k ships).
+// refresh, the incremental diff refresh the simulation loop runs, the
+// partition probe it runs after every refresh, and pure mobility
+// stepping — all at S1 scale (1000 mobile ships, radius 75) — plus one
+// full end-to-end S2 megalopolis run (10k ships).
 func benchMobilitySuite(seed uint64) []benchSpec {
 	return []benchSpec{
 		{"mobility.connectivity_oracle", benchprobe.ConnectivityOracle(seed)},
 		{"mobility.connectivity_grid", benchprobe.ConnectivityGrid(seed)},
 		{"mobility.connectivity_incremental", benchprobe.ConnectivityIncremental(seed)},
+		{"mobility.partition_probe", benchprobe.PartitionProbe(seed)},
 		{"mobility.step", benchprobe.MobilityStep(seed)},
 		{"s2.megalopolis_run", func(b *testing.B) {
 			benchprobe.Replicated(b, func() error {

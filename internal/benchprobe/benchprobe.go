@@ -299,6 +299,32 @@ func ConnectivityIncremental(seed uint64) func(b *testing.B) {
 	}
 }
 
+// PartitionProbe measures Graph.Connected, the partition probe every
+// mobility refresh runs, on the S1-scale radio graph. About half the
+// frame cycle's frames are connected; the probe times the first one that
+// is, so both the forward and the reverse flood run — the probe's worst
+// case. Its allocs/op is a small constant — the visited set, the queue
+// and the in-link adjacency — independent of the fleet size.
+func PartitionProbe(seed uint64) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		frames := physicalFrames(seed)
+		g := topo.New()
+		g.AddNodes(len(frames[0]))
+		var sc mobility.ConnScratch
+		for _, f := range frames {
+			sc.RefreshInto(g, f, physicalRadius)
+			if g.Connected() {
+				break
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.Connected()
+		}
+	}
+}
+
 // MobilityStep measures pure position advancement into a caller-owned
 // buffer for the 1000-ship fleet. 0 allocs/op once the buffer has grown.
 func MobilityStep(seed uint64) func(b *testing.B) {

@@ -13,10 +13,11 @@
 // large fleets are simulated at memory speed:
 //
 //   - Each link owns a persistent transmit state machine: one
-//     serialization-done callback and one arrival callback, created when
-//     the link state is created and rescheduled for every packet. Sending a
-//     packet therefore allocates nothing (the earlier design built two
-//     fresh closures per packet).
+//     serialization-done callback and one arrival callback, created on the
+//     link's first transmission and rescheduled for every later packet.
+//     Sending a packet therefore allocates nothing (the earlier design
+//     built two fresh closures per packet), and the links a mobile fleet
+//     creates but never uses cost no closures at all.
 //   - In-flight packets ride a small per-link FIFO of records; the arrival
 //     callback picks the record with the earliest arrival time, so delivery
 //     matches the kernel's (time, seq) fire order even if a link's Delay is
@@ -37,6 +38,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"viator/internal/sim"
 	"viator/internal/stats"
@@ -110,8 +112,10 @@ type linkState struct {
 	ifHead         int
 	arrivalsSorted bool
 
-	// Persistent kernel callbacks — created once per link, rescheduled for
-	// every packet, so the transmit path never allocates.
+	// Persistent kernel callbacks — created on the link's first
+	// transmission and rescheduled for every later packet, so the
+	// transmit path allocates nothing in the steady state and links that
+	// never carry a packet cost no closures.
 	serialDone func()
 	arrive     func()
 }
@@ -189,14 +193,16 @@ func (n *Net) ensureLinks() {
 }
 
 // syncLinks grows the per-link state table to match the graph; topologies
-// may add links at runtime (mobility, metamorphosis). Each new link gets
-// its persistent transmit callbacks here.
+// may add links at runtime (mobility, metamorphosis). The table grows to
+// the graph's link count in one step, so a first send after a large
+// topology build allocates the table once instead of re-copying it at
+// every append growth step.
 func (n *Net) syncLinks() {
-	for len(n.links) < n.G.Links() {
-		li := len(n.links)
-		n.links = append(n.links, linkState{props: DefaultLinkProps(), arrivalsSorted: true})
-		n.links[li].serialDone = func() { n.startTx(li) }
-		n.links[li].arrive = func() { n.arriveOn(li) }
+	if k := n.G.Links(); len(n.links) < k {
+		n.links = slices.Grow(n.links, k-len(n.links))
+		for len(n.links) < k {
+			n.links = append(n.links, linkState{props: DefaultLinkProps(), arrivalsSorted: true})
+		}
 	}
 	n.topoVersion = n.G.Version()
 }
@@ -338,6 +344,10 @@ func (n *Net) startTx(li int) {
 		ls.arrivalsSorted = false
 	}
 	ls.inflight = append(ls.inflight, inflightPkt{p: p, dst: dst, lost: lost, arriveAt: arriveAt})
+	if ls.serialDone == nil {
+		ls.serialDone = func() { n.startTx(li) } //viator:alloc-ok once per link, on its first transmission; reused for every later packet
+		ls.arrive = func() { n.arriveOn(li) }    //viator:alloc-ok once per link, on its first transmission; reused for every later packet
+	}
 	// Serialization done: link free for the next packet...
 	n.K.After(txTime, ls.serialDone)
 	// ...and this packet arrives after propagation, unless lost.

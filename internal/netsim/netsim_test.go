@@ -425,3 +425,44 @@ func TestSustainedBacklogKeepsFIFOThroughCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstSendGrowsLinkTableOnce pins the link-table growth a large
+// topology build leaves to the first Send: with 50k links added after
+// the transport last synced, that Send grows the table in one
+// allocation, not one table copy per append growth step plus two
+// closures per link. The bound is 2 because under the race detector
+// slices.Grow's temporary becomes a real allocation.
+func TestFirstSendGrowsLinkTableOnce(t *testing.T) {
+	const links = 50_000
+	// AllocsPerRun makes one warm-up call before the measured runs, and
+	// each call needs a transport that has not yet seen the new links.
+	type fixture struct {
+		n *Net
+		p *Packet
+	}
+	var fixtures []fixture
+	for i := 0; i < 3; i++ {
+		k, g, n := pair()
+		// Warm the kernel arena and link 0's rings and callbacks, so the
+		// measured Send's only growth is the table itself.
+		n.Send(0, 1, n.NewPacket(0, 1, 100, "w", nil))
+		k.Drain()
+		for g.Links() < links {
+			g.ConnectBoth(0, 1, 1)
+		}
+		fixtures = append(fixtures, fixture{n, n.NewPacket(0, 1, 100, "d", nil)})
+	}
+	next := 0
+	allocpin.Max(t, len(fixtures)-1, 2, func() {
+		f := fixtures[next]
+		next++
+		if !f.n.Send(0, 1, f.p) {
+			t.Fatal("send refused")
+		}
+	})
+	for _, f := range fixtures {
+		if got := len(f.n.links); got != links {
+			t.Fatalf("link table holds %d links, want %d", got, links)
+		}
+	}
+}

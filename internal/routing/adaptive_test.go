@@ -289,6 +289,72 @@ func TestAdaptiveNextHopPartialAllocationFree(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRecyclesStaleTrees pins epoch-scoped trees: each epoch
+// routes from a disjoint set of m sources and leaves some of their trees
+// partial, yet no more than m trees are ever allocated, because every
+// pulse hands the last epoch's trees to the next one. Every route must
+// equal a fresh build over an independent capture, before and after a
+// Rebuild, whose all-pairs trees are recycled the same way.
+func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
+	const m = 4
+	g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(5))
+	a := NewAdaptive(g, 3)
+	o := a.overlays[DefaultOverlay]
+	r := sim.NewRNG(9)
+	trees := map[*topo.SPT]bool{}
+	// check compares src's routes toward dsts with a fresh one-shot build.
+	check := func(epoch int, src topo.NodeID, dsts ...topo.NodeID) {
+		t.Helper()
+		var ov topo.CostOverlay
+		g.CaptureInto(&ov, func(li int) float64 { return a.effectiveCost(li, 1) })
+		want := ov.ComputeOverlayInto(nil, src)
+		for _, dst := range dsts {
+			if got, want := a.NextHop("", src, dst), want.NextHop(dst); src != dst && got != want {
+				t.Fatalf("epoch %d: hop %d→%d = %d, fresh build %d", epoch, src, dst, got, want)
+			}
+			if got, want := a.Path("", src, dst), want.PathTo(dst); !slices.Equal(got, want) {
+				t.Fatalf("epoch %d: path %d→%d = %v, fresh build %v", epoch, src, dst, got, want)
+			}
+		}
+	}
+	all := make([]topo.NodeID, g.N())
+	for v := range all {
+		all[v] = topo.NodeID(v)
+	}
+	pulse := func() {
+		for k := 0; k < 6; k++ {
+			a.ObserveUtilization(r.Intn(g.Links()), r.Float64())
+		}
+		a.Pulse()
+	}
+	epochs := g.N() / m
+	for epoch := 0; epoch < epochs; epoch++ {
+		pulse()
+		for k := 0; k < m; k++ {
+			src := topo.NodeID(epoch*m + k)
+			// Settle toward one neighbor only: half the trees go into the
+			// next pulse partial, frontier and all.
+			check(epoch, src, g.Neighbors(src)[0])
+			if k%2 == 0 {
+				check(epoch, src, all...)
+			}
+			trees[o.tables[src]] = true
+		}
+		if len(trees) > m {
+			t.Fatalf("epoch %d: %d distinct trees allocated, want at most %d", epoch, len(trees), m)
+		}
+	}
+	pulse()
+	a.Rebuild()
+	for src := range all {
+		check(epochs, topo.NodeID(src), all...)
+	}
+	pulse()
+	for src := 0; src < g.N(); src += 3 {
+		check(epochs+1, topo.NodeID(src), g.Neighbors(topo.NodeID(src))[0], topo.NodeID(g.N()-1-src))
+	}
+}
+
 // TestLazyBuildsCountSparseTraffic checks that a post-invalidation pulse
 // computes only the tables traffic actually touches.
 func TestLazyBuildsCountSparseTraffic(t *testing.T) {

@@ -31,6 +31,11 @@
 //     from it (topo.CostOverlay.StartInto / SettleUntil). Sparse and
 //     district-local traffic never pays the all-pairs cost, nor often a
 //     whole tree, and every settled entry equals a one-shot build's.
+//   - Trees belong to the epoch, not the source. Invalidation moves the
+//     trees built since the last one to a free list, and a build takes a
+//     tree from there before allocating; StartInto resets it completely.
+//     Live routing memory is thus the sources one epoch touches, not
+//     every source a long mobile run has ever touched.
 //   - Rebuild forces the all-pairs computation eagerly, running every
 //     stale or partial tree to completion over a worker pool. Sources are
 //     independent, every tree holds its own frontier, every worker owns a
@@ -42,6 +47,7 @@ package routing
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"viator/internal/stats"
@@ -273,12 +279,31 @@ type overlay struct {
 	// costOf prices one link for this overlay; one persistent closure
 	// for the overlay's life, handed to Graph.CaptureInto.
 	costOf func(li int) float64
-	// gen/stamp implement O(1) invalidation: tables[i] is valid iff
-	// stamp[i] == gen, so bumping gen invalidates every source without
-	// touching the table memory (which is reused by the next build).
+	// gen/stamp mark the current epoch: tables[i] is valid iff
+	// stamp[i] == gen. Trees belong to the epoch, not the source: built
+	// lists the sources whose trees were started this epoch, and
+	// invalidation moves exactly those trees to free and clears their
+	// slots, so a source untouched in the new epoch holds no memory and
+	// the next build of any source takes a tree from free first.
 	gen    uint64
 	stamp  []uint64
 	tables []*topo.SPT
+	built  []topo.NodeID
+	free   []*topo.SPT
+}
+
+// take returns a tree for a new build: a recycled one from free when
+// there is one, else a fresh one. StartInto resets whatever run the tree
+// held, so a recycled tree builds exactly what a fresh one would.
+func (o *overlay) take() *topo.SPT {
+	k := len(o.free) - 1
+	if k < 0 {
+		return &topo.SPT{}
+	}
+	t := o.free[k]
+	o.free[k] = nil
+	o.free = o.free[:k]
+	return t
 }
 
 // Adaptive is the WLI QoS router: link costs blend propagation cost with
@@ -329,9 +354,14 @@ func NewAdaptive(g *topo.Graph, congestionWeight float64) *Adaptive {
 }
 
 // ObserveUtilization feeds one link's current utilization in [0,1].
+// The first observation past the table grows it to the graph's link
+// count in one step, not one append per link.
 func (a *Adaptive) ObserveUtilization(li int, u float64) {
-	for len(a.util) <= li {
-		a.util = append(a.util, stats.EWMA{Alpha: 0.3})
+	if li >= len(a.util) {
+		a.util = slices.Grow(a.util, max(li+1, a.g.Links())-len(a.util))
+		for len(a.util) <= li {
+			a.util = append(a.util, stats.EWMA{Alpha: 0.3})
+		}
 	}
 	a.util[li].Update(u)
 }
@@ -392,7 +422,8 @@ func (a *Adaptive) Overlays() []string {
 }
 
 // invalidate recaptures o's effective-cost overlay from the live graph
-// and feedback state and invalidates every source's table. O(links).
+// and feedback state, moves the epoch's trees to the free list and
+// invalidates every source's table. O(links).
 func (a *Adaptive) invalidate(o *overlay) {
 	a.g.CaptureInto(&o.ov, o.costOf)
 	n := o.ov.N()
@@ -400,24 +431,28 @@ func (a *Adaptive) invalidate(o *overlay) {
 		o.tables = append(o.tables, nil)
 		o.stamp = append(o.stamp, 0)
 	}
+	for _, src := range o.built {
+		o.free = append(o.free, o.tables[src])
+		o.tables[src] = nil
+	}
+	o.built = o.built[:0]
 	o.gen++
 }
 
-// spt returns the overlay's table for src with dst settled, restarting
-// the tree from the frozen cost snapshot if it is stale. A tree settles
-// only as far as the destinations queried so far this epoch; a later
-// query resumes from the frontier the tree kept. Trees reuse their
-// memory, so steady-state builds allocate nothing.
+// spt returns the overlay's table for src with dst settled, starting the
+// tree from the frozen cost snapshot if src has none this epoch. A tree
+// settles only as far as the destinations queried so far this epoch; a
+// later query resumes from the frontier the tree kept. Trees come from
+// the free list, so steady-state builds allocate nothing.
 func (a *Adaptive) spt(o *overlay, src, dst topo.NodeID) *topo.SPT {
 	if int(src) >= len(o.tables) {
 		return nil // node added after the snapshot; no route yet
 	}
 	t := o.tables[src]
 	if o.stamp[src] != o.gen {
-		if t == nil {
-			t = &topo.SPT{}
-			o.tables[src] = t
-		}
+		t = o.take()
+		o.tables[src] = t
+		o.built = append(o.built, src)
 		o.ov.StartInto(t, src)
 		o.stamp[src] = o.gen
 		a.LazyBuilds++
@@ -520,7 +555,8 @@ func (a *Adaptive) rebuildOverlay(o *overlay) {
 	// pre-existing slots.
 	for i, t := range o.tables {
 		if t == nil {
-			o.tables[i] = &topo.SPT{}
+			o.tables[i] = o.take()
+			o.built = append(o.built, topo.NodeID(i))
 		}
 	}
 	complete := func(lo, hi int) {

@@ -36,9 +36,10 @@ func (h *refHeap) Pop() any {
 }
 
 // referenceDijkstra is the original implementation: boxed heap, lazy
-// deletion, relaxation in adjacency order over up links.
+// deletion, relaxation in adjacency order over up links. Only its Prev
+// storage follows SPT's to int32.
 func referenceDijkstra(g *Graph, src NodeID) *SPT {
-	t := &SPT{Source: src, Dist: make([]float64, g.N()), Prev: make([]NodeID, g.N())}
+	t := &SPT{Source: src, Dist: make([]float64, g.N()), Prev: make([]int32, g.N())}
 	for i := range t.Dist {
 		t.Dist[i] = math.Inf(1)
 		t.Prev[i] = -1
@@ -64,7 +65,7 @@ func referenceDijkstra(g *Graph, src NodeID) *SPT {
 			nd := t.Dist[u] + l.Cost
 			if nd < t.Dist[l.To] {
 				t.Dist[l.To] = nd
-				t.Prev[l.To] = u
+				t.Prev[l.To] = int32(u)
 				heap.Push(h, refItem{l.To, nd})
 			}
 		}

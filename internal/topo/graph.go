@@ -7,7 +7,7 @@ package topo
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -261,11 +261,12 @@ func spPop(h []spItem) ([]spItem, spItem) {
 type SPT struct {
 	Source NodeID
 	Dist   []float64 // +Inf when unreachable
-	Prev   []NodeID  // -1 at source / unreachable
+	// Prev is each node's predecessor; -1 at the source and unreachable
+	// nodes. Like next it is int32, half a NodeID table: a tree is three
+	// n-entry arrays, and routers hold many trees.
+	Prev []int32
 	// next is the first hop toward each node; -1 at the source and at
 	// unsettled or unreachable nodes, so next[v] >= 0 marks v settled.
-	// int32 halves the table against NodeID, which pays for the
-	// retained frontier.
 	next     []int32
 	frontier []spItem // pending heap of a partial run; empty once complete
 }
@@ -439,7 +440,7 @@ func (o *CostOverlay) SettleUntil(t *SPT, dst NodeID) {
 			continue
 		}
 		if u != src {
-			if p := prev[u]; p == src {
+			if p := prev[u]; NodeID(p) == src {
 				next[u] = int32(u)
 			} else {
 				next[u] = next[p]
@@ -451,7 +452,7 @@ func (o *CostOverlay) SettleUntil(t *SPT, dst NodeID) {
 			nd := du + costs[e]
 			if nd < dist[to] {
 				dist[to] = nd
-				prev[to] = u
+				prev[to] = int32(u)
 				h = spPush(h, spItem{to, nd})
 			}
 		}
@@ -508,7 +509,7 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 		// read off the predecessor's entry. This is what makes SPT.NextHop
 		// an array lookup instead of a path reconstruction.
 		if u != src {
-			if p := prev[u]; p == src {
+			if p := prev[u]; NodeID(p) == src {
 				next[u] = int32(u)
 			} else {
 				next[u] = next[p]
@@ -538,7 +539,7 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 			nd := du + c
 			if nd < dist[to] {
 				dist[to] = nd
-				prev[to] = u
+				prev[to] = int32(u)
 				h = spPush(h, spItem{to, nd})
 			}
 		}
@@ -553,7 +554,7 @@ func (t *SPT) PathTo(dst NodeID) []NodeID {
 		return nil
 	}
 	var rev []NodeID
-	for v := dst; v != -1; v = t.Prev[v] {
+	for v := dst; v != -1; v = NodeID(t.Prev[v]) {
 		rev = append(rev, v)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -578,8 +579,8 @@ func (t *SPT) NextHop(dst NodeID) NodeID {
 		return -1
 	}
 	hop := dst
-	for t.Prev[hop] != t.Source {
-		hop = t.Prev[hop]
+	for NodeID(t.Prev[hop]) != t.Source {
+		hop = NodeID(t.Prev[hop])
 	}
 	return hop
 }
@@ -603,53 +604,113 @@ func (g *Graph) Reachable(src NodeID) map[NodeID]bool {
 	return seen
 }
 
-// Connected reports whether every node can reach every other node.
+// Connected reports whether every node can reach every other node over
+// up links. It runs on the map-free flood kernel: a forward flood over
+// the adjacency, then, only when that reaches every node, a flood from
+// node 0 over the in-links. Its allocations are a fixed handful of flat
+// arrays, whatever the graph's size — mobility probes it on every
+// connectivity refresh.
 func (g *Graph) Connected() bool {
-	if g.n == 0 {
+	n := g.n
+	if n == 0 {
 		return true
 	}
-	if len(g.Reachable(0)) != g.n {
+	seen := make([]bool, n)
+	q := make([]NodeID, 1, n)
+	seen[0] = true
+	for head := 0; head < len(q); head++ {
+		for _, li := range g.adj[q[head]] {
+			if l := &g.link[li]; l.Up && !seen[l.To] {
+				seen[l.To] = true
+				q = append(q, l.To)
+			}
+		}
+	}
+	if len(q) != n {
 		return false
 	}
 	// For directed graphs also check the reverse orientation.
-	rev := New()
-	rev.AddNodes(g.n)
-	for _, l := range g.link {
-		if l.Up {
-			rev.Connect(l.To, l.From, l.Cost)
-		}
-	}
-	return len(rev.Reachable(0)) == g.n
+	start, nbr := g.upCSR(false)
+	clear(seen)
+	return len(flood(start, nbr, seen, q[:0], 0)) == n
 }
 
-// Components returns the weakly connected components as sorted ID slices.
+// Components returns the weakly connected components as sorted ID
+// slices, ordered by first ID. Each component is one flood of the
+// undirected up-link adjacency from its smallest unseen node, so the
+// components come out in first-ID order; they share one backing array.
 func (g *Graph) Components() [][]NodeID {
-	und := New()
-	und.AddNodes(g.n)
-	for _, l := range g.link {
-		if l.Up {
-			und.Connect(l.From, l.To, 1)
-			und.Connect(l.To, l.From, 1)
-		}
-	}
+	start, nbr := g.upCSR(true)
 	seen := make([]bool, g.n)
+	q := make([]NodeID, 0, g.n)
 	var comps [][]NodeID
 	for i := 0; i < g.n; i++ {
 		if seen[i] {
 			continue
 		}
-		var comp []NodeID
-		for id := range und.Reachable(NodeID(i)) {
-			if !seen[id] {
-				seen[id] = true
-				comp = append(comp, id)
-			}
-		}
-		sort.Slice(comp, func(a, b int) bool { return comp[a] < comp[b] })
+		lo := len(q)
+		q = flood(start, nbr, seen, q, NodeID(i))
+		comp := q[lo:len(q):len(q)]
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
-	sort.Slice(comps, func(a, b int) bool { return comps[a][0] < comps[b][0] })
 	return comps
+}
+
+// upCSR lays g's up links out as a compressed adjacency in one counting
+// pass: node u's neighbors are nbr[start[u]:start[u+1]]. Each link
+// From→To lists From among To's neighbors — the in-links — and, when
+// undirected, To among From's too, in link index order.
+func (g *Graph) upCSR(undirected bool) (start, nbr []int32) {
+	start = make([]int32, g.n+1)
+	for i := range g.link {
+		if l := &g.link[i]; l.Up {
+			start[l.To+1]++
+			if undirected {
+				start[l.From+1]++
+			}
+		}
+	}
+	for u := 0; u < g.n; u++ {
+		start[u+1] += start[u]
+	}
+	nbr = make([]int32, start[g.n])
+	// fill[u] is the next free slot of u's range; it walks start[u] up to
+	// start[u+1], so start is rebuilt by shifting afterwards.
+	fill := start[:g.n]
+	for i := range g.link {
+		if l := &g.link[i]; l.Up {
+			nbr[fill[l.To]] = int32(l.From)
+			fill[l.To]++
+			if undirected {
+				nbr[fill[l.From]] = int32(l.To)
+				fill[l.From]++
+			}
+		}
+	}
+	copy(start[1:], start[:g.n])
+	start[0] = 0
+	return start, nbr
+}
+
+// flood is the breadth-first kernel of Connected and Components: it
+// marks in seen every unseen node reachable from src over the CSR
+// adjacency (start, nbr), src included, appends them to q in discovery
+// order and returns q.
+func flood(start, nbr []int32, seen []bool, q []NodeID, src NodeID) []NodeID {
+	head := len(q)
+	seen[src] = true
+	q = append(q, src)
+	for ; head < len(q); head++ {
+		u := q[head]
+		for _, v := range nbr[start[u]:start[u+1]] {
+			if !seen[v] {
+				seen[v] = true
+				q = append(q, NodeID(v))
+			}
+		}
+	}
+	return q
 }
 
 // Clone returns a deep copy of the graph.
