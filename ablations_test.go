@@ -89,27 +89,3 @@ func TestAblationFactHalfLifeTradeoff(t *testing.T) {
 		t.Fatalf("long half-life row wrong: %s", tb.String())
 	}
 }
-
-func BenchmarkAblationMorphRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		AblationMorphRate(42)
-	}
-}
-
-func BenchmarkAblationJetFanout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		AblationJetFanout(42)
-	}
-}
-
-func BenchmarkAblationHysteresis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		AblationHysteresis(42)
-	}
-}
-
-func BenchmarkAblationFactHalfLife(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		AblationFactHalfLife(42)
-	}
-}

@@ -13,22 +13,6 @@
 // suite. The process exits 1 if any replicate fails an assertion and 2
 // for unparseable or invalid specs, so scenario suites gate CI directly.
 //
-// -bench <kernel|routing|mobility|telemetry|principles|shard|serve|all> switches
-// to the micro-benchmark suites, emitting a JSON document (the
-// BENCH_<suite>.json artifacts tracked by CI) instead of tables: `kernel`
-// times the kernel schedule/fire path, the per-packet send path and a
-// replicated E1 run; `routing` the adaptive control plane at S1 scale;
-// `mobility` the physical-layer connectivity refreshes; `telemetry` the
-// streaming histogram, flight recorder and QoS scorecard hot paths;
-// `principles` the principle engines (gossip, clustering, resonance,
-// feedback, metamorphosis) at the S2 fleet size, each paired with its
-// pre-refactor per-op cost; `shard` the space-partitioned executor — the
-// ShardGroup substrate plus the S3 smoke continent swept across 1/2/4/8
-// shard kernels over the same model workload, so the K=1 → K=8 ratio is a
-// parallel-speedup measurement; `serve` the live service mode's
-// per-barrier snapshot publication and /metrics rendering; `all` every
-// suite in one document.
-//
 // -shards K overrides how many shard kernels execute scenarios whose spec
 // declares districts (shards > 1): K must divide the district count (other
 // values fall back to one kernel per district). A fixed (spec, seed, K)
@@ -43,11 +27,14 @@
 // pooled cross-replicate merge beside it (out.prom). Like the tables, the
 // export is byte-identical across -workers values.
 //
+// Micro-benchmarks are plain `go test -bench` benchmarks beside the code
+// they measure (`go test -run '^$' -bench . -benchmem ./...`); the
+// end-to-end performance ledger is bench/run.sh.
+//
 // Usage:
 //
 //	viatorbench [-seed N] [-reps N] [-workers K] [-shards K] [-csv|-json] [-only E5,E11] [-ablations] [-stress] [-list]
 //	viatorbench -scenario file.json | -scenario-dir dir [-seed N] [-reps N] [-workers K] [-shards K]
-//	viatorbench -bench <kernel|routing|mobility|telemetry|principles|shard|serve|all>
 //	viatorbench -telemetry out.jsonl [-only S1] [-reps N] [-workers K]
 package main
 
@@ -59,34 +46,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"testing"
 
 	"viator"
-	"viator/internal/benchprobe"
-	"viator/internal/serve"
 )
-
-// benchSelectors are the valid -bench suite names.
-var benchSelectors = map[string]bool{
-	"kernel": true, "routing": true, "mobility": true, "telemetry": true,
-	"principles": true, "shard": true, "serve": true, "all": true,
-}
-
-// benchFlag is the -bench selector: a value flag that accepts only the
-// suite names in benchSelectors.
-type benchFlag struct{ suite string }
-
-func (b *benchFlag) String() string { return b.suite }
-func (b *benchFlag) Set(s string) error {
-	if !benchSelectors[s] {
-		return fmt.Errorf("valid suites: kernel, routing, mobility, telemetry, principles, shard, serve, all")
-	}
-	b.suite = s
-	return nil
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -107,8 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stress := fs.Bool("stress", false, "also run the stress/scale scenarios (S1, S2, S3S; heavy ones like S3 need -only)")
 	list := fs.Bool("list", false, "list registered experiment ids and exit")
 	shards := fs.Int("shards", 0, "shard kernels for sharded scenarios (0 = one per district; must divide the district count); fixed values replay exactly, unsharded specs unaffected")
-	var bench benchFlag
-	fs.Var(&bench, "bench", "run a micro-benchmark suite (kernel|routing|mobility|telemetry|principles|shard|serve|all) and emit JSON (BENCH_<suite>.json)")
 	telemetryOut := fs.String("telemetry", "", "export streaming telemetry for the selected telemetry-capable experiments as JSON-lines to this file (plus a Prometheus snapshot beside it)")
 	scenarioFile := fs.String("scenario", "", "run one declarative scenario spec (JSON) and evaluate its assertions")
 	scenarioDir := fs.String("scenario-dir", "", "run every *.json scenario spec in this directory as a suite")
@@ -116,16 +78,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		// A stray positional arg is almost always a typo'd -bench selector;
-		// refuse instead of guessing.
-		fmt.Fprintf(stderr, "viatorbench: unexpected argument %q (valid -bench suites: kernel, routing, mobility, telemetry, principles, shard, serve, all)\n", fs.Arg(0))
+		// Every option is a flag; refuse a stray positional instead of
+		// guessing what it meant.
+		fmt.Fprintf(stderr, "viatorbench: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 	viator.SetShardOverride(*shards)
-
-	if bench.suite != "" {
-		return runBenchSuite(bench.suite, *seed, *workers, stdout, stderr)
-	}
 
 	if *csv && *jsonOut {
 		fmt.Fprintln(stderr, "viatorbench: -csv and -json are mutually exclusive")
@@ -285,238 +243,6 @@ func runScenarios(paths []string, reps int, seed uint64, workers int, csv bool, 
 		return 1
 	}
 	return 0
-}
-
-// benchResult is one micro-benchmark's measurement in the emitted JSON.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Ops         int     `json:"ops"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// record runs one benchmark body through testing.Benchmark (so iteration
-// counts self-calibrate) and packages the measurement. ok is false when
-// the body failed (b.Fatal yields a zero result).
-func record(name string, fn func(b *testing.B)) (benchResult, bool) {
-	r := testing.Benchmark(fn)
-	if r.N == 0 {
-		return benchResult{Name: name}, false
-	}
-	return benchResult{
-		Name:        name,
-		Ops:         r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}, true
-}
-
-// emitBench writes one benchmark-suite JSON document to stdout (CI
-// redirects it into the matching BENCH_*.json artifact).
-func emitBench(generatedBy string, seed uint64, results []benchResult, stdout, stderr io.Writer) int {
-	doc := struct {
-		GeneratedBy string        `json:"generated_by"`
-		GoVersion   string        `json:"go_version"`
-		MaxProcs    int           `json:"go_max_procs"`
-		BaseSeed    uint64        `json:"base_seed"`
-		Benchmarks  []benchResult `json:"benchmarks"`
-	}{generatedBy, runtime.Version(), runtime.GOMAXPROCS(0), seed, results}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintf(stderr, "viatorbench: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// runBenchSuite dispatches one -bench selector: each suite's bodies are
-// the exact ones `go test -bench` runs (internal/benchprobe), so CI's
-// benchmark step and the BENCH_<suite>.json artifacts can never silently
-// diverge; `all` concatenates every suite into one document.
-func runBenchSuite(suite string, seed uint64, workers int, stdout, stderr io.Writer) int {
-	var specs []benchSpec
-	if suite == "kernel" || suite == "all" {
-		specs = append(specs, benchKernel(seed, workers)...)
-	}
-	if suite == "routing" || suite == "all" {
-		specs = append(specs, benchRoutingSuite(seed)...)
-	}
-	if suite == "mobility" || suite == "all" {
-		specs = append(specs, benchMobilitySuite(seed)...)
-	}
-	if suite == "telemetry" || suite == "all" {
-		specs = append(specs, benchTelemetry()...)
-	}
-	if suite == "principles" || suite == "all" {
-		specs = append(specs, benchPrinciplesSuite(seed)...)
-	}
-	if suite == "shard" || suite == "all" {
-		specs = append(specs, benchShardSuite(seed)...)
-	}
-	if suite == "serve" || suite == "all" {
-		specs = append(specs, benchServeSuite()...)
-	}
-	var results []benchResult
-	for _, s := range specs {
-		r, ok := record(s.name, s.fn)
-		if !ok {
-			// b.Fatal inside the body: surface the failing benchmark
-			// instead of emitting NaN JSON.
-			fmt.Fprintf(stderr, "viatorbench: benchmark %s failed (see log above)\n", s.name)
-			return 1
-		}
-		results = append(results, r)
-	}
-	return emitBench("viatorbench -bench "+suite, seed, results, stdout, stderr)
-}
-
-// benchSpec names one benchmark body inside a suite.
-type benchSpec struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-// benchKernel is the substrate suite (BENCH_kernel.json): the kernel
-// schedule/fire path, the per-packet send path and a replicated E1 run.
-func benchKernel(seed uint64, workers int) []benchSpec {
-	return []benchSpec{
-		{"kernel.schedule_fire", benchprobe.KernelScheduleFire},
-		{"netsim.send_deliver", benchprobe.NetsimSendDeliver},
-		{"e1.replicated_4x", func(b *testing.B) {
-			benchprobe.Replicated(b, func() error {
-				_, err := viator.RunReplicated([]string{"E1"}, 4, seed, workers)
-				return err
-			})
-		}},
-	}
-}
-
-// benchRoutingSuite is the routing control-plane suite
-// (BENCH_routing.json): the gated no-op pulse, the sparse-traffic lazy
-// adaptation cycle toward far and toward three-hop destinations, the
-// eager parallel all-pairs rebuild and the warm-table next-hop lookup,
-// all on an S1-sized radio mesh (1000 nodes, ~16k links, 2 overlays).
-func benchRoutingSuite(seed uint64) []benchSpec {
-	return []benchSpec{
-		{"routing.pulse_steady", benchprobe.AdaptivePulseSteady(seed)},
-		{"routing.pulse_lazy_sparse", benchprobe.AdaptivePulseLazySparse(seed)},
-		{"routing.pulse_lazy_local", benchprobe.AdaptivePulseLazyLocal(seed)},
-		{"routing.pulse_rebuild", benchprobe.AdaptivePulseRebuild(seed)},
-		{"routing.next_hop", benchprobe.AdaptiveNextHop(seed)},
-	}
-}
-
-// benchMobilitySuite is the physical-layer suite (BENCH_mobility.json):
-// the brute-force O(n²) connectivity oracle, the spatial-hash grid
-// refresh, the incremental diff refresh the simulation loop runs, the
-// partition probe it runs after every refresh, and pure mobility
-// stepping — all at S1 scale (1000 mobile ships, radius 75) — plus one
-// full end-to-end S2 megalopolis run (10k ships).
-func benchMobilitySuite(seed uint64) []benchSpec {
-	return []benchSpec{
-		{"mobility.connectivity_oracle", benchprobe.ConnectivityOracle(seed)},
-		{"mobility.connectivity_grid", benchprobe.ConnectivityGrid(seed)},
-		{"mobility.connectivity_incremental", benchprobe.ConnectivityIncremental(seed)},
-		{"mobility.partition_probe", benchprobe.PartitionProbe(seed)},
-		{"mobility.step", benchprobe.MobilityStep(seed)},
-		{"s2.megalopolis_run", func(b *testing.B) {
-			benchprobe.Replicated(b, func() error {
-				_, err := viator.RunReplicated([]string{"S2"}, 1, seed, 1)
-				return err
-			})
-		}},
-	}
-}
-
-// benchTelemetry is the streaming-telemetry suite (BENCH_telemetry.json):
-// the histogram observe/quantile/merge paths, one flight-recorder tick at
-// stress-scenario width, and the per-delivery scorecard cost. The alloc
-// columns are the point: zero on every hot path.
-func benchTelemetry() []benchSpec {
-	return []benchSpec{
-		{"telemetry.hist_observe", benchprobe.HistObserve},
-		{"telemetry.hist_quantile", benchprobe.HistQuantile},
-		{"telemetry.hist_merge", benchprobe.HistMerge},
-		{"telemetry.recorder_tick", benchprobe.RecorderTick},
-		{"telemetry.scorecard_delivered", benchprobe.ScorecardDelivered},
-	}
-}
-
-// benchPrinciplesSuite is the principle-engine suite
-// (BENCH_principles.json): each engine's steady-state hot path at the
-// S2 fleet size next to a body doing the pre-refactor per-op work, so
-// the artifact carries the speedup evidence for the scale-discipline
-// refactor.
-func benchPrinciplesSuite(seed uint64) []benchSpec {
-	return []benchSpec{
-		{"principles.gossip_round", benchprobe.GossipRound(seed)},
-		{"principles.gossip_round_describe", benchprobe.GossipRoundDescribe(seed)},
-		{"principles.form_clusters_steady", benchprobe.FormClustersSteady(seed)},
-		{"principles.form_clusters_rebuild", benchprobe.FormClustersRebuild(seed)},
-		{"principles.form_clusters_scan", benchprobe.FormClustersScan(seed)},
-		{"principles.observe_facts", benchprobe.ObserveFacts(seed)},
-		{"principles.observe_facts_map", benchprobe.ObserveFactsMap(seed)},
-		{"principles.emerge_frontier", benchprobe.EmergeFrontier(seed)},
-		{"principles.emerge_scan", benchprobe.EmergeScan(seed)},
-		{"principles.feedback_publish_key", benchprobe.FeedbackPublishKey},
-		{"principles.feedback_publish_scan", benchprobe.FeedbackPublishScan},
-		{"principles.metamorph_pulse", benchprobe.MetamorphPulse(seed)},
-	}
-}
-
-// benchShardSuite is the space-partitioned executor suite
-// (BENCH_shard.json): the ShardGroup substrate (windowed protocol at
-// 1/2/4/8 kernels, raw mailbox cycle — 0 allocs/op steady state) and the
-// end-to-end S3 smoke continent (10,000 ships in 8 districts) swept
-// across 1/2/4/8 shard kernels. The model workload is the same size and
-// shape at every K, so the s3_smoke_k1 → s3_smoke_k8 ns/op ratio is a
-// parallel-speedup measurement bounded by the runner's core count.
-func benchShardSuite(seed uint64) []benchSpec {
-	specs := []benchSpec{
-		{"shard.mailbox_cycle", benchprobe.ShardMailbox},
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		specs = append(specs, benchSpec{fmt.Sprintf("shard.group_windowed_k%d", k),
-			benchprobe.ShardGroupWindowed(k, 64)})
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		k := k
-		specs = append(specs, benchSpec{fmt.Sprintf("shard.s3_smoke_k%d", k), func(b *testing.B) {
-			prev := viator.ShardOverride()
-			viator.SetShardOverride(k)
-			defer viator.SetShardOverride(prev)
-			benchprobe.ShardEndToEnd(b, func() error {
-				if res := viator.ScenarioS3Smoke().Run(seed); !res.Pass() {
-					return fmt.Errorf("S3S assertions failed at K=%d", k)
-				}
-				return nil
-			})
-		}})
-	}
-	return specs
-}
-
-// benchServeSuite is the live-service suite (BENCH_serve.json): the
-// driver's per-barrier snapshot publication (status + Prometheus
-// families + stream lines, rendered and broadcast at a paused barrier)
-// and one run's share of a /metrics scrape. Bodies are shared with
-// internal/serve's bench_test.go via serve.SnapshotBench and
-// internal/benchprobe, so CI's benchmark step and this artifact measure
-// the same loops.
-func benchServeSuite() []benchSpec {
-	return []benchSpec{
-		{"serve.snapshot_publish", func(b *testing.B) {
-			publish, err := serve.SnapshotBench()
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchprobe.ServeSnapshot(b, publish)
-		}},
-		{"serve.metrics_render", benchprobe.MetricsRender},
-	}
 }
 
 // splitIDs parses a comma-separated -only value into experiment ids

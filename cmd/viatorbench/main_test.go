@@ -41,18 +41,6 @@ func writeSpec(t *testing.T, dir, name, body string) string {
 	return path
 }
 
-func TestBenchFlagSet(t *testing.T) {
-	var b benchFlag
-	for _, s := range []string{"kernel", "routing", "mobility", "telemetry", "principles", "shard", "serve", "all"} {
-		if err := b.Set(s); err != nil || b.suite != s {
-			t.Fatalf("-bench=%s: suite=%q err=%v", s, b.suite, err)
-		}
-	}
-	if err := b.Set("bogus"); err == nil {
-		t.Fatal("-bench=bogus: want error, got nil")
-	}
-}
-
 func TestListExitsZero(t *testing.T) {
 	code, out, _ := runCLI(t, "-list")
 	if code != 0 {
@@ -95,7 +83,7 @@ func TestStrayPositionalExitsTwo(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("stray positional: exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "kernle") || !strings.Contains(errOut, "valid -bench suites") {
+	if !strings.Contains(errOut, "kernle") || !strings.Contains(errOut, "unexpected argument") {
 		t.Fatalf("stray positional stderr:\n%s", errOut)
 	}
 }

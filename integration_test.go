@@ -166,7 +166,7 @@ func TestParallelTrialsDeterministic(t *testing.T) {
 }
 
 // Registry-driven replicated harness: the aggregate a downstream consumer
-// (EXPERIMENTS.md, BENCH_*.json) sees must be identical whatever the
+// (EXPERIMENTS.md, the -json catalog) sees must be identical whatever the
 // worker count, and every replicate must use a distinct derived seed.
 func TestReplicatedHarnessDeterministicAcrossWorkers(t *testing.T) {
 	reg := DefaultRegistry()

@@ -387,22 +387,6 @@ func (c *Community) ClustersInto(buf [][]ployon.ID) [][]ployon.ID {
 	return out
 }
 
-// Clusters returns cluster id → member ship ids (sorted), active only —
-// the allocating map view of ClustersInto for callers that want an
-// owned snapshot.
-func (c *Community) Clusters() map[int][]ployon.ID {
-	out := make(map[int][]ployon.ID)
-	for ci, ids := range c.ClustersInto(nil) {
-		if len(ids) == 0 {
-			continue
-		}
-		cp := make([]ployon.ID, len(ids))
-		copy(cp, ids)
-		out[ci] = cp
-	}
-	return out
-}
-
 // sortIDs sorts in place by insertion sort: cluster buckets are small
 // and, unlike sort.Slice, the loop never boxes the slice header, keeping
 // ClustersInto allocation-free.

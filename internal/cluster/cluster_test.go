@@ -10,7 +10,7 @@ import (
 	"viator/internal/sim"
 )
 
-func newShip(t *testing.T, id ployon.ID, class ployon.Class, fair bool) *ship.Ship {
+func newShip(t testing.TB, id ployon.ID, class ployon.Class, fair bool) *ship.Ship {
 	t.Helper()
 	cfg := ship.DefaultConfig(id, class)
 	cfg.Fair = fair
@@ -85,7 +85,7 @@ func TestClustersGroupByClassShape(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("clusters = %d, want 2", n)
 	}
-	cl := c.Clusters()
+	cl := c.ClustersInto(nil)
 	sizes := []int{len(cl[0]), len(cl[1])}
 	if sizes[0] != 4 || sizes[1] != 4 {
 		t.Fatalf("cluster sizes = %v", sizes)
@@ -102,7 +102,7 @@ func TestExcludedShipsLeaveClusters(t *testing.T) {
 		c.GossipRound()
 	}
 	c.FormClusters()
-	for _, ids := range c.Clusters() {
+	for _, ids := range c.ClustersInto(nil) {
 		for _, id := range ids {
 			if id == 1 {
 				t.Fatal("excluded ship clustered")

@@ -71,8 +71,8 @@ type subscription struct {
 type Key int32
 
 // dimState is one dimension's routing table. Routes are rebuilt eagerly
-// on the cold paths (Subscribe, Key interning) so the publish paths only
-// walk precomputed subscription-index lists.
+// on the cold paths (Subscribe, Key interning) so PublishKey only walks
+// precomputed subscription-index lists.
 type dimState struct {
 	keyIdx   map[string]Key
 	keyNames []string
@@ -80,8 +80,8 @@ type dimState struct {
 	// (keyed and wildcard subscriptions merged), ascending — which is
 	// subscription order, the delivery-order contract.
 	routes [][]int32
-	// wildcard lists the subscriptions with key "", ascending; it is the
-	// delivery list for signals whose key was never interned.
+	// wildcard lists the subscriptions with key "", ascending; every
+	// freshly interned key's route starts from it.
 	wildcard []int32
 }
 
@@ -188,31 +188,6 @@ func (b *Bus) PublishKey(d Dimension, k Key, value, now float64) {
 	st := &b.dims[d]
 	s := Signal{Dim: d, Key: st.keyNames[k], Value: value, Time: now}
 	for _, si := range st.routes[k] {
-		b.subs[si].handler(s)
-	}
-}
-
-// Publish delivers the signal to matching subscribers, unless the
-// dimension is disabled — the string-keyed view of PublishKey. Known
-// keys route through the precomputed tables; a never-interned key can
-// only match wildcard subscriptions, which have their own list.
-func (b *Bus) Publish(s Signal) {
-	if s.Dim >= NumDimensions {
-		panic("feedback: bad dimension")
-	}
-	if !b.enabled[s.Dim] {
-		b.Suppressed++
-		return
-	}
-	b.Published[s.Dim]++
-	st := &b.dims[s.Dim]
-	if k, ok := st.keyIdx[s.Key]; ok {
-		for _, si := range st.routes[k] {
-			b.subs[si].handler(s)
-		}
-		return
-	}
-	for _, si := range st.wildcard {
 		b.subs[si].handler(s)
 	}
 }

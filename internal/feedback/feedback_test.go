@@ -26,8 +26,8 @@ func TestBusRouting(t *testing.T) {
 	b.Subscribe(PerSession, "", func(s Signal) { gotKey = append(gotKey, "any:"+s.Key) })
 	b.Subscribe(PerNode, "", func(s Signal) { gotKey = append(gotKey, "node:"+s.Key) })
 
-	b.Publish(Signal{Dim: PerSession, Key: "s1", Value: 1})
-	b.Publish(Signal{Dim: PerSession, Key: "s2", Value: 2})
+	b.PublishKey(PerSession, b.Key(PerSession, "s1"), 1, 0)
+	b.PublishKey(PerSession, b.Key(PerSession, "s2"), 2, 0)
 	want := []string{"s1:s1", "any:s1", "any:s2"}
 	if len(gotKey) != len(want) {
 		t.Fatalf("got %v", gotKey)
@@ -46,13 +46,14 @@ func TestBusAblation(t *testing.T) {
 	b := NewBus()
 	fired := 0
 	b.Subscribe(PerPacket, "", func(Signal) { fired++ })
+	k := b.Key(PerPacket, "")
 	b.Enable(PerPacket, false)
-	b.Publish(Signal{Dim: PerPacket})
+	b.PublishKey(PerPacket, k, 0, 0)
 	if fired != 0 || b.Suppressed != 1 {
 		t.Fatalf("fired=%d suppressed=%d", fired, b.Suppressed)
 	}
 	b.Enable(PerPacket, true)
-	b.Publish(Signal{Dim: PerPacket})
+	b.PublishKey(PerPacket, k, 0, 0)
 	if fired != 1 {
 		t.Fatal("re-enabled dimension dead")
 	}
@@ -162,5 +163,5 @@ func TestPublishBadDimensionPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBus().Publish(Signal{Dim: NumDimensions})
+	NewBus().PublishKey(NumDimensions, 0, 0, 0)
 }

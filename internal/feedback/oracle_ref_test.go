@@ -12,8 +12,8 @@ import (
 // This file retains the pre-overhaul linear-scan bus verbatim as the
 // oracle for the route-table rewrite: for any interleaving of
 // subscriptions (keyed and wildcard), key interning and publishes, the
-// rewrite must deliver the same signals to the same handlers in the same
-// order, and PublishKey must be indistinguishable from Publish.
+// rewrite's PublishKey must deliver the same signals to the same
+// handlers in the same order.
 
 type refBus struct {
 	subs       []subscription
@@ -59,18 +59,16 @@ type delivery struct {
 
 // TestBusMatchesReference drives the rewrite and the verbatim old bus
 // through the same random schedule of keyed/wildcard subscriptions,
-// Key(...) interning calls, enable/disable flips and publishes — with
-// every publish mirrored once as Publish and once (when the key is
-// interned) as PublishKey on a twin bus — and compares the full delivery
-// logs.
+// Key(...) interning calls, enable/disable flips and publishes — every
+// publish a Key+PublishKey on the rewrite — and compares the full
+// delivery logs.
 func TestBusMatchesReference(t *testing.T) {
 	keys := []string{"n0", "n1", "s:alpha", "s:beta", "link-7"}
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := sim.NewRNG(seed * 311)
-		b := NewBus()    // exercised via Publish
-		bk := NewBus()   // twin exercised via PublishKey where possible
+		bk := NewBus()   // the rewrite, exercised via PublishKey
 		r := newRefBus() // verbatim oracle
-		var logB, logK, logR []delivery
+		var logK, logR []delivery
 		record := func(log *[]delivery, sub int) Handler {
 			return func(s Signal) { *log = append(*log, delivery{Sub: sub, Sig: s}) }
 		}
@@ -83,17 +81,15 @@ func TestBusMatchesReference(t *testing.T) {
 				if rng.Bool(0.7) {
 					key = keys[rng.Intn(len(keys))]
 				}
-				b.Subscribe(d, key, record(&logB, subs))
 				bk.Subscribe(d, key, record(&logK, subs))
 				r.subscribe(d, key, record(&logR, subs))
 				subs++
-			case 2: // intern a key ahead of use on one bus only: must not
-				// change routing outcomes
-				b.Key(Dimension(rng.Intn(int(NumDimensions))), keys[rng.Intn(len(keys))])
+			case 2: // intern a key ahead of use: must not change routing
+				// outcomes
+				bk.Key(Dimension(rng.Intn(int(NumDimensions))), keys[rng.Intn(len(keys))])
 			case 3: // ablation flip
 				d := Dimension(rng.Intn(int(NumDimensions)))
 				on := rng.Bool(0.5)
-				b.Enable(d, on)
 				bk.Enable(d, on)
 				r.enabled[d] = on
 			default: // publish; sometimes with a never-subscribed key
@@ -103,19 +99,12 @@ func TestBusMatchesReference(t *testing.T) {
 					key = fmt.Sprintf("stray-%d", step)
 				}
 				s := Signal{Dim: d, Key: key, Value: rng.Float64(), Time: float64(step)}
-				b.Publish(s)
 				bk.PublishKey(d, bk.Key(d, key), s.Value, s.Time)
 				r.publish(s)
 			}
 		}
-		if !reflect.DeepEqual(logB, logR) {
-			t.Fatalf("seed %d: Publish deliveries diverge from reference (%d vs %d entries)", seed, len(logB), len(logR))
-		}
 		if !reflect.DeepEqual(logK, logR) {
 			t.Fatalf("seed %d: PublishKey deliveries diverge from reference (%d vs %d entries)", seed, len(logK), len(logR))
-		}
-		if b.Published != r.Published || b.Suppressed != r.Suppressed {
-			t.Fatalf("seed %d: counters diverge: %v/%d vs %v/%d", seed, b.Published, b.Suppressed, r.Published, r.Suppressed)
 		}
 		if bk.Published != r.Published || bk.Suppressed != r.Suppressed {
 			t.Fatalf("seed %d: keyed counters diverge: %v/%d vs %v/%d", seed, bk.Published, bk.Suppressed, r.Published, r.Suppressed)

@@ -95,8 +95,8 @@ func ByName(name string) *Analyzer {
 // DeterministicPackages is the set of import paths bound by the
 // determinism contract: everything that executes inside (or feeds
 // state into) a simulation run. The root package is the experiment
-// catalog itself. cmd/* and the measurement-only helper packages
-// (benchprobe, linttest) are exempt: they run outside the kernel.
+// catalog itself. cmd/* and the measurement-only helper package
+// linttest are exempt: they run outside the kernel.
 var DeterministicPackages = map[string]bool{
 	"viator":                    true, // experiment catalog + harness
 	"viator/internal/sim":       true,

@@ -120,7 +120,7 @@ func refRoleEntropy(ships []*ship.Ship) float64 {
 }
 
 // mixedFleet builds n ships across all ployon classes.
-func mixedFleet(t *testing.T, n int) []*ship.Ship {
+func mixedFleet(t testing.TB, n int) []*ship.Ship {
 	t.Helper()
 	out := make([]*ship.Ship, n)
 	for i := range out {

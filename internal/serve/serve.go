@@ -19,7 +19,7 @@
 //
 //	GET  /metrics                    live Prometheus text across all runs
 //	GET  /api/v1/runs                statuses, creation order
-//	POST /api/v1/runs                start a run (builtin name or inline spec)
+//	POST /api/v1/runs                start a run (builtin name or inline spec; body ≤ 1 MiB)
 //	GET  /api/v1/runs/{id}           one run's status
 //	POST /api/v1/runs/{id}/pause     pause at the next barrier
 //	POST /api/v1/runs/{id}/resume    resume a paused run
@@ -38,6 +38,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -201,9 +202,18 @@ type startRequest struct {
 	Spec     json.RawMessage `json:"spec"`
 }
 
+// maxStartBody bounds a POST /api/v1/runs body. Inline specs are a few
+// KiB; the bound keeps an oversized upload from being buffered whole.
+const maxStartBody = 1 << 20
+
 func (s *Server) handleStartRun(w http.ResponseWriter, req *http.Request) {
 	var body startRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxStartBody)).Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +154,57 @@ func TestStartRunErrors(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/runs/r99/result", nil); code != http.StatusNotFound {
 		t.Fatalf("missing result code %d", code)
+	}
+}
+
+// TestStartRunBodyLimit: POST /api/v1/runs reads at most maxStartBody
+// bytes. A larger body is refused with 413 and a reason; a real inline
+// spec is far below the bound.
+func TestStartRunBodyLimit(t *testing.T) {
+	s1, err := os.ReadFile("../../scenarios/s1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Pacer: sleepPacer{time.Millisecond}})
+	for _, tc := range []struct {
+		name string
+		body string
+		code int
+	}{
+		{"over limit", `{"spec": {"name": "` + strings.Repeat("x", maxStartBody) + `"}}`, http.StatusRequestEntityTooLarge},
+		{"inline s1 spec", fmt.Sprintf(`{"seed": 42, "spec": %s}`, s1), http.StatusCreated},
+	} {
+		resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct {
+			ID    string `json:"id"`
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode reply: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+		switch tc.code {
+		case http.StatusRequestEntityTooLarge:
+			if !strings.Contains(reply.Error, "exceeds") {
+				t.Fatalf("%s: 413 without a reason: %+v", tc.name, reply)
+			}
+		case http.StatusCreated:
+			// The run only had to be admitted; stop it rather than
+			// simulate all of S1.
+			stop, err := http.Post(ts.URL+"/api/v1/runs/"+reply.ID+"/stop", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop.Body.Close()
+			waitState(t, ts, reply.ID, StateStopped)
+		}
 	}
 }
 

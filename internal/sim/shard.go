@@ -267,15 +267,6 @@ func (g *ShardGroup) exchange() {
 	}
 }
 
-// Exchange runs one manual barrier step: every posted outbox entry moves
-// into its destination's inbox and is scheduled for commit. Run performs
-// this automatically at window barriers (and after every step in the
-// zero-lookahead fallback); callers driving shards by hand — stepwise
-// tests, mailbox benchmarks — use it to make posted mail deliverable.
-//
-//viator:noalloc
-func (g *ShardGroup) Exchange() { g.exchange() }
-
 // next returns the minimum next event time across shards.
 //
 //viator:noalloc

@@ -2,12 +2,9 @@
 // Viator experiment: streaming counters and summaries, histograms, time
 // series and plain-text table rendering for the benchmark harness output.
 //
-// Two cost tiers coexist in Counter. The string-keyed API (Inc/Get) is the
-// convenient form for setup and reporting code; the integer-keyed fast path
-// (Key/Add) turns per-packet accounting into a bare slice increment and is
-// what the packet substrate uses on its hot path. Both views address the
-// same underlying tallies, so a counter registered with Key is still
-// visible through Get and Names.
+// Counter is integer-keyed: a name is resolved once to a Key, and Add
+// turns per-packet accounting into a bare slice increment — what the
+// packet substrate does on its hot path. Get reads a tally back by name.
 //
 // Summary retains every observation, which is what makes its percentiles
 // exact — the property the paper tables depend on — at O(n) memory. For
@@ -191,13 +188,12 @@ func (s *Summary) String() string {
 }
 
 // Counter is a cheap monotonically adjustable tally keyed by name, used
-// for event accounting across a simulation. Hot paths should resolve the
-// name to a Key once and bump through Add, which costs one bounds-checked
-// slice increment instead of a map lookup per event.
+// for event accounting across a simulation. A name is resolved to a Key
+// once and bumped through Add, which costs one bounds-checked slice
+// increment instead of a map lookup per event.
 type Counter struct {
-	idx   map[string]Key
-	vals  []float64
-	order []string
+	idx  map[string]Key
+	vals []float64
 }
 
 // Key is a stable integer handle to one named counter, resolved once via
@@ -210,8 +206,7 @@ func NewCounter() *Counter {
 }
 
 // Key resolves name to its integer handle, registering the counter at zero
-// on first use. Registration makes the name visible to Names even before
-// the first increment.
+// on first use.
 func (c *Counter) Key(name string) Key {
 	if k, ok := c.idx[name]; ok {
 		return k
@@ -219,7 +214,6 @@ func (c *Counter) Key(name string) Key {
 	k := Key(len(c.vals))
 	c.idx[name] = k
 	c.vals = append(c.vals, 0)
-	c.order = append(c.order, name)
 	return k
 }
 
@@ -229,28 +223,12 @@ func (c *Counter) Key(name string) Key {
 //viator:noalloc
 func (c *Counter) Add(k Key, delta float64) { c.vals[k] += delta }
 
-// Inc adds delta to the named counter, creating it on first use.
-func (c *Counter) Inc(name string, delta float64) {
-	// Resolve before indexing: Key may grow c.vals, and Go does not fix
-	// the evaluation order of the slice operand relative to the call in
-	// `c.vals[c.Key(name)] += delta`.
-	k := c.Key(name)
-	c.vals[k] += delta
-}
-
 // Get returns the value of the named counter (0 if never incremented).
 func (c *Counter) Get(name string) float64 {
 	if k, ok := c.idx[name]; ok {
 		return c.vals[k]
 	}
 	return 0
-}
-
-// Names returns counter names in first-use order.
-func (c *Counter) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
 }
 
 // Histogram buckets observations into fixed-width bins over [lo,hi); values

@@ -758,11 +758,3 @@ var (
 	scenarioS3  = mustLoadBuiltin("scenarios/s3.json")
 	scenarioS3S = mustLoadBuiltin("scenarios/s3_smoke.json")
 )
-
-// ScenarioS3Smoke exposes the compiled smoke-scale continent scenario
-// for the shard benchmark suite (internal/benchprobe bodies run it at
-// several -shards settings).
-func ScenarioS3Smoke() *Scenario { return scenarioS3S }
-
-// ScenarioS3 exposes the full continent scenario (heavy class).
-func ScenarioS3() *Scenario { return scenarioS3 }

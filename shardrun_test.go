@@ -162,14 +162,14 @@ func TestScenarioS3SmokePasses(t *testing.T) {
 	}
 	defer SetShardOverride(0)
 	SetShardOverride(0)
-	res := ScenarioS3Smoke().Run(7)
+	res := scenarioS3S.Run(7)
 	if !res.Pass() {
 		for _, v := range res.Verdicts {
 			t.Logf("%s pass=%v %s", v.Name, v.Pass, v.Detail)
 		}
 		t.Fatal("S3S assertions failed")
 	}
-	if got, want := len(res.Rows), ScenarioS3Smoke().Spec.NumRows(); got != want {
+	if got, want := len(res.Rows), scenarioS3S.Spec.NumRows(); got != want {
 		t.Fatalf("rows = %d, want %d", got, want)
 	}
 }
