@@ -3,6 +3,7 @@ package topo
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"testing"
 	"viator/internal/allocpin"
 
@@ -67,6 +68,49 @@ func referenceDijkstra(g *Graph, src NodeID) *SPT {
 				t.Dist[l.To] = nd
 				t.Prev[l.To] = int32(u)
 				heap.Push(h, refItem{l.To, nd})
+			}
+		}
+	}
+	return t
+}
+
+// canonicalReference is referenceDijkstra verbatim plus the overlay
+// kernel's tie rule: an equal-distance relaxation of an unsettled node
+// keeps the lowest predecessor id. With positive costs that makes the
+// tree unique, so it is the oracle for CostOverlay trees, whose heap
+// pops equal keys in a different order. The static kernel keeps
+// referenceDijkstra.
+func canonicalReference(g *Graph, src NodeID) *SPT {
+	t := &SPT{Source: src, Dist: make([]float64, g.N()), Prev: make([]int32, g.N())}
+	for i := range t.Dist {
+		t.Dist[i] = math.Inf(1)
+		t.Prev[i] = -1
+	}
+	t.Dist[src] = 0
+	h := &refHeap{{src, 0}}
+	done := make([]bool, g.N())
+	for h.Len() > 0 {
+		it := heap.Pop(h).(refItem)
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, li := range g.adj[u] {
+			l := g.link[li]
+			if !l.Up {
+				continue
+			}
+			if l.Cost < 0 {
+				panic("topo: negative link cost")
+			}
+			nd := t.Dist[u] + l.Cost
+			if nd < t.Dist[l.To] {
+				t.Dist[l.To] = nd
+				t.Prev[l.To] = int32(u)
+				heap.Push(h, refItem{l.To, nd})
+			} else if nd == t.Dist[l.To] && !done[l.To] && int32(u) < t.Prev[l.To] {
+				t.Prev[l.To] = int32(u)
 			}
 		}
 	}
@@ -185,10 +229,10 @@ func TestDijkstraCostsMatchesReference(t *testing.T) {
 }
 
 // TestCostOverlayMatchesReferenceAndFreezes checks the CSR capture: the
-// overlay must equal the reference on an equivalently reweighted clone,
-// and — the property the lazy control plane rests on — computing from the
-// capture after further live-graph mutations must still reproduce the
-// capture-time tree, not the live one.
+// overlay must equal the canonical reference on an equivalently
+// reweighted clone, and — the property the lazy control plane rests on —
+// computing from the capture after further live-graph mutations must
+// still reproduce the capture-time tree, not the live one.
 func TestCostOverlayMatchesReferenceAndFreezes(t *testing.T) {
 	rng := sim.NewRNG(7)
 	g := Waxman(30, 0.5, 0.3, rng)
@@ -209,12 +253,12 @@ func TestCostOverlayMatchesReferenceAndFreezes(t *testing.T) {
 		oracle.SetCost(li, reweight[li])
 	}
 	for s := 0; s < g.N(); s++ {
-		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), referenceDijkstra(oracle, NodeID(s)))
+		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
 	}
 	// Mutate the live graph heavily; the capture must not move.
 	churn(g, rng)
 	for s := 0; s < g.N(); s += 3 {
-		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), referenceDijkstra(oracle, NodeID(s)))
+		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
 	}
 }
 
@@ -233,8 +277,9 @@ func expectSettledMatch(t *testing.T, got, ref *SPT) {
 // settles — reachable, unreachable and repeated targets and the source
 // itself — on Waxman graphs (float costs) and grids (unit costs, dense
 // equal-cost ties). After every step each settled node must equal the
-// reference, nothing beyond the target's distance may be settled, and
-// settling to completion must reproduce a one-shot build exactly. One
+// canonical reference, nothing beyond the target's distance may be
+// settled, and settling to completion must reproduce a one-shot build
+// exactly. One
 // tree is reused across sources without completing, so every StartInto
 // must discard the previous run's frontier.
 func TestSettleUntilMatchesReference(t *testing.T) {
@@ -254,7 +299,7 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 		tree := &SPT{}
 		for s := 0; s < n; s += 4 {
 			src := NodeID(s)
-			ref := referenceDijkstra(g, src)
+			ref := canonicalReference(g, src)
 			ov.StartInto(tree, src)
 			prevDst := src
 			for step := 0; step < 12; step++ {
@@ -298,6 +343,88 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 			expectEqualSPT(t, tree, ref)
 			ov.StartInto(tree, (src+1)%NodeID(n)) // leave a partial run behind
 			ov.SettleUntil(tree, src)
+		}
+	}
+}
+
+// TestPartialTreeHidesFrontier checks the frontier's position encoding:
+// a node waiting in a partial tree's heap holds -2-pos in next, and is
+// neither settled nor routed to.
+func TestPartialTreeHidesFrontier(t *testing.T) {
+	g := Grid(6, 6)
+	var ov CostOverlay
+	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
+	tree := &SPT{}
+	ov.StartInto(tree, 0)
+	ov.SettleUntil(tree, 1)
+	if len(tree.frontier) == 0 {
+		t.Fatal("settling a neighbor should leave a frontier")
+	}
+	for i, q := range tree.frontier {
+		v := NodeID(q)
+		if tree.next[v] != int32(-2-i) {
+			t.Fatalf("queued node %d at position %d has next %d, want %d", v, i, tree.next[v], -2-i)
+		}
+		if tree.Settled(v) {
+			t.Fatalf("queued node %d reported settled", v)
+		}
+		if hop := tree.NextHop(v); hop != -1 {
+			t.Fatalf("queued node %d has next hop %d, want -1", v, hop)
+		}
+	}
+	if hop := tree.NextHop(0); hop != -1 {
+		t.Fatalf("source next hop %d, want -1", hop)
+	}
+}
+
+// expectSameTree requires two trees to hold identical arrays and
+// frontiers: a recycled tree must be indistinguishable from a fresh one.
+func expectSameTree(t *testing.T, what string, got, want *SPT) {
+	t.Helper()
+	if got.Source != want.Source || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Prev, want.Prev) ||
+		!slices.Equal(got.next, want.next) || !slices.Equal(got.frontier, want.frontier) {
+		t.Fatalf("%s: recycled tree differs from a fresh one", what)
+	}
+}
+
+// TestRecycledTreeMatchesFresh reuses one tree for every kind of run in
+// turn — static ComputeInto, partial and complete overlay runs, and runs
+// left unsettled for the next restart — and requires each result to
+// equal the same run on a fresh tree. Static builds leave no frontier
+// and no -2-pos entries, overlay runs do, so each kind must leave the
+// tree in a state the other's reset fully clears.
+func TestRecycledTreeMatchesFresh(t *testing.T) {
+	rng := sim.NewRNG(11)
+	g := RandomGeometric(200, 100, 15, rng)
+	var ov CostOverlay
+	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
+	n := g.N()
+	sc, tree := &SPTScratch{}, &SPT{}
+	for step := 0; step < 60; step++ {
+		src := NodeID(rng.Intn(n))
+		switch rng.Intn(4) {
+		case 0:
+			expectSameTree(t, "ComputeInto", g.ComputeInto(sc, tree, src), g.ComputeInto(nil, nil, src))
+		case 1: // a partial run: a neighbor or a random node
+			dst := NodeID(rng.Intn(n))
+			if nb := g.Neighbors(src); len(nb) > 0 {
+				dst = nb[rng.Intn(len(nb))]
+			}
+			fresh := &SPT{}
+			ov.StartInto(fresh, src)
+			ov.SettleUntil(fresh, dst)
+			ov.StartInto(tree, src)
+			ov.SettleUntil(tree, dst)
+			expectSameTree(t, "partial run", tree, fresh)
+		case 2:
+			ov.StartInto(tree, src)
+			ov.SettleUntil(tree, -1)
+			expectSameTree(t, "complete run", tree, ov.ComputeOverlayInto(nil, src))
+		default: // a run left behind for the next restart, perhaps unsettled
+			ov.StartInto(tree, src)
+			if rng.Intn(2) == 0 {
+				ov.SettleUntil(tree, NodeID(rng.Intn(n)))
+			}
 		}
 	}
 }

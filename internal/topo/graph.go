@@ -149,17 +149,6 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	return out
 }
 
-// OutLinks returns indexes of up links leaving id.
-func (g *Graph) OutLinks(id NodeID) []int {
-	var out []int
-	for _, li := range g.adj[id] {
-		if g.link[li].Up {
-			out = append(out, li)
-		}
-	}
-	return out
-}
-
 // FindLink returns the index of the first up link from→to, or -1.
 func (g *Graph) FindLink(from, to NodeID) int {
 	for _, li := range g.adj[from] {
@@ -193,24 +182,28 @@ func (g *Graph) Degree(id NodeID) int {
 	return d
 }
 
-// spItem is a priority-queue element for Dijkstra: a (node, tentative
-// distance) pair. The queue uses lazy deletion — a node may be pushed
-// several times and every pop after its first (cheapest) one is ignored.
+// spItem is a priority-queue element of the static Dijkstra kernel
+// (Graph.computeInto): a (node, tentative distance) pair. The queue uses
+// lazy deletion — a node may be pushed several times and every pop after
+// its first (cheapest) one is ignored.
 type spItem struct {
 	node NodeID
 	dist float64
 }
 
-// spPush and spPop implement a binary min-heap on a plain slice with
-// exactly the sift semantics of container/heap (strict less; the right
-// child is preferred only when strictly smaller), so the pop order — and
-// with it the tie-break between equal-cost paths — is identical to the
-// boxed container/heap implementation this replaced, while pushing a
-// value costs zero allocations instead of one interface boxing each.
-// Both sift with a hole instead of pairwise swaps: the moving element is
-// held in a register and each path position receives its child (push:
-// parent) directly. The comparison sequence — and therefore the final
-// array — is the same as swap-based sifting, at half the memory writes.
+// spPush and spPop are the static kernel's binary min-heap on a plain
+// slice, with exactly the sift semantics of container/heap (strict less;
+// the right child is preferred only when strictly smaller). That kernel
+// breaks equal-cost ties by relaxation order, so its trees — E1's
+// grid table among them — depend on this pop order, which is identical
+// to the boxed container/heap implementation this replaced, while
+// pushing a value costs zero allocations instead of one interface
+// boxing each. Both sift with a hole instead of pairwise swaps: the
+// moving element is held in a register and each path position receives
+// its child (push: parent) directly. The comparison sequence — and
+// therefore the final array — is the same as swap-based sifting, at
+// half the memory writes. Overlay trees are canonical and use the
+// decrease-key frontier below instead.
 func spPush(h []spItem, it spItem) []spItem {
 	h = append(h, it)
 	j := len(h) - 1
@@ -253,11 +246,86 @@ func spPop(h []spItem) ([]spItem, spItem) {
 	return h, top
 }
 
+// frontierUp and frontierPop are the overlay kernel's indexed binary
+// min-heap: h holds node ids keyed by dist, and each in-heap node's
+// position i is mirrored in next as -2-i, so a cheaper path to a queued
+// node moves it up in place (decrease-key) instead of queueing a stale
+// duplicate. Every pop therefore settles a node, and the heap never
+// holds more than n entries. Equal keys pop in no particular order;
+// overlay trees break ties canonically, so nothing depends on it.
+//
+// frontierUp sifts the node at position j toward the root; a push is an
+// append followed by frontierUp.
+//
+//viator:noalloc
+func frontierUp(h []int32, dist []float64, next []int32, j int) {
+	v := h[j]
+	d := dist[v]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !(d < dist[p]) {
+			break
+		}
+		h[j] = p
+		next[p] = int32(-2 - j)
+		j = i
+	}
+	h[j] = v
+	next[v] = int32(-2 - j)
+}
+
+// frontierPop removes the root, h[0], and returns the shrunk heap. The
+// caller reads the root first and owns its next entry from here on.
+//
+//viator:noalloc
+func frontierPop(h []int32, dist []float64, next []int32) []int32 {
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	if n == 0 {
+		return h
+	}
+	d := dist[x]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if l+1 < n {
+			j += b2i(dist[h[l+1]] < dist[h[l]])
+		}
+		c := h[j]
+		if !(dist[c] < d) {
+			break
+		}
+		h[i] = c
+		next[c] = int32(-2 - i)
+		i = j
+	}
+	h[i] = x
+	next[x] = int32(-2 - i)
+	return h
+}
+
+// b2i is 1 for true and 0 for false. The compiler sets it from the
+// flags without a branch, which is how frontierPop picks the smaller
+// child: that comparison goes either way about half the time, so a
+// branch on it would be mispredicted as often.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // SPT holds a single-source shortest path tree. A tree built by
 // CostOverlay.StartInto and SettleUntil may be partial: only its settled
 // nodes (Settled) carry final entries, and the pending heap of the run —
 // its frontier — stays with the tree so the next SettleUntil resumes the
-// run exactly where the last one stopped.
+// run where the last one stopped.
 type SPT struct {
 	Source NodeID
 	Dist   []float64 // +Inf when unreachable
@@ -265,10 +333,14 @@ type SPT struct {
 	// nodes. Like next it is int32, half a NodeID table: a tree is three
 	// n-entry arrays, and routers hold many trees.
 	Prev []int32
-	// next is the first hop toward each node; -1 at the source and at
-	// unsettled or unreachable nodes, so next[v] >= 0 marks v settled.
-	next     []int32
-	frontier []spItem // pending heap of a partial run; empty once complete
+	// next is the first hop toward each node once it is settled, so
+	// next[v] >= 0 marks v settled. It is -1 at the source and at nodes
+	// not (yet) reached, and -2-i at a node waiting at position i of an
+	// overlay run's frontier.
+	next []int32
+	// frontier is the pending heap of a partial overlay run, node ids
+	// keyed by Dist; empty once the run is complete.
+	frontier []int32
 }
 
 // SPTScratch is the reusable working memory of a Graph shortest-path
@@ -318,19 +390,13 @@ func (g *Graph) ComputeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 	return g.computeInto(sc, t, src, nil, false)
 }
 
-// ComputeCostsInto is DijkstraCosts with caller-owned memory, with the
-// same reuse contract as ComputeInto.
-func (g *Graph) ComputeCostsInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64) *SPT {
-	return g.computeInto(sc, t, src, costs, true)
-}
-
 // CostOverlay is a frozen, routing-ready view of a graph: the up links
 // at one instant, laid out as a compressed adjacency (CSR) with blended
 // per-link costs. Capturing one is O(links) and reuses the overlay's
 // backing arrays; computing shortest paths from it never touches the
 // live graph, so a control plane can capture at pulse time and build
 // tables lazily — or on worker goroutines — later, with results
-// identical to running Dijkstra at capture time. The flat layout also
+// identical to computing them at capture time. The flat layout also
 // makes the relaxation loop two sequential array reads per edge instead
 // of three dependent random loads (adjacency slice → link record → cost
 // table), which is where an all-pairs rebuild spends its time.
@@ -377,9 +443,9 @@ func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 // ComputeOverlayInto computes the complete shortest-path tree from src
 // over a captured CostOverlay into t, reusing its slices (t may be nil,
 // in which case it is allocated). The live graph is not consulted:
-// topology and costs are exactly as captured. Relaxation order equals
-// capture-time adjacency order, so the tree — including every equal-cost
-// tie-break — is identical to Dijkstra run at capture time.
+// topology and costs are exactly as captured. The tree is canonical (see
+// SettleUntil): with positive costs it is the one Dijkstra tree whose
+// every Prev is the lowest-id predecessor on a shortest path.
 //
 //viator:noalloc
 func (o *CostOverlay) ComputeOverlayInto(t *SPT, src NodeID) *SPT {
@@ -410,16 +476,21 @@ func (o *CostOverlay) StartInto(t *SPT, src NodeID) {
 		t.next[i] = -1
 	}
 	t.Dist[src] = 0
-	t.frontier = spPush(t.frontier[:0], spItem{src, 0})
+	t.next[src] = -2 // position 0
+	t.frontier = append(t.frontier[:0], int32(src))
 }
 
 // SettleUntil resumes t's run from its frontier and stops right after
 // settling dst and relaxing dst's edges, or when the frontier empties;
 // dst = -1 runs to completion, and a dst already settled returns at once.
-// t must have been started by StartInto on this same capture. Pops and
-// relaxations are exactly those of one uninterrupted run, so after any
-// sequence of calls every settled node's Dist, Prev and next hop — every
-// equal-cost tie-break included — equals a one-shot build's.
+// t must have been started by StartInto on this same capture.
+//
+// Trees are canonical: among equal-cost shortest paths a node's Prev is
+// its lowest-id predecessor. That holds when every captured cost is
+// positive (a zero-cost link can tie a node with a predecessor settled
+// after it); under it the tree depends neither on the heap nor on where
+// earlier calls stopped, so after any sequence of calls every settled
+// node's Dist, Prev and next hop equals a one-shot build's.
 //
 //viator:noalloc
 func (o *CostOverlay) SettleUntil(t *SPT, dst NodeID) {
@@ -431,29 +502,34 @@ func (o *CostOverlay) SettleUntil(t *SPT, dst NodeID) {
 	start, tos, costs := o.start, o.to, o.cost
 	h := t.frontier
 	for len(h) > 0 {
-		var it spItem
-		h, it = spPop(h)
-		u := it.node
-		// A settled node has a next hop; the source, which has none, is
-		// pushed once and so popped once.
-		if next[u] >= 0 {
-			continue
-		}
-		if u != src {
-			if p := prev[u]; NodeID(p) == src {
-				next[u] = int32(u)
-			} else {
-				next[u] = next[p]
-			}
+		u := NodeID(h[0])
+		h = frontierPop(h, dist, next)
+		// Settle-time next-hop fill, as in Graph.computeInto.
+		if u == src {
+			next[u] = -1
+		} else if p := prev[u]; NodeID(p) == src {
+			next[u] = int32(u)
+		} else {
+			next[u] = next[p]
 		}
 		du := dist[u]
 		for e, end := start[u], start[u+1]; e < end; e++ {
 			to := tos[e]
 			nd := du + costs[e]
-			if nd < dist[to] {
+			if d := dist[to]; nd < d {
 				dist[to] = nd
 				prev[to] = int32(u)
-				h = spPush(h, spItem{to, nd})
+				if q := next[to]; q == -1 {
+					h = append(h, int32(to))
+					frontierUp(h, dist, next, len(h)-1)
+				} else {
+					frontierUp(h, dist, next, int(-2-q))
+				}
+			} else if nd == d && next[to] < 0 && int32(u) < prev[to] {
+				// Canonical tie: the lowest predecessor id wins. A
+				// settled node keeps its entries; the source's Prev is
+				// -1, so no node replaces it.
+				prev[to] = int32(u)
 			}
 		}
 		if u == dst {
@@ -572,7 +648,7 @@ func (t *SPT) PathTo(dst NodeID) []NodeID {
 //viator:noalloc
 func (t *SPT) NextHop(dst NodeID) NodeID {
 	if t.next != nil {
-		return NodeID(t.next[dst])
+		return NodeID(max(t.next[dst], -1)) // queued nodes hold -2-pos
 	}
 	// Hand-assembled trees have no hop table; walk the predecessor chain.
 	if math.IsInf(t.Dist[dst], 1) || dst == t.Source {
@@ -768,7 +844,7 @@ func (g *Graph) AllLinks(id NodeID) []int {
 // AdjLinks returns the indexes of every link leaving id — up or down, in
 // insertion order — as a direct view of the graph's adjacency storage.
 // The caller must not modify or retain it across mutations. Unlike
-// OutLinks and Neighbors it allocates nothing, which makes it the
+// AllLinks and Neighbors it allocates nothing, which makes it the
 // iteration primitive for routing kernels.
 func (g *Graph) AdjLinks(id NodeID) []int { return g.adj[id] }
 
