@@ -57,4 +57,29 @@ func BenchmarkNetsim(b *testing.B) {
 		}
 		k.Drain()
 	})
+	b.Run("UtilizationSweep", func(b *testing.B) {
+		// The per-refresh sweep S2 runs over every link to feed the
+		// adaptive router: 200k links, 2% of which ever carried a packet.
+		// One op is one Utilization read per link.
+		b.ReportAllocs()
+		k := sim.NewKernel(1)
+		g := topo.Line(100_001)
+		n := New(k, g)
+		for li := 0; li < g.Links(); li += 50 {
+			l := g.Link(li)
+			n.SendOnLink(li, n.NewPacket(l.From, l.To, 1000, "bench", nil))
+		}
+		k.Run(1)
+		var sum float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for li := 0; li < g.Links(); li++ {
+				sum += n.Utilization(li)
+			}
+		}
+		b.StopTimer()
+		if sum <= 0 {
+			b.Fatal("no link reported utilization")
+		}
+	})
 }

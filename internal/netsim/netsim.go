@@ -24,8 +24,13 @@
 //     reconfigured while packets are in flight.
 //   - Output queues are ring buffers (head index instead of re-slicing), so
 //     sustained traffic reuses one backing array per link.
-//   - The per-link state table resynchronizes with the topology only when
-//     topo.Graph.Version reports a structural change, not on every packet.
+//   - Transport state exists only for links that carry traffic. A
+//     pointer-free per-link index (4 bytes a link) grows with the graph,
+//     resynchronized only when topo.Graph.Version reports a structural
+//     change, not on every packet. It points into a dense state table that
+//     holds just the links that were configured or sent on, so the radio
+//     links a mobile fleet creates but never uses cost the index slot and
+//     nothing the garbage collector scans.
 //   - Drop/delivery tallies use the stats.Counter integer-keyed fast path:
 //     per-packet accounting is an array increment, not a map lookup.
 //   - End-to-end latency has two sink tiers: the default retained-sample
@@ -129,8 +134,13 @@ type Net struct {
 	K *sim.Kernel
 	G *topo.Graph
 
+	// linkIdx maps a graph link to its transport state: 0 means the link
+	// has none yet (it reads as an idle DefaultLinkProps link), k means
+	// links[k-1]. A *linkState is invalid once another link's state is
+	// created, since that may move the dense table.
+	linkIdx     []int32
 	links       []linkState
-	topoVersion uint64 // last topo.Graph.Version the link table was synced to
+	topoVersion uint64 // last topo.Graph.Version the link index was synced to
 	recv        func(at topo.NodeID, p *Packet)
 	nextID      uint64
 	C           *stats.Counter
@@ -183,7 +193,7 @@ func New(k *sim.Kernel, g *topo.Graph) *Net {
 	return n
 }
 
-// ensureLinks resynchronizes the link table only when the topology has
+// ensureLinks resynchronizes the link index only when the topology has
 // structurally changed since the last sync — an integer compare on the
 // per-packet path instead of a scan.
 func (n *Net) ensureLinks() {
@@ -192,41 +202,69 @@ func (n *Net) ensureLinks() {
 	}
 }
 
-// syncLinks grows the per-link state table to match the graph; topologies
-// may add links at runtime (mobility, metamorphosis). The table grows to
-// the graph's link count in one step, so a first send after a large
-// topology build allocates the table once instead of re-copying it at
-// every append growth step.
+// syncLinks grows the per-link index to match the graph; topologies may
+// add links at runtime (mobility, metamorphosis). The index grows to the
+// graph's link count in one step, so a first send after a large topology
+// build allocates it once instead of re-copying it at every append growth
+// step. New links get no state until they are configured or sent on.
 func (n *Net) syncLinks() {
-	if k := n.G.Links(); len(n.links) < k {
-		n.links = slices.Grow(n.links, k-len(n.links))
-		for len(n.links) < k {
-			n.links = append(n.links, linkState{props: DefaultLinkProps(), arrivalsSorted: true})
-		}
+	if k, old := n.G.Links(), len(n.linkIdx); old < k {
+		n.linkIdx = slices.Grow(n.linkIdx, k-old)[:k]
+		clear(n.linkIdx[old:])
 	}
 	n.topoVersion = n.G.Version()
+}
+
+// state returns link li's transport state, creating it at
+// DefaultLinkProps on the link's first configuration or send.
+//
+//viator:noalloc
+func (n *Net) state(li int) *linkState {
+	if ls := n.lookup(li); ls != nil {
+		return ls
+	}
+	n.links = append(n.links, linkState{props: DefaultLinkProps(), arrivalsSorted: true}) //viator:alloc-ok amortized growth of the dense table, once per link that is configured or carries traffic
+	n.linkIdx[li] = int32(len(n.links))
+	return &n.links[len(n.links)-1]
+}
+
+// lookup returns link li's transport state, or nil when the link has
+// never been configured or sent on.
+//
+//viator:noalloc
+func (n *Net) lookup(li int) *linkState {
+	n.ensureLinks()
+	if k := n.linkIdx[li]; k != 0 {
+		return &n.links[k-1]
+	}
+	return nil
 }
 
 // SetLinkProps overrides the properties of link li. Reconfiguring
 // Bandwidth or Delay affects only packets transmitted afterwards; packets
 // already on the wire keep the timing they were launched with.
 func (n *Net) SetLinkProps(li int, p LinkProps) {
-	n.ensureLinks()
-	n.links[li].props = p
+	n.state(li).props = p
 }
 
-// SetAllLinkProps overrides every current link's properties.
+// SetAllLinkProps overrides every current link's properties. Links the
+// graph gains afterwards start at DefaultLinkProps.
 func (n *Net) SetAllLinkProps(p LinkProps) {
 	n.ensureLinks()
-	for i := range n.links {
-		n.links[i].props = p
+	// Every link without state is about to get one: grow the dense table
+	// once instead of at each append growth step.
+	n.links = slices.Grow(n.links, len(n.linkIdx)-len(n.links))
+	for li := range n.linkIdx {
+		n.state(li).props = p
 	}
 }
 
 // LinkProps returns the properties of link li.
 func (n *Net) LinkProps(li int) LinkProps {
-	n.ensureLinks()
-	return n.links[li].props
+	if ls := n.lookup(li); ls != nil {
+		return ls.props
+	}
+	return DefaultLinkProps()
 }
 
 // OnReceive installs the upper-layer delivery callback.
@@ -268,13 +306,12 @@ func (n *Net) Send(from, to topo.NodeID, p *Packet) bool {
 //
 //viator:noalloc
 func (n *Net) SendOnLink(li int, p *Packet) bool {
-	n.ensureLinks()
 	if p.TTL <= 0 {
 		n.DroppedTTL++
 		n.C.Add(n.kDropTTL, 1)
 		return false
 	}
-	ls := &n.links[li]
+	ls := n.state(li)
 	if ls.qBytes+p.Size > ls.props.QueueCap && (ls.busy || ls.queued() > 0) {
 		ls.dropped++
 		n.DroppedQ++
@@ -311,7 +348,7 @@ func (n *Net) SendOnLink(li int, p *Packet) bool {
 //
 //viator:noalloc
 func (n *Net) startTx(li int) {
-	ls := &n.links[li]
+	ls := &n.links[n.linkIdx[li]-1]
 	if ls.qHead == len(ls.queue) {
 		ls.queue = ls.queue[:0]
 		ls.qHead = 0
@@ -357,11 +394,12 @@ func (n *Net) startTx(li int) {
 // arriveOn completes the earliest-arriving in-flight packet on link li.
 // In the steady state arrivals are in launch order and this pops the FIFO
 // head; only after a mid-flight Delay reconfiguration does it scan the
-// window for the earliest record.
+// window for the earliest record. ls is dead once the receive callback
+// runs: a forwarding send there may create another link's state.
 //
 //viator:noalloc
 func (n *Net) arriveOn(li int) {
-	ls := &n.links[li]
+	ls := &n.links[n.linkIdx[li]-1]
 	best := ls.ifHead
 	if !ls.arrivalsSorted {
 		for i := ls.ifHead + 1; i < len(ls.inflight); i++ {
@@ -447,25 +485,26 @@ type LinkStats struct {
 
 // Stats returns activity counters for link li.
 func (n *Net) Stats(li int) LinkStats {
-	n.ensureLinks()
-	ls := &n.links[li]
+	ls := n.lookup(li)
+	if ls == nil {
+		return LinkStats{}
+	}
 	return LinkStats{Sent: ls.sent, Dropped: ls.dropped, Bytes: ls.bytes, BusyTime: ls.busyTime, Queued: ls.qBytes}
 }
 
 // Utilization returns link li's busy fraction over elapsed simulated time.
 func (n *Net) Utilization(li int) float64 {
-	if n.K.Now() == 0 {
+	ls := n.lookup(li)
+	if ls == nil || n.K.Now() == 0 {
 		return 0
 	}
-	n.ensureLinks()
-	return n.links[li].busyTime / n.K.Now()
+	return ls.busyTime / n.K.Now()
 }
 
 // TotalBytes returns bytes successfully carried across all links — the
 // backbone-load metric for the fusion/MFP experiments.
 func (n *Net) TotalBytes() uint64 {
 	var total uint64
-	n.ensureLinks()
 	for i := range n.links {
 		total += n.links[i].bytes
 	}

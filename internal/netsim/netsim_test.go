@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"viator/internal/allocpin"
 
@@ -426,12 +427,12 @@ func TestSustainedBacklogKeepsFIFOThroughCompaction(t *testing.T) {
 	}
 }
 
-// TestFirstSendGrowsLinkTableOnce pins the link-table growth a large
+// TestFirstSendGrowsLinkTableOnce pins the link-index growth a large
 // topology build leaves to the first Send: with 50k links added after
-// the transport last synced, that Send grows the table in one
-// allocation, not one table copy per append growth step plus two
-// closures per link. The bound is 2 because under the race detector
-// slices.Grow's temporary becomes a real allocation.
+// the transport last synced, that Send grows the index in one
+// allocation, not one copy per append growth step, and gives the new
+// links no state or closures. The bound is 2 because under the race
+// detector slices.Grow's temporary becomes a real allocation.
 func TestFirstSendGrowsLinkTableOnce(t *testing.T) {
 	const links = 50_000
 	// AllocsPerRun makes one warm-up call before the measured runs, and
@@ -461,8 +462,87 @@ func TestFirstSendGrowsLinkTableOnce(t *testing.T) {
 		}
 	})
 	for _, f := range fixtures {
-		if got := len(f.n.links); got != links {
-			t.Fatalf("link table holds %d links, want %d", got, links)
+		if got := len(f.n.linkIdx); got != links {
+			t.Fatalf("link index holds %d links, want %d", got, links)
 		}
+	}
+}
+
+// TestUnusedLinksHoldNoState pins link state on first use: links that
+// are never configured or sent on get no transport state, yet read
+// exactly like an idle link at DefaultLinkProps.
+func TestUnusedLinksHoldNoState(t *testing.T) {
+	k := sim.NewKernel(1)
+	g := topo.Line(51) // 100 links
+	n := New(k, g)
+	used := []int{g.FindLink(3, 4), g.FindLink(40, 39)}
+	for _, li := range used {
+		l := g.Link(li)
+		for i := 0; i < 3; i++ {
+			if !n.SendOnLink(li, n.NewPacket(l.From, l.To, 100+li, "d", nil)) {
+				t.Fatalf("send on link %d refused", li)
+			}
+		}
+	}
+	k.Run(1)
+	if len(n.links) != len(used) {
+		t.Fatalf("dense table holds %d links after sends on %d, want %d", len(n.links), len(used), len(used))
+	}
+	var sum uint64
+	for li := 0; li < g.Links(); li++ {
+		if slices.Contains(used, li) {
+			st := n.Stats(li)
+			if st.Sent != 3 || n.Utilization(li) <= 0 {
+				t.Fatalf("used link %d: stats %+v, utilization %v", li, st, n.Utilization(li))
+			}
+			sum += st.Bytes
+			continue
+		}
+		if p := n.LinkProps(li); p != DefaultLinkProps() {
+			t.Fatalf("unused link %d props %+v, want defaults", li, p)
+		}
+		if st := n.Stats(li); st != (LinkStats{}) {
+			t.Fatalf("unused link %d stats %+v, want zero", li, st)
+		}
+		if u := n.Utilization(li); u != 0 {
+			t.Fatalf("unused link %d utilization %v, want 0", li, u)
+		}
+	}
+	if got := n.TotalBytes(); got != sum || sum != 3*uint64(100+used[0]+100+used[1]) {
+		t.Fatalf("TotalBytes = %d, used links carried %d", got, sum)
+	}
+	if len(n.links) != len(used) {
+		t.Fatalf("reads created state: dense table holds %d links", len(n.links))
+	}
+
+	// SetAllLinkProps covers the links that exist at the call; links the
+	// graph gains later start at the defaults.
+	slow := LinkProps{Bandwidth: 1000, Delay: 0.01, QueueCap: 1 << 20}
+	n.SetAllLinkProps(slow)
+	before := g.Links()
+	g.ConnectBoth(0, 50, 1)
+	for li := 0; li < g.Links(); li++ {
+		want := slow
+		if li >= before {
+			want = DefaultLinkProps()
+		}
+		if p := n.LinkProps(li); p != want {
+			t.Fatalf("link %d props %+v, want %+v", li, p, want)
+		}
+	}
+
+	// Props set on a link that never sent are the ones its first send uses.
+	late := g.FindLink(0, 50)
+	n.SetLinkProps(late, slow)
+	var arrived sim.Time
+	n.OnReceive(func(at topo.NodeID, p *Packet) { arrived = k.Now() })
+	start := k.Now()
+	n.SendOnLink(late, n.NewPacket(0, 50, 1000, "d", nil))
+	k.Run(start + 10)
+	if st := n.Stats(late); st.Sent != 1 || st.BusyTime != 1 {
+		t.Fatalf("late link stats %+v, want one packet at 1000 B/s", st)
+	}
+	if got := arrived - start; math.Abs(got-1.01) > 1e-9 {
+		t.Fatalf("late packet took %v, want 1.01 s at the configured props", got)
 	}
 }

@@ -61,9 +61,6 @@ func NewTrunk(k *sim.Kernel, p LinkProps, egress func(p *Packet, arriveAt sim.Ti
 	return t
 }
 
-// Props returns the trunk's link properties.
-func (t *Trunk) Props() LinkProps { return t.props }
-
 // Queued returns the number of packets waiting in the output queue.
 func (t *Trunk) Queued() int { return len(t.queue) - t.qHead }
 

@@ -61,10 +61,7 @@ func (n *Network) EnableMobility(model mobility.Model, radius, period float64) *
 			m.Partitions++
 		}
 		// Re-route: the adaptive tables and on-demand caches are stale.
-		for li := 0; li < n.G.Links(); li++ {
-			n.Router.ObserveUtilization(li, n.Net.Utilization(li))
-		}
-		n.Router.Pulse()
+		n.adaptRouter()
 		n.Trace.Add(n.Now(), "mobility", "connectivity refresh: %d links up", m.LinksUp)
 	})
 	return m

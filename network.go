@@ -378,10 +378,7 @@ func (n *Network) StartPulses(period float64) {
 	}
 	n.pulses = n.K.Every(period, func() {
 		now := n.Now()
-		for li := 0; li < n.G.Links(); li++ {
-			n.Router.ObserveUtilization(li, n.Net.Utilization(li))
-		}
-		n.Router.Pulse()
+		n.adaptRouter()
 		for _, s := range n.Ships {
 			if s.State() != ship.Alive {
 				continue
@@ -391,6 +388,16 @@ func (n *Network) StartPulses(period float64) {
 		}
 		n.Community.GossipRound()
 	})
+}
+
+// adaptRouter feeds every link's utilization to the adaptive router and
+// then pulses it. Links that never carried a packet are fed too, at 0:
+// the router's smoothed estimate starts from a link's first sample.
+func (n *Network) adaptRouter() {
+	for li := 0; li < n.G.Links(); li++ {
+		n.Router.ObserveUtilization(li, n.Net.Utilization(li))
+	}
+	n.Router.Pulse()
 }
 
 // StopPulses disarms the periodic machinery.
