@@ -82,16 +82,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers is the full suite in the order drivers run it.
 var Analyzers = []*Analyzer{MapOrder, WallTime, TieBreak, NoAlloc}
 
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // DeterministicPackages is the set of import paths bound by the
 // determinism contract: everything that executes inside (or feeds
 // state into) a simulation run. The root package is the experiment

@@ -307,7 +307,7 @@ func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 		t.Helper()
 		var ov topo.CostOverlay
 		g.CaptureInto(&ov, func(li int) float64 { return a.effectiveCost(li, 1) })
-		want := ov.ComputeOverlayInto(nil, src)
+		want := ov.ComputeOverlayInto(nil, nil, src)
 		for _, dst := range dsts {
 			if got, want := a.NextHop("", src, dst), want.NextHop(dst); src != dst && got != want {
 				t.Fatalf("epoch %d: hop %d→%d = %d, fresh build %d", epoch, src, dst, got, want)

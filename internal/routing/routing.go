@@ -36,12 +36,17 @@
 //     tree from there before allocating; StartInto resets it completely.
 //     Live routing memory is thus the sources one epoch touches, not
 //     every source a long mobile run has ever touched.
+//   - Trees hold no distances: a tree is its predecessor and next-hop
+//     arrays, 8 B a node, and its frontier carries the queued nodes'
+//     tentative distances. A settle's working distances live in a
+//     topo.SPTScratch that is +Inf between calls — one per overlay for
+//     lazy builds, one per Rebuild worker.
 //   - Rebuild forces the all-pairs computation eagerly, running every
 //     stale or partial tree to completion over a worker pool. Sources are
 //     independent, every tree holds its own frontier, every worker owns a
-//     disjoint range of table slots, and the per-source computation is
-//     deterministic — so the resulting tables are byte-identical to the
-//     lazy/serial path for every worker count.
+//     disjoint range of table slots and its own scratch, and the
+//     per-source computation is deterministic — so the resulting tables
+//     are byte-identical to the lazy/serial path for every worker count.
 package routing
 
 import (
@@ -279,6 +284,9 @@ type overlay struct {
 	// costOf prices one link for this overlay; one persistent closure
 	// for the overlay's life, handed to Graph.CaptureInto.
 	costOf func(li int) float64
+	// sc holds the working distances of lazy builds; Rebuild workers
+	// hold one scratch each.
+	sc topo.SPTScratch
 	// gen/stamp mark the current epoch: tables[i] is valid iff
 	// stamp[i] == gen. Trees belong to the epoch, not the source: built
 	// lists the sources whose trees were started this epoch, and
@@ -458,7 +466,7 @@ func (a *Adaptive) spt(o *overlay, src, dst topo.NodeID) *topo.SPT {
 		a.LazyBuilds++
 	}
 	if !t.Settled(dst) {
-		o.ov.SettleUntil(t, dst)
+		o.ov.SettleUntil(&o.sc, t, dst)
 	}
 	return t
 }
@@ -559,18 +567,18 @@ func (a *Adaptive) rebuildOverlay(o *overlay) {
 			o.built = append(o.built, topo.NodeID(i))
 		}
 	}
-	complete := func(lo, hi int) {
+	complete := func(sc *topo.SPTScratch, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t := o.tables[i]
 			if o.stamp[i] != o.gen {
 				o.ov.StartInto(t, topo.NodeID(i))
 				o.stamp[i] = o.gen
 			}
-			o.ov.SettleUntil(t, -1) // returns at once on a complete tree
+			o.ov.SettleUntil(sc, t, -1) // returns at once on a complete tree
 		}
 	}
 	if workers <= 1 {
-		complete(0, n)
+		complete(&o.sc, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -586,7 +594,8 @@ func (a *Adaptive) rebuildOverlay(o *overlay) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			complete(lo, hi)
+			var sc topo.SPTScratch
+			complete(&sc, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -139,9 +139,6 @@ func NewShardGroup(k int, seed uint64, lookahead Time) *ShardGroup {
 // NumShards returns K.
 func (g *ShardGroup) NumShards() int { return len(g.shards) }
 
-// Lookahead returns the group's lookahead L.
-func (g *ShardGroup) Lookahead() Time { return g.lookahead }
-
 // Shard returns shard i's kernel. During Run the kernel must only be
 // touched from events executing on it (one kernel, one goroutine).
 func (g *ShardGroup) Shard(i int) *Kernel { return g.shards[i].k }

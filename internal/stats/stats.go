@@ -85,9 +85,6 @@ func (s *Summary) Var() float64 {
 	return v
 }
 
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
-
 // SampleVar returns the unbiased (n-1 denominator) sample variance, the
 // estimator replicated experiments need; 0 for fewer than two observations.
 func (s *Summary) SampleVar() float64 {
@@ -274,9 +271,6 @@ func (h *Histogram) Count() uint64 { return h.total }
 
 // Bin returns the count in bin i.
 func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// NumBins returns the number of in-range bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
 
 // Mean returns the mean of all added values (exact, not bin-centered).
 func (h *Histogram) Mean() float64 {

@@ -119,24 +119,64 @@ func canonicalReference(g *Graph, src NodeID) *SPT {
 
 // expectEqualSPT requires exact equality — including tie-breaks — between
 // a computed tree and the reference, and that the precomputed next-hop
-// table agrees with path reconstruction on the reference tree.
-func expectEqualSPT(t *testing.T, got, ref *SPT) {
+// table agrees with path reconstruction on the reference tree. ov is the
+// capture an overlay tree was built over, nil for a static tree.
+func expectEqualSPT(t *testing.T, ov *CostOverlay, got, ref *SPT) {
 	t.Helper()
 	n := len(ref.Dist)
-	if len(got.Dist) != n || len(got.Prev) != n {
-		t.Fatalf("size mismatch: got %d/%d want %d", len(got.Dist), len(got.Prev), n)
+	dists := n
+	if ov != nil {
+		dists = 0 // overlay trees store no distances
+	}
+	if len(got.Dist) != dists || len(got.Prev) != n {
+		t.Fatalf("size mismatch: got %d/%d want %d/%d", len(got.Dist), len(got.Prev), dists, n)
 	}
 	for i := 0; i < n; i++ {
-		expectNodeEqual(t, got, ref, NodeID(i))
+		expectNodeEqual(t, ov, got, ref, NodeID(i))
 	}
+}
+
+// treeDist is v's distance in got: its Dist entry in a static tree
+// (ov == nil). An overlay tree stores none, so there it is recomputed
+// from the capture along v's Prev chain, summed outward from the source:
+// d(v) = d(Prev v) + the cheapest captured edge Prev v→v. That is the
+// kernel's own arithmetic, so it must equal the reference's Dist bit for
+// bit. A node not settled in got reads +Inf.
+func treeDist(ov *CostOverlay, got *SPT, v NodeID) float64 {
+	if ov == nil {
+		return got.Dist[v]
+	}
+	if !got.Settled(v) {
+		return math.Inf(1)
+	}
+	var chain []NodeID
+	for u := v; u != got.Source; u = NodeID(got.Prev[u]) {
+		chain = append(chain, u)
+	}
+	d := 0.0
+	for i := len(chain) - 1; i >= 0; i-- {
+		d += cheapest(ov, NodeID(got.Prev[chain[i]]), chain[i])
+	}
+	return d
+}
+
+// cheapest is the lowest captured cost of an edge p→u, +Inf if none.
+func cheapest(ov *CostOverlay, p, u NodeID) float64 {
+	c := math.Inf(1)
+	for e := ov.start[p]; e < ov.start[p+1]; e++ {
+		if ov.to[e] == u {
+			c = min(c, ov.cost[e])
+		}
+	}
+	return c
 }
 
 // expectNodeEqual requires v's distance, predecessor and next hop in got
 // to equal the reference tree's.
-func expectNodeEqual(t *testing.T, got, ref *SPT, v NodeID) {
+func expectNodeEqual(t *testing.T, ov *CostOverlay, got, ref *SPT, v NodeID) {
 	t.Helper()
-	if got.Dist[v] != ref.Dist[v] && !(math.IsInf(got.Dist[v], 1) && math.IsInf(ref.Dist[v], 1)) {
-		t.Fatalf("dist[%d] = %v, reference %v", v, got.Dist[v], ref.Dist[v])
+	if d := treeDist(ov, got, v); d != ref.Dist[v] && !(math.IsInf(d, 1) && math.IsInf(ref.Dist[v], 1)) {
+		t.Fatalf("dist[%d] = %v, reference %v", v, d, ref.Dist[v])
 	}
 	if got.Prev[v] != ref.Prev[v] {
 		t.Fatalf("prev[%d] = %d, reference %d", v, got.Prev[v], ref.Prev[v])
@@ -187,9 +227,9 @@ func TestDijkstraMatchesReferenceUnderChurn(t *testing.T) {
 		for round := 0; round < 5; round++ {
 			churn(g, rng)
 			for s := 0; s < g.N(); s += 5 {
-				expectEqualSPT(t, g.ComputeInto(sc, spt, NodeID(s)), referenceDijkstra(g, NodeID(s)))
+				expectEqualSPT(t, nil, g.ComputeInto(sc, spt, NodeID(s)), referenceDijkstra(g, NodeID(s)))
 				// The one-shot wrapper must agree too.
-				expectEqualSPT(t, g.Dijkstra(NodeID(s)), referenceDijkstra(g, NodeID(s)))
+				expectEqualSPT(t, nil, g.Dijkstra(NodeID(s)), referenceDijkstra(g, NodeID(s)))
 			}
 		}
 	}
@@ -223,7 +263,7 @@ func TestDijkstraCostsMatchesReference(t *testing.T) {
 			}
 		}
 		for s := 0; s < g.N(); s++ {
-			expectEqualSPT(t, g.DijkstraCosts(NodeID(s), costs), referenceDijkstra(oracle, NodeID(s)))
+			expectEqualSPT(t, nil, g.DijkstraCosts(NodeID(s), costs), referenceDijkstra(oracle, NodeID(s)))
 		}
 	}
 }
@@ -253,22 +293,22 @@ func TestCostOverlayMatchesReferenceAndFreezes(t *testing.T) {
 		oracle.SetCost(li, reweight[li])
 	}
 	for s := 0; s < g.N(); s++ {
-		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
+		expectEqualSPT(t, &ov, ov.ComputeOverlayInto(nil, nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
 	}
 	// Mutate the live graph heavily; the capture must not move.
 	churn(g, rng)
 	for s := 0; s < g.N(); s += 3 {
-		expectEqualSPT(t, ov.ComputeOverlayInto(nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
+		expectEqualSPT(t, &ov, ov.ComputeOverlayInto(nil, nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
 	}
 }
 
 // expectSettledMatch requires every node settled in a (possibly partial)
-// tree to equal the reference.
-func expectSettledMatch(t *testing.T, got, ref *SPT) {
+// overlay tree over ov to equal the reference.
+func expectSettledMatch(t *testing.T, ov *CostOverlay, got, ref *SPT) {
 	t.Helper()
 	for i := range ref.Dist {
 		if got.Settled(NodeID(i)) {
-			expectNodeEqual(t, got, ref, NodeID(i))
+			expectNodeEqual(t, ov, got, ref, NodeID(i))
 		}
 	}
 }
@@ -296,7 +336,7 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 		var ov CostOverlay
 		g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 		n := g.N()
-		tree := &SPT{}
+		sc, tree := &SPTScratch{}, &SPT{}
 		for s := 0; s < n; s += 4 {
 			src := NodeID(s)
 			ref := canonicalReference(g, src)
@@ -314,8 +354,8 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 				default:
 					dst = NodeID(rng.Intn(n))
 				}
-				ov.SettleUntil(tree, dst)
-				expectSettledMatch(t, tree, ref)
+				ov.SettleUntil(sc, tree, dst)
+				expectSettledMatch(t, &ov, tree, ref)
 				if math.IsInf(ref.Dist[dst], 1) {
 					continue
 				}
@@ -327,41 +367,146 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 			// Bounded: a fresh run toward one target settles nothing farther.
 			dst := NodeID(rng.Intn(n))
 			ov.StartInto(tree, src)
-			ov.SettleUntil(tree, dst)
+			ov.SettleUntil(sc, tree, dst)
 			for v := 0; v < n; v++ {
 				if tree.Settled(NodeID(v)) && ref.Dist[v] > ref.Dist[dst] {
 					t.Fatalf("trial %d src %d: settling %d overran to %d", trial, src, dst, v)
 				}
 			}
-			ov.SettleUntil(tree, -1)
-			one := ov.ComputeOverlayInto(nil, src)
+			ov.SettleUntil(sc, tree, -1)
+			one := ov.ComputeOverlayInto(nil, nil, src)
 			for v := 0; v < n; v++ {
-				if tree.Dist[v] != one.Dist[v] || tree.Prev[v] != one.Prev[v] || tree.next[v] != one.next[v] {
+				dt, do := treeDist(&ov, tree, NodeID(v)), treeDist(&ov, one, NodeID(v))
+				if dt != do && !(math.IsInf(dt, 1) && math.IsInf(do, 1)) ||
+					tree.Prev[v] != one.Prev[v] || tree.next[v] != one.next[v] {
 					t.Fatalf("trial %d src %d: completed tree differs from one-shot at %d", trial, src, v)
 				}
 			}
-			expectEqualSPT(t, tree, ref)
+			expectEqualSPT(t, &ov, tree, ref)
 			ov.StartInto(tree, (src+1)%NodeID(n)) // leave a partial run behind
-			ov.SettleUntil(tree, src)
+			ov.SettleUntil(sc, tree, src)
 		}
 	}
 }
 
-// TestPartialTreeHidesFrontier checks the frontier's position encoding:
-// a node waiting in a partial tree's heap holds -2-pos in next, and is
-// neither settled nor routed to.
+// expectScratchAtRest requires every entry of sc's distance table to be
+// +Inf, the state each SettleUntil call must leave it in.
+func expectScratchAtRest(t *testing.T, sc *SPTScratch, what string) {
+	t.Helper()
+	for v, d := range sc.dist {
+		if !math.IsInf(d, 1) {
+			t.Fatalf("%s: scratch dist[%d] = %v at rest, want +Inf", what, v, d)
+		}
+	}
+}
+
+// TestSettleScratchRestsAtInf drives random call sequences on Waxman
+// graphs and grids — partial and complete runs, a dst already settled,
+// an unreachable dst, the source as dst, and StartInto in the middle of
+// a run — over two trees that share one scratch. After every call the
+// scratch must be back at rest, +Inf everywhere, and every settled node
+// of the tree must still equal the canonical reference: an entry left
+// behind would hand one tree's distances to the other's next run.
+func TestSettleScratchRestsAtInf(t *testing.T) {
+	rng := sim.NewRNG(57)
+	for trial := 0; trial < 6; trial++ {
+		var g *Graph
+		if trial%2 == 0 {
+			g = Waxman(50, 0.4, 0.3, rng)
+		} else {
+			g = Grid(7, 7)
+		}
+		iso := g.AddNode() // isolated: always unreachable
+		var ov CostOverlay
+		g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
+		n := g.N()
+		refs := map[NodeID]*SPT{}
+		ref := func(src NodeID) *SPT {
+			if refs[src] == nil {
+				refs[src] = canonicalReference(g, src)
+			}
+			return refs[src]
+		}
+		sc := &SPTScratch{}
+		trees := []*SPT{{}, {}}
+		for _, tree := range trees {
+			ov.StartInto(tree, NodeID(rng.Intn(n)))
+		}
+		for step := 0; step < 150; step++ {
+			tree := trees[rng.Intn(len(trees))]
+			var what string
+			switch rng.Intn(6) {
+			case 0:
+				what = "partial run"
+				ov.SettleUntil(sc, tree, NodeID(rng.Intn(n)))
+			case 1:
+				what = "complete run"
+				ov.SettleUntil(sc, tree, -1)
+			case 2:
+				what = "settled dst"
+				dst := tree.Source
+				for v := 0; v < n; v++ {
+					if tree.Settled(NodeID(v)) && rng.Intn(2) == 0 {
+						dst = NodeID(v)
+					}
+				}
+				ov.SettleUntil(sc, tree, dst)
+			case 3:
+				what = "unreachable dst"
+				ov.SettleUntil(sc, tree, iso)
+			case 4:
+				what = "source as dst"
+				ov.SettleUntil(sc, tree, tree.Source)
+			default:
+				what = "restart mid-run"
+				ov.StartInto(tree, NodeID(rng.Intn(n)))
+			}
+			expectScratchAtRest(t, sc, what)
+			expectSettledMatch(t, &ov, tree, ref(tree.Source))
+		}
+	}
+}
+
+// TestOverlayTreeBytesPerNode pins an overlay tree's size: StartInto on
+// a fresh tree over a 100k-node capture allocates Prev and the next
+// hops, 4 B a node each, plus a small constant — the tree itself, a
+// one-entry frontier and the allocator's page rounding of the two
+// arrays. A tree that stored distances too would take 16 B a node.
+func TestOverlayTreeBytesPerNode(t *testing.T) {
+	const n = 100_000
+	g := Line(n)
+	var ov CostOverlay
+	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ov.StartInto(&SPT{}, 0)
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(8*n+16<<10); got > limit {
+		t.Fatalf("StartInto on a fresh %d-node tree allocated %d B, want at most %d (8 B a node + 16 KiB)", n, got, limit)
+	}
+}
+
+// TestPartialTreeHidesFrontier checks the frontier's entries: a node
+// waiting in a partial tree's heap holds -2-pos in next, its entry keys
+// it by its tentative distance — through its settled predecessor — and
+// it is neither settled nor routed to.
 func TestPartialTreeHidesFrontier(t *testing.T) {
 	g := Grid(6, 6)
 	var ov CostOverlay
 	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 	tree := &SPT{}
 	ov.StartInto(tree, 0)
-	ov.SettleUntil(tree, 1)
+	ov.SettleUntil(&SPTScratch{}, tree, 1)
 	if len(tree.frontier) == 0 {
 		t.Fatal("settling a neighbor should leave a frontier")
 	}
 	for i, q := range tree.frontier {
-		v := NodeID(q)
+		v := NodeID(q.node)
+		p := NodeID(tree.Prev[v])
+		if want := treeDist(&ov, tree, p) + cheapest(&ov, p, v); q.dist != want {
+			t.Fatalf("queued node %d has key %v, want %v via settled %d", v, q.dist, want, p)
+		}
 		if tree.next[v] != int32(-2-i) {
 			t.Fatalf("queued node %d at position %d has next %d, want %d", v, i, tree.next[v], -2-i)
 		}
@@ -378,7 +523,8 @@ func TestPartialTreeHidesFrontier(t *testing.T) {
 }
 
 // expectSameTree requires two trees to hold identical arrays and
-// frontiers: a recycled tree must be indistinguishable from a fresh one.
+// frontiers, every entry's key included: a recycled tree must be
+// indistinguishable from a fresh one.
 func expectSameTree(t *testing.T, what string, got, want *SPT) {
 	t.Helper()
 	if got.Source != want.Source || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Prev, want.Prev) ||
@@ -412,18 +558,18 @@ func TestRecycledTreeMatchesFresh(t *testing.T) {
 			}
 			fresh := &SPT{}
 			ov.StartInto(fresh, src)
-			ov.SettleUntil(fresh, dst)
+			ov.SettleUntil(&SPTScratch{}, fresh, dst)
 			ov.StartInto(tree, src)
-			ov.SettleUntil(tree, dst)
+			ov.SettleUntil(sc, tree, dst)
 			expectSameTree(t, "partial run", tree, fresh)
 		case 2:
 			ov.StartInto(tree, src)
-			ov.SettleUntil(tree, -1)
-			expectSameTree(t, "complete run", tree, ov.ComputeOverlayInto(nil, src))
+			ov.SettleUntil(sc, tree, -1)
+			expectSameTree(t, "complete run", tree, ov.ComputeOverlayInto(nil, nil, src))
 		default: // a run left behind for the next restart, perhaps unsettled
 			ov.StartInto(tree, src)
 			if rng.Intn(2) == 0 {
-				ov.SettleUntil(tree, NodeID(rng.Intn(n)))
+				ov.SettleUntil(sc, tree, NodeID(rng.Intn(n)))
 			}
 		}
 	}
@@ -440,12 +586,12 @@ func TestComputeIntoAllocationFree(t *testing.T) {
 	var ov CostOverlay
 	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 	allocpin.Zero(t, 50, func() { g.ComputeInto(sc, spt, 3) }, "(*Graph).ComputeInto")
-	allocpin.Zero(t, 50, func() { ov.ComputeOverlayInto(spt, 5) }, "(*CostOverlay).ComputeOverlayInto")
+	allocpin.Zero(t, 50, func() { ov.ComputeOverlayInto(sc, spt, 5) }, "(*CostOverlay).ComputeOverlayInto")
 	far := NodeID(g.N() - 1)
 	allocpin.Zero(t, 50, func() {
 		ov.StartInto(spt, 7)
-		ov.SettleUntil(spt, far)
-		ov.SettleUntil(spt, -1)
+		ov.SettleUntil(sc, spt, far)
+		ov.SettleUntil(sc, spt, -1)
 	}, "(*CostOverlay).StartInto", "(*CostOverlay).SettleUntil")
 	allocpin.Zero(t, 50, func() { g.CaptureInto(&ov, func(li int) float64 { return 1 }) }, "(*Graph).CaptureInto")
 }

@@ -246,47 +246,55 @@ func spPop(h []spItem) ([]spItem, spItem) {
 	return h, top
 }
 
+// frontierItem is one entry of an overlay run's frontier: a queued node
+// and its tentative distance. Overlay trees store no distances of their
+// own, so a queued node's key lives here and travels with the tree from
+// one SettleUntil call to the next.
+type frontierItem struct {
+	dist float64
+	node int32
+}
+
 // frontierUp and frontierPop are the overlay kernel's indexed binary
-// min-heap: h holds node ids keyed by dist, and each in-heap node's
-// position i is mirrored in next as -2-i, so a cheaper path to a queued
-// node moves it up in place (decrease-key) instead of queueing a stale
-// duplicate. Every pop therefore settles a node, and the heap never
-// holds more than n entries. Equal keys pop in no particular order;
-// overlay trees break ties canonically, so nothing depends on it.
+// min-heap: h holds frontier entries keyed by dist, compared in place,
+// and each in-heap node's position i is mirrored in next as -2-i, so a
+// cheaper path to a queued node lowers its entry's key and moves it up
+// in place (decrease-key) instead of queueing a stale duplicate. Every
+// pop therefore settles a node, and the heap never holds more than n
+// entries. Equal keys pop in no particular order; overlay trees break
+// ties canonically, so nothing depends on it.
 //
-// frontierUp sifts the node at position j toward the root; a push is an
-// append followed by frontierUp.
+// frontierUp sifts the entry at position j toward the root; a push is
+// an append followed by frontierUp.
 //
 //viator:noalloc
-func frontierUp(h []int32, dist []float64, next []int32, j int) {
-	v := h[j]
-	d := dist[v]
+func frontierUp(h []frontierItem, next []int32, j int) {
+	x := h[j]
 	for j > 0 {
 		i := (j - 1) / 2
 		p := h[i]
-		if !(d < dist[p]) {
+		if !(x.dist < p.dist) {
 			break
 		}
 		h[j] = p
-		next[p] = int32(-2 - j)
+		next[p.node] = int32(-2 - j)
 		j = i
 	}
-	h[j] = v
-	next[v] = int32(-2 - j)
+	h[j] = x
+	next[x.node] = int32(-2 - j)
 }
 
 // frontierPop removes the root, h[0], and returns the shrunk heap. The
 // caller reads the root first and owns its next entry from here on.
 //
 //viator:noalloc
-func frontierPop(h []int32, dist []float64, next []int32) []int32 {
+func frontierPop(h []frontierItem, next []int32) []frontierItem {
 	n := len(h) - 1
 	x := h[n]
 	h = h[:n]
 	if n == 0 {
 		return h
 	}
-	d := dist[x]
 	i := 0
 	for {
 		l := 2*i + 1
@@ -295,18 +303,18 @@ func frontierPop(h []int32, dist []float64, next []int32) []int32 {
 		}
 		j := l
 		if l+1 < n {
-			j += b2i(dist[h[l+1]] < dist[h[l]])
+			j += b2i(h[l+1].dist < h[l].dist)
 		}
 		c := h[j]
-		if !(dist[c] < d) {
+		if !(c.dist < x.dist) {
 			break
 		}
 		h[i] = c
-		next[c] = int32(-2 - i)
+		next[c.node] = int32(-2 - i)
 		i = j
 	}
 	h[i] = x
-	next[x] = int32(-2 - i)
+	next[x.node] = int32(-2 - i)
 	return h
 }
 
@@ -326,29 +334,44 @@ func b2i(b bool) int {
 // nodes (Settled) carry final entries, and the pending heap of the run —
 // its frontier — stays with the tree so the next SettleUntil resumes the
 // run where the last one stopped.
+//
+// Overlay trees carry no distances: a tree is two int32 arrays, 8 B a
+// node, because routers hold many trees and forwarding needs only the
+// next hop. A queued node's tentative distance lives in its frontier
+// entry, and a run's working distances in the caller's SPTScratch.
 type SPT struct {
 	Source NodeID
-	Dist   []float64 // +Inf when unreachable
+	// Dist is each node's distance, +Inf when unreachable. Only trees
+	// built by Dijkstra, DijkstraCosts and ComputeInto fill it; it is
+	// empty in overlay trees.
+	Dist []float64
 	// Prev is each node's predecessor; -1 at the source and unreachable
-	// nodes. Like next it is int32, half a NodeID table: a tree is three
-	// n-entry arrays, and routers hold many trees.
+	// nodes. Like next it is int32, half a NodeID table.
 	Prev []int32
 	// next is the first hop toward each node once it is settled, so
 	// next[v] >= 0 marks v settled. It is -1 at the source and at nodes
 	// not (yet) reached, and -2-i at a node waiting at position i of an
 	// overlay run's frontier.
 	next []int32
-	// frontier is the pending heap of a partial overlay run, node ids
-	// keyed by Dist; empty once the run is complete.
-	frontier []int32
+	// frontier is the pending heap of a partial overlay run, each queued
+	// node with its tentative distance; empty once the run is complete.
+	frontier []frontierItem
 }
 
-// SPTScratch is the reusable working memory of a Graph shortest-path
-// computation: the priority queue. One scratch serves any number of
-// sequential ComputeInto calls over graphs of any size; it is not safe
-// for concurrent use — parallel callers hold one scratch each.
+// SPTScratch is the reusable working memory of a shortest-path
+// computation: the static kernel's priority queue, and the working
+// distances of one overlay SettleUntil call. One scratch serves any
+// number of sequential calls over graphs and captures of any size; it is
+// not safe for concurrent use — parallel callers hold one scratch each.
 type SPTScratch struct {
 	heap []spItem
+	// dist is dense over the capture's nodes and +Inf at rest. A
+	// SettleUntil call loads its tree's frontier keys into it, keeps the
+	// distance of every node it queues or settles there while it runs,
+	// and on return resets exactly the entries it set: the frontier it
+	// leaves behind, and the rest, listed in touched.
+	dist    []float64
+	touched []int32
 }
 
 // resize returns s with length n, reusing its backing array when large
@@ -441,69 +464,91 @@ func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 }
 
 // ComputeOverlayInto computes the complete shortest-path tree from src
-// over a captured CostOverlay into t, reusing its slices (t may be nil,
-// in which case it is allocated). The live graph is not consulted:
-// topology and costs are exactly as captured. The tree is canonical (see
-// SettleUntil): with positive costs it is the one Dijkstra tree whose
-// every Prev is the lowest-id predecessor on a shortest path.
+// over a captured CostOverlay into t, with sc as working memory, reusing
+// both (either may be nil, in which case it is allocated). The live
+// graph is not consulted: topology and costs are exactly as captured.
+// The tree is canonical (see SettleUntil): with positive costs it is the
+// one Dijkstra tree whose every Prev is the lowest-id predecessor on a
+// shortest path.
 //
 //viator:noalloc
-func (o *CostOverlay) ComputeOverlayInto(t *SPT, src NodeID) *SPT {
+func (o *CostOverlay) ComputeOverlayInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
+	if sc == nil {
+		sc = &SPTScratch{} //viator:alloc-ok nil-scratch convenience path; hot callers pass a reusable *SPTScratch
+	}
 	if t == nil {
 		t = &SPT{} //viator:alloc-ok nil-target convenience path; hot callers pass a reusable *SPT
 	}
 	o.StartInto(t, src)
-	o.SettleUntil(t, -1)
+	o.SettleUntil(sc, t, -1)
 	return t
 }
 
 // StartInto resets t to the start of a shortest-path run from src over
 // the capture: every node but src unsettled, and the frontier holding src
-// alone. It always discards t's previous frontier, whatever run or epoch
-// that came from. Nothing is settled yet beyond the source, whose entries
-// are final from here; SettleUntil does the work.
+// alone at distance 0. It always discards t's previous frontier, whatever
+// run or epoch that came from, and leaves Dist empty: overlay trees hold
+// only Prev and the next hops. Nothing is settled yet beyond the source,
+// whose entries are final from here; SettleUntil does the work.
 //
 //viator:noalloc
 func (o *CostOverlay) StartInto(t *SPT, src NodeID) {
 	n := o.n
 	t.Source = src
-	t.Dist = resize(t.Dist, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
+	t.Dist = t.Dist[:0]
 	t.Prev = resize(t.Prev, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
 	t.next = resize(t.next, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
 	for i := 0; i < n; i++ {
-		t.Dist[i] = math.Inf(1)
 		t.Prev[i] = -1
 		t.next[i] = -1
 	}
-	t.Dist[src] = 0
 	t.next[src] = -2 // position 0
-	t.frontier = append(t.frontier[:0], int32(src))
+	t.frontier = append(t.frontier[:0], frontierItem{0, int32(src)})
 }
 
 // SettleUntil resumes t's run from its frontier and stops right after
 // settling dst and relaxing dst's edges, or when the frontier empties;
 // dst = -1 runs to completion, and a dst already settled returns at once.
-// t must have been started by StartInto on this same capture.
+// t must have been started by StartInto on this same capture. The run's
+// working distances live in sc for the length of the call: it loads the
+// frontier's keys into sc's dense table, which every call leaves +Inf
+// again on return, so one scratch serves any number of trees in turn.
+// Inside a call a node settled by an earlier one reads +Inf there, so
+// the relaxation tells it by its next hop, the first time an edge
+// reaches it, and marks it -Inf, which fails every later comparison.
 //
 // Trees are canonical: among equal-cost shortest paths a node's Prev is
 // its lowest-id predecessor. That holds when every captured cost is
 // positive (a zero-cost link can tie a node with a predecessor settled
 // after it); under it the tree depends neither on the heap nor on where
 // earlier calls stopped, so after any sequence of calls every settled
-// node's Dist, Prev and next hop equals a one-shot build's.
+// node's distance, Prev and next hop equals a one-shot build's.
 //
 //viator:noalloc
-func (o *CostOverlay) SettleUntil(t *SPT, dst NodeID) {
+func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 	if dst >= 0 && t.Settled(dst) {
 		return
 	}
+	n := o.n
+	if len(sc.dist) < n {
+		sc.dist = slices.Grow(sc.dist, n-len(sc.dist)) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
+		for len(sc.dist) < n {
+			sc.dist = append(sc.dist, math.Inf(1))
+		}
+	}
 	src := t.Source
-	dist, prev, next := t.Dist, t.Prev, t.next
+	dist, prev, next := sc.dist, t.Prev, t.next
 	start, tos, costs := o.start, o.to, o.cost
 	h := t.frontier
+	for _, it := range h {
+		dist[it.node] = it.dist
+	}
+	touched := sc.touched[:0]
 	for len(h) > 0 {
-		u := NodeID(h[0])
-		h = frontierPop(h, dist, next)
+		top := h[0]
+		h = frontierPop(h, next)
+		u, du := NodeID(top.node), top.dist
+		touched = append(touched, top.node) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
 		// Settle-time next-hop fill, as in Graph.computeInto.
 		if u == src {
 			next[u] = -1
@@ -512,18 +557,27 @@ func (o *CostOverlay) SettleUntil(t *SPT, dst NodeID) {
 		} else {
 			next[u] = next[p]
 		}
-		du := dist[u]
 		for e, end := start[u], start[u+1]; e < end; e++ {
 			to := tos[e]
 			nd := du + costs[e]
 			if d := dist[to]; nd < d {
+				q := next[to]
+				if q >= 0 || to == src {
+					// Settled by an earlier call, so its distance is not
+					// in sc; -Inf turns away every later edge to it.
+					dist[to] = math.Inf(-1)
+					touched = append(touched, int32(to)) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
+					continue
+				}
 				dist[to] = nd
 				prev[to] = int32(u)
-				if q := next[to]; q == -1 {
-					h = append(h, int32(to))
-					frontierUp(h, dist, next, len(h)-1)
+				if q == -1 {
+					h = append(h, frontierItem{nd, int32(to)}) //viator:alloc-ok amortized frontier growth, bounded by n; steady state reuses the tree's frontier
+					frontierUp(h, next, len(h)-1)
 				} else {
-					frontierUp(h, dist, next, int(-2-q))
+					j := int(-2 - q)
+					h[j].dist = nd
+					frontierUp(h, next, j)
 				}
 			} else if nd == d && next[to] < 0 && int32(u) < prev[to] {
 				// Canonical tie: the lowest predecessor id wins. A
@@ -536,12 +590,20 @@ func (o *CostOverlay) SettleUntil(t *SPT, dst NodeID) {
 			break
 		}
 	}
+	inf := math.Inf(1)
+	for _, v := range touched {
+		dist[v] = inf
+	}
+	for _, it := range h {
+		dist[it.node] = inf
+	}
+	sc.touched = touched
 	t.frontier = h
 }
 
-// Settled reports whether v's Dist, Prev and next hop are final in t, a
-// tree built by this package's kernels: v is the source, or its next hop
-// has been set. Trees built by Dijkstra, ComputeInto or
+// Settled reports whether v's distance, Prev and next hop are final in
+// t, a tree built by this package's kernels: v is the source, or its
+// next hop has been set. Trees built by Dijkstra, ComputeInto or
 // ComputeOverlayInto are complete, so every reachable node is settled
 // there.
 func (t *SPT) Settled(v NodeID) bool { return v == t.Source || t.next[v] >= 0 }
@@ -624,9 +686,14 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 	return t
 }
 
-// PathTo reconstructs the node sequence src..dst, or nil when unreachable.
+// PathTo reconstructs the node sequence src..dst, or nil when dst is
+// unreachable — in a partial overlay tree, when dst is not yet settled.
 func (t *SPT) PathTo(dst NodeID) []NodeID {
-	if math.IsInf(t.Dist[dst], 1) {
+	if t.next == nil { // hand-assembled: no hop table, so Dist decides
+		if math.IsInf(t.Dist[dst], 1) {
+			return nil
+		}
+	} else if !t.Settled(dst) {
 		return nil
 	}
 	var rev []NodeID

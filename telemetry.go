@@ -139,19 +139,6 @@ func (t *Telemetry) flowFor(overlay string) telemetry.FlowID {
 // Flow exposes the scorecard handle for an overlay's shuttle flow.
 func (t *Telemetry) Flow(overlay string) telemetry.FlowID { return t.flowFor(overlay) }
 
-// ReportExisting evaluates the scorecard for an overlay's shuttle flow
-// only if traffic already registered it. Unlike Report it never
-// registers the flow, so mid-run observers (the live server's status
-// endpoint) can poll without changing the ScoreSet registration order
-// an unobserved run would produce.
-func (t *Telemetry) ReportExisting(overlay string) (telemetry.FlowReport, bool) {
-	f, ok := t.QoS.Lookup(flowName(overlay))
-	if !ok {
-		return telemetry.FlowReport{}, false
-	}
-	return t.QoS.Report(f), true
-}
-
 // Report evaluates the scorecard for an overlay's shuttle flow now.
 func (t *Telemetry) Report(overlay string) telemetry.FlowReport {
 	return t.QoS.Report(t.flowFor(overlay))
