@@ -70,102 +70,93 @@ func TestPulseGateSkipsUnchangedInputs(t *testing.T) {
 	}
 }
 
-// TestLazyEagerParallelIdentical drives identical mutation/feedback
-// scripts through a lazy-only router and eager-Rebuild routers at
-// several worker counts, and requires identical routing decisions from
-// all of them — the determinism argument for the parallel fan-out and
-// for lazy evaluation at once. Each round leaves some trees partially
-// settled before Rebuild runs, so Rebuild must complete partial trees as
-// well as stale ones, and Path is compared on sources the lazy reference
-// still holds partial.
-func TestLazyEagerParallelIdentical(t *testing.T) {
-	build := func() (*Adaptive, *topo.Graph) {
-		g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(11))
-		a := NewAdaptive(g, 3)
-		a.SpawnOverlay("qos", 4)
-		a.SpawnOverlay("bulk", 0)
-		return a, g
-	}
+// oneShot builds src's complete tree in one run over an independent
+// capture of a's graph at the given overlay bias — the reference every
+// lazily built, partially settled tree of a must agree with.
+func oneShot(a *Adaptive, bias float64, src topo.NodeID) *topo.SPT {
+	var ov topo.CostOverlay
+	a.g.CaptureInto(&ov, func(li int) float64 { return a.effectiveCost(li, bias) })
+	t := &topo.SPT{}
+	ov.StartInto(t, src)
+	ov.SettleUntil(&topo.SPTScratch{}, t, -1)
+	return t
+}
+
+// TestLazyMatchesOneShot drives a mutation/feedback script through a
+// lazy router with three overlays, leaving trees partial in every epoch,
+// and requires every routing decision to equal a one-shot tree over an
+// independent capture at the overlay's bias. Path is checked first on a
+// source whose tree the script leaves partial, so the query resumes the
+// run from its kept frontier; then all-pairs NextHop on every overlay.
+func TestLazyMatchesOneShot(t *testing.T) {
+	g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(11))
+	a := NewAdaptive(g, 3)
+	a.SpawnOverlay("qos", 4)
+	a.SpawnOverlay("bulk", 0)
 	// near is the source's first out-neighbor: settling toward it stops
 	// long before the tree is complete.
-	near := func(g *topo.Graph, src topo.NodeID) topo.NodeID {
-		return g.Neighbors(src)[0]
-	}
-	run := func(a *Adaptive, g *topo.Graph, workers int, eager bool) {
-		a.Workers = workers
-		r := sim.NewRNG(7)
-		for round := 0; round < 4; round++ {
-			for k := 0; k < 8; k++ {
-				a.ObserveUtilization(r.Intn(g.Links()), r.Float64())
-			}
-			if round == 2 {
-				g.SetUp(r.Intn(g.Links()), false)
-			}
-			a.Pulse()
-			// Leave a few trees partial, then (eagerly) complete everything.
-			for k := 0; k < 3; k++ {
-				src := topo.NodeID(r.Intn(g.N()))
-				a.NextHop("qos", src, near(g, src))
-			}
-			if eager {
-				a.Rebuild()
-			}
-			// Touch a few sources mid-script so lazy and eager interleave.
-			a.NextHop("qos", topo.NodeID(r.Intn(g.N())), topo.NodeID(r.Intn(g.N())))
-			a.NextHop("", topo.NodeID(round), near(g, topo.NodeID(round)))
+	near := func(src topo.NodeID) topo.NodeID { return g.Neighbors(src)[0] }
+	r := sim.NewRNG(7)
+	for round := 0; round < 4; round++ {
+		for k := 0; k < 8; k++ {
+			a.ObserveUtilization(r.Intn(g.Links()), r.Float64())
 		}
+		if round == 2 {
+			g.SetUp(r.Intn(g.Links()), false)
+		}
+		a.Pulse()
+		// Leave a few trees partial.
+		for k := 0; k < 3; k++ {
+			src := topo.NodeID(r.Intn(g.N()))
+			a.NextHop("qos", src, near(src))
+		}
+		a.NextHop("qos", topo.NodeID(r.Intn(g.N())), topo.NodeID(r.Intn(g.N())))
+		a.NextHop("", topo.NodeID(round), near(topo.NodeID(round)))
 	}
-	ref, refG := build()
-	run(ref, refG, 1, false)
-	// The lazy reference must really hold a partial tree for source 3
-	// (settled by round 3 toward a neighbor only), or the Path checks
-	// below would compare complete trees.
-	partial := ref.overlays[DefaultOverlay].tables[3]
+	// The router must really hold a partial tree for source 3 (settled by
+	// round 3 toward a neighbor only), or the Path checks below would
+	// read a complete tree.
+	partial := a.overlays[DefaultOverlay].tables[3]
 	far := topo.NodeID(-1)
-	for v := 0; v < refG.N(); v++ {
+	for v := 0; v < g.N(); v++ {
 		if !partial.Settled(topo.NodeID(v)) {
 			far = topo.NodeID(v)
 			break
 		}
 	}
 	if far == -1 {
-		t.Fatal("reference tree for source 3 is complete; the script must leave it partial")
+		t.Fatal("tree for source 3 is complete; the script must leave it partial")
 	}
-	for _, cfg := range []struct {
-		workers int
-		eager   bool
-	}{{1, true}, {4, true}, {8, true}, {3, false}} {
-		a, g := build()
-		run(a, g, cfg.workers, cfg.eager)
-		// Path on the reference's partial source first: it resumes the
-		// lazy tree there while the eager routers read complete ones.
-		for _, dst := range []topo.NodeID{near(g, 3), far, 0, topo.NodeID(g.N() - 1)} {
-			if want, got := ref.Path("", 3, dst), a.Path("", 3, dst); !slices.Equal(got, want) {
-				t.Fatalf("workers=%d eager=%v: path 3→%d = %v, lazy reference %v", cfg.workers, cfg.eager, dst, got, want)
-			}
+	want3 := oneShot(a, 1, 3)
+	for _, dst := range []topo.NodeID{near(3), far, 0, topo.NodeID(g.N() - 1)} {
+		if got, want := a.Path("", 3, dst), want3.PathTo(dst); !slices.Equal(got, want) {
+			t.Fatalf("path 3→%d = %v, one-shot %v", dst, got, want)
 		}
-		for _, ov := range []string{"", "qos", "bulk"} {
-			for src := 0; src < g.N(); src++ {
-				for dst := 0; dst < g.N(); dst++ {
-					want := ref.NextHop(ov, topo.NodeID(src), topo.NodeID(dst))
-					got := a.NextHop(ov, topo.NodeID(src), topo.NodeID(dst))
-					if got != want {
-						t.Fatalf("workers=%d eager=%v overlay=%q: hop %d→%d = %d, lazy reference %d",
-							cfg.workers, cfg.eager, ov, src, dst, got, want)
-					}
+	}
+	for _, ov := range []struct {
+		name string
+		bias float64
+	}{{"", 1}, {"qos", 4}, {"bulk", 0}} {
+		for src := 0; src < g.N(); src++ {
+			s := topo.NodeID(src)
+			want := oneShot(a, ov.bias, s)
+			for dst := 0; dst < g.N(); dst++ {
+				d := topo.NodeID(dst)
+				if got, want := a.NextHop(ov.name, s, d), want.NextHop(d); s != d && got != want {
+					t.Fatalf("overlay=%q: hop %d→%d = %d, one-shot %d", ov.name, src, dst, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestRebuildResetsPartialFrontier is the regression test for a stale
-// frontier: a tree left partial in one epoch, then invalidated by a pulse
-// and completed by Rebuild, must not resume the old epoch's pending heap
-// on a later query — here one for an unreachable destination, which
-// drains whatever frontier the tree holds. Every route must then match a
+// TestPulseResetsPartialFrontier is the regression test for a stale
+// frontier: a tree left partial in one epoch and invalidated by a pulse
+// must not resume the old epoch's pending heap on its next query — here
+// one for an unreachable destination, which restarts the tree lazily and
+// drains whatever frontier it then holds. Every route must then match a
 // router that never saw the partial tree.
-func TestRebuildResetsPartialFrontier(t *testing.T) {
+func TestPulseResetsPartialFrontier(t *testing.T) {
 	build := func() (*Adaptive, *topo.Graph, topo.NodeID) {
 		g := topo.Grid(5, 5)
 		iso := g.AddNode() // no links: unreachable from everywhere
@@ -184,7 +175,6 @@ func TestRebuildResetsPartialFrontier(t *testing.T) {
 		r.ObserveUtilization(2, 0.9)
 		r.Pulse()
 	}
-	a.Rebuild()
 	if hop := a.NextHop("", 0, iso); hop != -1 {
 		t.Fatalf("hop toward isolated node = %d, want -1", hop)
 	}
@@ -242,13 +232,13 @@ func TestPulseSeesAddedNodes(t *testing.T) {
 }
 
 // TestAdaptiveNextHopAllocationFree pins the forwarding-path lookup —
-// once per hop per packet — at 0 allocs/op on warm tables.
+// once per hop per packet — at 0 allocs/op on warm tables (the pin's
+// warm-up run builds them).
 func TestAdaptiveNextHopAllocationFree(t *testing.T) {
 	g := topo.ConnectedWaxman(32, 0.4, 0.3, sim.NewRNG(3))
 	a := NewAdaptive(g, 2)
 	a.SpawnOverlay("qos", 3)
 	a.Pulse()
-	a.Rebuild()
 	dst := topo.NodeID(g.N() - 1)
 	allocpin.Zero(t, 200, func() {
 		a.NextHop("", 0, dst)
@@ -258,10 +248,10 @@ func TestAdaptiveNextHopAllocationFree(t *testing.T) {
 }
 
 // TestAdaptiveNextHopPartialAllocationFree pins NextHop at 0 allocs/op
-// on cold trees that are restarted and settled only part-way every run,
-// with no Rebuild warm-up: the restart, the bounded settle and the
-// resumed settle toward a second destination all reuse the tree's memory,
-// including the frontier it keeps.
+// on cold trees that are restarted and settled only part-way every run:
+// the restart, the bounded settle and the resumed settle toward a second
+// destination all reuse the tree's memory, including the frontier it
+// keeps.
 func TestAdaptiveNextHopPartialAllocationFree(t *testing.T) {
 	g := topo.Grid(8, 8)
 	iso := g.AddNode()
@@ -293,8 +283,9 @@ func TestAdaptiveNextHopPartialAllocationFree(t *testing.T) {
 // routes from a disjoint set of m sources and leaves some of their trees
 // partial, yet no more than m trees are ever allocated, because every
 // pulse hands the last epoch's trees to the next one. Every route must
-// equal a fresh build over an independent capture, before and after a
-// Rebuild, whose all-pairs trees are recycled the same way.
+// equal a fresh build over an independent capture, before and after an
+// epoch that routes all pairs, whose complete trees are recycled the
+// same way.
 func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 	const m = 4
 	g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(5))
@@ -305,9 +296,7 @@ func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 	// check compares src's routes toward dsts with a fresh one-shot build.
 	check := func(epoch int, src topo.NodeID, dsts ...topo.NodeID) {
 		t.Helper()
-		var ov topo.CostOverlay
-		g.CaptureInto(&ov, func(li int) float64 { return a.effectiveCost(li, 1) })
-		want := ov.ComputeOverlayInto(nil, nil, src)
+		want := oneShot(a, 1, src)
 		for _, dst := range dsts {
 			if got, want := a.NextHop("", src, dst), want.NextHop(dst); src != dst && got != want {
 				t.Fatalf("epoch %d: hop %d→%d = %d, fresh build %d", epoch, src, dst, got, want)
@@ -345,7 +334,6 @@ func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 		}
 	}
 	pulse()
-	a.Rebuild()
 	for src := range all {
 		check(epochs, topo.NodeID(src), all...)
 	}

@@ -25,11 +25,24 @@ func controlPlaneRouter(g *topo.Graph) *Adaptive {
 	return r
 }
 
+// warmAllPairs routes every pair through NextHop on every overlay of r,
+// so each overlay holds a complete tree per source: the steady state
+// with the table arena built.
+func warmAllPairs(r *Adaptive, g *topo.Graph) {
+	n := topo.NodeID(g.N())
+	for _, ov := range r.Overlays() {
+		for src := topo.NodeID(0); src < n; src++ {
+			for dst := topo.NodeID(0); dst < n; dst++ {
+				r.NextHop(ov, src, dst)
+			}
+		}
+	}
+}
+
 // BenchmarkAdaptivePulse measures the adaptive control plane at S1 scale
-// (1000 nodes, ~16k links, 2 overlays): the gated no-op pulse, the
+// (1000 nodes, ~16k links, 2 overlays): the gated no-op pulse and the
 // sparse-traffic lazy cycle toward far and toward near (three-hop)
-// destinations, and the eager all-pairs Rebuild that replaced the
-// clone-per-overlay recomputation.
+// destinations.
 func BenchmarkAdaptivePulse(b *testing.B) {
 	// Steady is the gated no-op pulse: no routing input changed since the
 	// last invalidation, so a pulse is one version compare plus a
@@ -67,24 +80,6 @@ func BenchmarkAdaptivePulse(b *testing.B) {
 	b.Run("LazyLocal", func(b *testing.B) {
 		adaptivePulseLazy(b, func(g *topo.Graph) []topo.NodeID { return hopsAway(g, 3) })
 	})
-	// Rebuild is the full eager adaptation: fresh utilization, an
-	// invalidating pulse, then Rebuild fans the all-pairs recomputation
-	// of every overlay over the worker pool.
-	b.Run("Rebuild", func(b *testing.B) {
-		b.ReportAllocs()
-		g := controlPlaneGraph()
-		r := controlPlaneRouter(g)
-		// Warm the pooled tables/scratches so the figures show the steady
-		// state, not the one-time build of the table arena.
-		r.Pulse()
-		r.Rebuild()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.ObserveUtilization(i%g.Links(), float64(i%7)/8)
-			r.Pulse()
-			r.Rebuild()
-		}
-	})
 }
 
 // adaptivePulseLazy is the sparse-traffic adaptation cycle: fresh
@@ -100,7 +95,7 @@ func adaptivePulseLazy(b *testing.B, dstOf func(g *topo.Graph) []topo.NodeID) {
 	// Warm the pooled tables/scratches so the figures show the steady
 	// state, not the one-time build of the table arena.
 	r.Pulse()
-	r.Rebuild()
+	warmAllPairs(r, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.ObserveUtilization(i%g.Links(), float64(i%7)/8)
@@ -150,7 +145,7 @@ func BenchmarkAdaptiveNextHop(b *testing.B) {
 	g := controlPlaneGraph()
 	r := controlPlaneRouter(g)
 	r.Pulse()
-	r.Rebuild()
+	warmAllPairs(r, g)
 	n := topo.NodeID(g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,14 +1,13 @@
 // Package routing provides the routing substrates of the reproduction:
-// static shortest-path tables (the passive baseline), a distance-vector
-// protocol with measurable convergence, an AODV-style on-demand ad-hoc
-// protocol with control-message accounting, and the WLI adaptive QoS
-// router that realizes "routing control ... overlaying and managing
-// several virtual topologies on top of the same physical network" —
-// the vertical intra-node overlay class of section D.
+// static shortest-path tables (the passive baseline), an AODV-style
+// on-demand ad-hoc protocol with control-message accounting, and the WLI
+// adaptive QoS router that realizes "routing control ... overlaying and
+// managing several virtual topologies on top of the same physical
+// network" — the vertical intra-node overlay class of section D.
 //
 // # Control-plane design
 //
-// All four routers are built on the topo package's reusable-memory
+// All three routers are built on the topo package's reusable-memory
 // shortest-path kernels (topo.SPTScratch / Graph.ComputeInto and
 // topo.CostOverlay for Dijkstra, topo.BFSScratch / Graph.BFSInto for
 // floods), so steady-state recomputation allocates nothing.
@@ -39,21 +38,12 @@
 //   - Trees hold no distances: a tree is its predecessor and next-hop
 //     arrays, 8 B a node, and its frontier carries the queued nodes'
 //     tentative distances. A settle's working distances live in a
-//     topo.SPTScratch that is +Inf between calls — one per overlay for
-//     lazy builds, one per Rebuild worker.
-//   - Rebuild forces the all-pairs computation eagerly, running every
-//     stale or partial tree to completion over a worker pool. Sources are
-//     independent, every tree holds its own frontier, every worker owns a
-//     disjoint range of table slots and its own scratch, and the
-//     per-source computation is deterministic — so the resulting tables
-//     are byte-identical to the lazy/serial path for every worker count.
+//     topo.SPTScratch that is +Inf between calls, one per overlay.
 package routing
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"viator/internal/stats"
 	"viator/internal/topo"
@@ -108,78 +98,6 @@ func (s *Static) Path(src, dst topo.NodeID) []topo.NodeID {
 // Cost returns the path cost src→dst (+Inf when unreachable).
 func (s *Static) Cost(src, dst topo.NodeID) float64 {
 	return s.tables[src].Dist[dst]
-}
-
-// DistanceVector is a Bellman-Ford routing protocol run to convergence in
-// synchronous rounds; Converge returns the number of rounds and update
-// messages, the textbook control-plane cost baseline.
-type DistanceVector struct {
-	g    *topo.Graph
-	dist [][]float64 // dist[n][dst]
-	next [][]topo.NodeID
-}
-
-// NewDistanceVector initializes tables with direct-neighbor routes.
-func NewDistanceVector(g *topo.Graph) *DistanceVector {
-	dv := &DistanceVector{g: g}
-	n := g.N()
-	dv.dist = make([][]float64, n)
-	dv.next = make([][]topo.NodeID, n)
-	for i := 0; i < n; i++ {
-		dv.dist[i] = make([]float64, n)
-		dv.next[i] = make([]topo.NodeID, n)
-		for j := 0; j < n; j++ {
-			dv.dist[i][j] = math.Inf(1)
-			dv.next[i][j] = -1
-		}
-		dv.dist[i][i] = 0
-		dv.next[i][i] = topo.NodeID(i)
-	}
-	return dv
-}
-
-// Converge runs synchronous exchange rounds until no table changes,
-// returning (rounds, messages). Each round every node advertises its
-// vector to every up neighbor. The rounds iterate the graph's adjacency
-// storage directly (topo.Graph.AdjLinks), so converging allocates
-// nothing beyond the tables themselves.
-func (dv *DistanceVector) Converge(maxRounds int) (rounds, messages int) {
-	n := dv.g.N()
-	for r := 0; r < maxRounds; r++ {
-		changed := false
-		for i := 0; i < n; i++ {
-			for _, li := range dv.g.AdjLinks(topo.NodeID(i)) {
-				l := dv.g.Link(li)
-				if !l.Up {
-					continue
-				}
-				messages++ // i advertises to l.To
-				for dst := 0; dst < n; dst++ {
-					cand := l.Cost + dv.dist[i][dst]
-					if cand < dv.dist[l.To][dst] {
-						dv.dist[l.To][dst] = cand
-						dv.next[l.To][dst] = topo.NodeID(i)
-						changed = true
-					}
-				}
-			}
-		}
-		rounds++
-		if !changed {
-			break
-		}
-	}
-	return rounds, messages
-}
-
-// NextHop returns the converged next hop, or -1.
-func (dv *DistanceVector) NextHop(src, dst topo.NodeID) topo.NodeID {
-	return dv.next[src][dst]
-}
-
-// Cost returns the converged cost (+Inf when unreachable).
-func (dv *DistanceVector) Cost(src, dst topo.NodeID) float64 {
-	return dv.dist[src][dst]
 }
 
 // AODV is an on-demand ad-hoc routing protocol in the AODV style: routes
@@ -250,23 +168,6 @@ func (a *AODV) valid(path []topo.NodeID) bool {
 	return len(path) > 0
 }
 
-// InvalidateNode drops all cached routes through the given node (route
-// error propagation after a ship dies or moves away).
-func (a *AODV) InvalidateNode(n topo.NodeID) {
-	//viator:maporder-safe per-key filter deleting from the ranged map; keep/drop is decided per entry with no cross-iteration state
-	for key, path := range a.cache {
-		for _, hop := range path {
-			if hop == n {
-				delete(a.cache, key)
-				break
-			}
-		}
-	}
-}
-
-// CacheSize returns the number of cached routes.
-func (a *AODV) CacheSize() int { return len(a.cache) }
-
 // DefaultOverlay is the name of the adaptive router's built-in overlay.
 // It is the fallback for every unknown overlay name and cannot be torn
 // down.
@@ -284,8 +185,8 @@ type overlay struct {
 	// costOf prices one link for this overlay; one persistent closure
 	// for the overlay's life, handed to Graph.CaptureInto.
 	costOf func(li int) float64
-	// sc holds the working distances of lazy builds; Rebuild workers
-	// hold one scratch each.
+	// sc holds the working distances of every settle over this overlay's
+	// trees; trees are built only on the router's goroutine, in turn.
 	sc topo.SPTScratch
 	// gen/stamp mark the current epoch: tables[i] is valid iff
 	// stamp[i] == gen. Trees belong to the epoch, not the source: built
@@ -318,16 +219,12 @@ func (o *overlay) take() *topo.SPT {
 // a congestion estimate fed by per-link utilization feedback, and
 // per-class overlays reweight the blend — topology-on-demand. Pulse
 // refreshes the overlays from current feedback; see the package comment
-// for how pulses are gated, invalidation stays O(links), tables build
-// lazily per source, and Rebuild fans the eager all-pairs case over a
-// worker pool.
+// for how pulses are gated, invalidation stays O(links), and tables
+// build lazily per source.
 type Adaptive struct {
 	g *topo.Graph
 	// CongestionWeight scales how strongly utilization inflates cost.
 	CongestionWeight float64
-	// Workers bounds the goroutines Rebuild fans sources over; 0 means
-	// GOMAXPROCS. The computed tables are identical for every value.
-	Workers int
 
 	util     []stats.EWMA
 	overlays map[string]*overlay
@@ -519,7 +416,7 @@ func (a *Adaptive) rememberInputs() {
 // twice over: when no routing input changed since the last pulse it does
 // nothing at all, and when inputs did change it only recaptures the
 // per-overlay cost snapshots and invalidates — each source's tree is then
-// rebuilt lazily on its next use (or eagerly by Rebuild).
+// rebuilt lazily on its next use.
 func (a *Adaptive) Pulse() {
 	a.Pulses++
 	if !a.inputsChanged() {
@@ -531,74 +428,6 @@ func (a *Adaptive) Pulse() {
 	}
 	a.rememberInputs()
 	a.Recomputes++
-}
-
-// Rebuild forces every overlay's stale or partial tables to completion
-// now, fanning sources across the worker pool (Workers; 0 = GOMAXPROCS).
-// Sources are independent, each tree holds its own frontier and each
-// worker a disjoint range of table slots, and each per-source computation
-// is deterministic, so the tables are byte-identical to the lazy/serial
-// path for every worker count. Callers that prefer paying the all-pairs
-// cost upfront use it; the simulation loop relies on lazy per-source
-// builds instead.
-func (a *Adaptive) Rebuild() {
-	for _, name := range a.order {
-		a.rebuildOverlay(a.overlays[name])
-	}
-}
-
-func (a *Adaptive) rebuildOverlay(o *overlay) {
-	n := len(o.tables)
-	if n == 0 {
-		return
-	}
-	workers := a.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// Materialize table structs up front so workers only touch disjoint,
-	// pre-existing slots.
-	for i, t := range o.tables {
-		if t == nil {
-			o.tables[i] = o.take()
-			o.built = append(o.built, topo.NodeID(i))
-		}
-	}
-	complete := func(sc *topo.SPTScratch, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t := o.tables[i]
-			if o.stamp[i] != o.gen {
-				o.ov.StartInto(t, topo.NodeID(i))
-				o.stamp[i] = o.gen
-			}
-			o.ov.SettleUntil(sc, t, -1) // returns at once on a complete tree
-		}
-	}
-	if workers <= 1 {
-		complete(&o.sc, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var sc topo.SPTScratch
-			complete(&sc, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // NextHop routes within an overlay; unknown overlays fall back to the

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"math"
 	"testing"
 
 	"viator/internal/sim"
@@ -42,49 +41,6 @@ func TestStaticStaleUntilRecompute(t *testing.T) {
 	}
 	if r.Recomputes != 2 {
 		t.Fatalf("recomputes = %d", r.Recomputes)
-	}
-}
-
-func TestDistanceVectorConverges(t *testing.T) {
-	g := topo.Ring(8)
-	dv := NewDistanceVector(g)
-	rounds, msgs := dv.Converge(100)
-	if rounds == 0 || msgs == 0 {
-		t.Fatal("no work done")
-	}
-	// Agreement with Dijkstra.
-	for src := 0; src < g.N(); src++ {
-		spt := g.Dijkstra(topo.NodeID(src))
-		for dst := 0; dst < g.N(); dst++ {
-			if math.Abs(dv.Cost(topo.NodeID(src), topo.NodeID(dst))-spt.Dist[dst]) > 1e-9 {
-				t.Fatalf("dv cost mismatch %d->%d", src, dst)
-			}
-		}
-	}
-	// Ring diameter 4: convergence within diameter+1 rounds.
-	if rounds > 6 {
-		t.Fatalf("rounds = %d", rounds)
-	}
-}
-
-func TestDistanceVectorNextHopsDeliver(t *testing.T) {
-	g := topo.Grid(3, 3)
-	dv := NewDistanceVector(g)
-	dv.Converge(100)
-	// Walk next hops from every src to every dst; must arrive within N hops.
-	for src := 0; src < g.N(); src++ {
-		for dst := 0; dst < g.N(); dst++ {
-			cur := topo.NodeID(src)
-			for hops := 0; cur != topo.NodeID(dst); hops++ {
-				if hops > g.N() {
-					t.Fatalf("loop routing %d->%d", src, dst)
-				}
-				cur = dv.NextHop(cur, topo.NodeID(dst))
-				if cur == -1 {
-					t.Fatalf("black hole %d->%d", src, dst)
-				}
-			}
-		}
 	}
 }
 
@@ -137,20 +93,6 @@ func TestAODVUnreachable(t *testing.T) {
 	a := NewAODV(g)
 	if a.Route(0, 1) != nil {
 		t.Fatal("route across partition")
-	}
-}
-
-func TestAODVInvalidateNode(t *testing.T) {
-	g := topo.Line(4)
-	a := NewAODV(g)
-	a.Route(0, 3)
-	a.Route(3, 0)
-	if a.CacheSize() != 2 {
-		t.Fatalf("cache = %d", a.CacheSize())
-	}
-	a.InvalidateNode(1)
-	if a.CacheSize() != 0 {
-		t.Fatalf("cache after invalidate = %d", a.CacheSize())
 	}
 }
 

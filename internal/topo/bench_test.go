@@ -28,8 +28,9 @@ func BenchmarkSettleUntil(b *testing.B) {
 		for i := range queries {
 			queries[i] = NodeID(rng.Intn(n))
 		}
-		sc := &SPTScratch{}
-		tree := ov.ComputeOverlayInto(sc, nil, 0) // grown once, as a recycled tree is
+		sc, tree := &SPTScratch{}, &SPT{}
+		ov.StartInto(tree, 0) // grown once, as a recycled tree is
+		ov.SettleUntil(sc, tree, -1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -59,8 +60,9 @@ func BenchmarkSettleUntil(b *testing.B) {
 			}
 			queries[i], queries[i+1] = src, dst
 		}
-		sc := &SPTScratch{}
-		tree := ov.ComputeOverlayInto(sc, nil, 0) // grown once, as a recycled tree is
+		sc, tree := &SPTScratch{}, &SPT{}
+		ov.StartInto(tree, 0) // grown once, as a recycled tree is
+		ov.SettleUntil(sc, tree, -1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

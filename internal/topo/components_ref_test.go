@@ -16,6 +16,25 @@ import (
 // mobility partition count and the catalog's Waxman stitching ride on
 // these answers.
 
+// Reachable returns the set of nodes reachable from src over up links
+// (including src), via BFS.
+func (g *Graph) Reachable(src NodeID) map[NodeID]bool {
+	seen := map[NodeID]bool{src: true}
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, li := range g.adj[u] {
+			l := g.link[li]
+			if l.Up && !seen[l.To] {
+				seen[l.To] = true
+				queue = append(queue, l.To)
+			}
+		}
+	}
+	return seen
+}
+
 func referenceConnected(g *Graph) bool {
 	if g.n == 0 {
 		return true

@@ -181,13 +181,45 @@ func expectNodeEqual(t *testing.T, ov *CostOverlay, got, ref *SPT, v NodeID) {
 	if got.Prev[v] != ref.Prev[v] {
 		t.Fatalf("prev[%d] = %d, reference %d", v, got.Prev[v], ref.Prev[v])
 	}
-	wantHop := NodeID(-1)
-	if p := ref.PathTo(v); len(p) >= 2 {
-		wantHop = p[1]
+	if hop, want := got.NextHop(v), refNextHop(ref, v); hop != want {
+		t.Fatalf("next hop to %d = %d, reference %d", v, hop, want)
 	}
-	if hop := got.NextHop(v); hop != wantHop {
-		t.Fatalf("next hop to %d = %d, reference %d", v, hop, wantHop)
+}
+
+// refNextHop is the first hop toward v in a reference tree, which has no
+// hop table: the node on v's Prev chain whose predecessor is the source,
+// or -1 when v is the source or unreachable.
+func refNextHop(ref *SPT, v NodeID) NodeID {
+	if v == ref.Source || math.IsInf(ref.Dist[v], 1) {
+		return -1
 	}
+	for NodeID(ref.Prev[v]) != ref.Source {
+		v = NodeID(ref.Prev[v])
+	}
+	return v
+}
+
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	c := &Graph{n: g.n, version: g.version}
+	c.adj = make([][]int, len(g.adj))
+	for i, a := range g.adj {
+		c.adj[i] = append([]int(nil), a...)
+	}
+	c.link = append([]Link(nil), g.link...)
+	c.pos = append([]Point(nil), g.pos...)
+	c.edge = make([]map[NodeID]int32, len(g.edge))
+	for i, m := range g.edge {
+		if m == nil {
+			continue
+		}
+		cm := make(map[NodeID]int32, len(m))
+		for to, li := range m {
+			cm[to] = li
+		}
+		c.edge[i] = cm
+	}
+	return c
 }
 
 // churn applies a burst of random link mutations: up/down flips, cost
@@ -235,39 +267,6 @@ func TestDijkstraMatchesReferenceUnderChurn(t *testing.T) {
 	}
 }
 
-// TestDijkstraCostsMatchesReference checks the slice-overlay variant: a
-// reweighted run over g must equal the reference run over a clone whose
-// stored costs were rewritten, with +Inf entries behaving as down links.
-func TestDijkstraCostsMatchesReference(t *testing.T) {
-	rng := sim.NewRNG(99)
-	for trial := 0; trial < 4; trial++ {
-		g := Waxman(30, 0.5, 0.3, rng)
-		if g.Links() == 0 {
-			g.ConnectBoth(0, 1, 1)
-		}
-		for k := 0; k < 5; k++ {
-			g.SetUp(rng.Intn(g.Links()), false)
-		}
-		costs := make([]float64, g.Links())
-		for li := range costs {
-			if !g.Link(li).Up {
-				costs[li] = math.Inf(1)
-				continue
-			}
-			costs[li] = rng.Float64() * 5
-		}
-		oracle := g.Clone()
-		for li := 0; li < oracle.Links(); li++ {
-			if oracle.Link(li).Up {
-				oracle.SetCost(li, costs[li])
-			}
-		}
-		for s := 0; s < g.N(); s++ {
-			expectEqualSPT(t, nil, g.DijkstraCosts(NodeID(s), costs), referenceDijkstra(oracle, NodeID(s)))
-		}
-	}
-}
-
 // TestCostOverlayMatchesReferenceAndFreezes checks the CSR capture: the
 // overlay must equal the canonical reference on an equivalently
 // reweighted clone, and — the property the lazy control plane rests on —
@@ -293,13 +292,22 @@ func TestCostOverlayMatchesReferenceAndFreezes(t *testing.T) {
 		oracle.SetCost(li, reweight[li])
 	}
 	for s := 0; s < g.N(); s++ {
-		expectEqualSPT(t, &ov, ov.ComputeOverlayInto(nil, nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
+		expectEqualSPT(t, &ov, oneShot(&ov, NodeID(s)), canonicalReference(oracle, NodeID(s)))
 	}
 	// Mutate the live graph heavily; the capture must not move.
 	churn(g, rng)
 	for s := 0; s < g.N(); s += 3 {
-		expectEqualSPT(t, &ov, ov.ComputeOverlayInto(nil, nil, NodeID(s)), canonicalReference(oracle, NodeID(s)))
+		expectEqualSPT(t, &ov, oneShot(&ov, NodeID(s)), canonicalReference(oracle, NodeID(s)))
 	}
+}
+
+// oneShot builds the complete overlay tree from src over ov in one run,
+// on a fresh tree and scratch.
+func oneShot(ov *CostOverlay, src NodeID) *SPT {
+	t := &SPT{}
+	ov.StartInto(t, src)
+	ov.SettleUntil(&SPTScratch{}, t, -1)
+	return t
 }
 
 // expectSettledMatch requires every node settled in a (possibly partial)
@@ -374,7 +382,7 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 				}
 			}
 			ov.SettleUntil(sc, tree, -1)
-			one := ov.ComputeOverlayInto(nil, nil, src)
+			one := oneShot(&ov, src)
 			for v := 0; v < n; v++ {
 				dt, do := treeDist(&ov, tree, NodeID(v)), treeDist(&ov, one, NodeID(v))
 				if dt != do && !(math.IsInf(dt, 1) && math.IsInf(do, 1)) ||
@@ -565,7 +573,7 @@ func TestRecycledTreeMatchesFresh(t *testing.T) {
 		case 2:
 			ov.StartInto(tree, src)
 			ov.SettleUntil(sc, tree, -1)
-			expectSameTree(t, "complete run", tree, ov.ComputeOverlayInto(nil, nil, src))
+			expectSameTree(t, "complete run", tree, oneShot(&ov, src))
 		default: // a run left behind for the next restart, perhaps unsettled
 			ov.StartInto(tree, src)
 			if rng.Intn(2) == 0 {
@@ -586,7 +594,6 @@ func TestComputeIntoAllocationFree(t *testing.T) {
 	var ov CostOverlay
 	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 	allocpin.Zero(t, 50, func() { g.ComputeInto(sc, spt, 3) }, "(*Graph).ComputeInto")
-	allocpin.Zero(t, 50, func() { ov.ComputeOverlayInto(sc, spt, 5) }, "(*CostOverlay).ComputeOverlayInto")
 	far := NodeID(g.N() - 1)
 	allocpin.Zero(t, 50, func() {
 		ov.StartInto(spt, 7)

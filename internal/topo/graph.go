@@ -342,8 +342,8 @@ func b2i(b bool) int {
 type SPT struct {
 	Source NodeID
 	// Dist is each node's distance, +Inf when unreachable. Only trees
-	// built by Dijkstra, DijkstraCosts and ComputeInto fill it; it is
-	// empty in overlay trees.
+	// built by Dijkstra and ComputeInto fill it; it is empty in overlay
+	// trees.
 	Dist []float64
 	// Prev is each node's predecessor; -1 at the source and unreachable
 	// nodes. Like next it is int32, half a NodeID table.
@@ -387,19 +387,7 @@ func resize[T any](s []T, n int) []T {
 // the metric. Negative costs panic. It allocates a fresh tree; hot
 // callers retain an SPTScratch and an SPT and use ComputeInto instead.
 func (g *Graph) Dijkstra(src NodeID) *SPT {
-	return g.computeInto(nil, nil, src, nil, false)
-}
-
-// DijkstraCosts computes shortest paths from src under a cost overlay:
-// link i costs costs[i] regardless of its stored Cost, +Inf marks a link
-// unusable, and links with index >= len(costs) (created after the overlay
-// was captured) are ignored. Live Up flags are deliberately not consulted
-// — the costs slice is the complete link-state snapshot, which lets a
-// control plane freeze its routing inputs at one instant and compute
-// tables from them later (or on other goroutines) without cloning the
-// graph.
-func (g *Graph) DijkstraCosts(src NodeID, costs []float64) *SPT {
-	return g.computeInto(nil, nil, src, costs, true)
+	return g.computeInto(nil, nil, src)
 }
 
 // ComputeInto is Dijkstra with caller-owned memory: the tree is built
@@ -410,7 +398,7 @@ func (g *Graph) DijkstraCosts(src NodeID, costs []float64) *SPT {
 //
 //viator:noalloc
 func (g *Graph) ComputeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
-	return g.computeInto(sc, t, src, nil, false)
+	return g.computeInto(sc, t, src)
 }
 
 // CostOverlay is a frozen, routing-ready view of a graph: the up links
@@ -418,11 +406,11 @@ func (g *Graph) ComputeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 // per-link costs. Capturing one is O(links) and reuses the overlay's
 // backing arrays; computing shortest paths from it never touches the
 // live graph, so a control plane can capture at pulse time and build
-// tables lazily — or on worker goroutines — later, with results
-// identical to computing them at capture time. The flat layout also
-// makes the relaxation loop two sequential array reads per edge instead
-// of three dependent random loads (adjacency slice → link record → cost
-// table), which is where an all-pairs rebuild spends its time.
+// trees lazily later (StartInto, SettleUntil), with results identical to
+// building them at capture time. The flat layout also makes the
+// relaxation loop two sequential array reads per edge instead of three
+// dependent random loads (adjacency slice → link record → cost table),
+// which is where a tree build spends its time.
 type CostOverlay struct {
 	n     int
 	start []int32 // edge range of node u is [start[u], start[u+1])
@@ -461,27 +449,6 @@ func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 		}
 	}
 	o.start[n] = int32(len(o.to))
-}
-
-// ComputeOverlayInto computes the complete shortest-path tree from src
-// over a captured CostOverlay into t, with sc as working memory, reusing
-// both (either may be nil, in which case it is allocated). The live
-// graph is not consulted: topology and costs are exactly as captured.
-// The tree is canonical (see SettleUntil): with positive costs it is the
-// one Dijkstra tree whose every Prev is the lowest-id predecessor on a
-// shortest path.
-//
-//viator:noalloc
-func (o *CostOverlay) ComputeOverlayInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
-	if sc == nil {
-		sc = &SPTScratch{} //viator:alloc-ok nil-scratch convenience path; hot callers pass a reusable *SPTScratch
-	}
-	if t == nil {
-		t = &SPT{} //viator:alloc-ok nil-target convenience path; hot callers pass a reusable *SPT
-	}
-	o.StartInto(t, src)
-	o.SettleUntil(sc, t, -1)
-	return t
 }
 
 // StartInto resets t to the start of a shortest-path run from src over
@@ -602,13 +569,12 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 }
 
 // Settled reports whether v's distance, Prev and next hop are final in
-// t, a tree built by this package's kernels: v is the source, or its
-// next hop has been set. Trees built by Dijkstra, ComputeInto or
-// ComputeOverlayInto are complete, so every reachable node is settled
-// there.
+// t: v is the source, or its next hop has been set. Trees built by
+// Dijkstra or ComputeInto, and overlay trees settled with dst = -1, are
+// complete, so every reachable node is settled there.
 func (t *SPT) Settled(v NodeID) bool { return v == t.Source || t.next[v] >= 0 }
 
-func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64, useCosts bool) *SPT {
+func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 	if sc == nil {
 		sc = &SPTScratch{}
 	}
@@ -630,7 +596,6 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 	// compiler keeps them in registers across iterations.
 	dist, prev, next := t.Dist, t.Prev, t.next
 	links := g.link
-	inf := math.Inf(1)
 	h := sc.heap[:0]
 	dist[src] = 0
 	h = spPush(h, spItem{src, 0})
@@ -655,21 +620,10 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 		}
 		du := dist[u]
 		for _, li := range g.adj[u] {
-			var c float64
-			if useCosts {
-				if li >= len(costs) {
-					continue // link added after the overlay was captured
-				}
-				c = costs[li]
-				if c == inf {
-					continue // down at capture time
-				}
-			} else {
-				if !links[li].Up {
-					continue
-				}
-				c = links[li].Cost
+			if !links[li].Up {
+				continue
 			}
+			c := links[li].Cost
 			if c < 0 {
 				panic("topo: negative link cost")
 			}
@@ -689,11 +643,7 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID, costs []float64,
 // PathTo reconstructs the node sequence src..dst, or nil when dst is
 // unreachable — in a partial overlay tree, when dst is not yet settled.
 func (t *SPT) PathTo(dst NodeID) []NodeID {
-	if t.next == nil { // hand-assembled: no hop table, so Dist decides
-		if math.IsInf(t.Dist[dst], 1) {
-			return nil
-		}
-	} else if !t.Settled(dst) {
+	if !t.Settled(dst) {
 		return nil
 	}
 	var rev []NodeID
@@ -714,37 +664,7 @@ func (t *SPT) PathTo(dst NodeID) []NodeID {
 //
 //viator:noalloc
 func (t *SPT) NextHop(dst NodeID) NodeID {
-	if t.next != nil {
-		return NodeID(max(t.next[dst], -1)) // queued nodes hold -2-pos
-	}
-	// Hand-assembled trees have no hop table; walk the predecessor chain.
-	if math.IsInf(t.Dist[dst], 1) || dst == t.Source {
-		return -1
-	}
-	hop := dst
-	for NodeID(t.Prev[hop]) != t.Source {
-		hop = NodeID(t.Prev[hop])
-	}
-	return hop
-}
-
-// Reachable returns the set of nodes reachable from src over up links
-// (including src), via BFS.
-func (g *Graph) Reachable(src NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{src: true}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, li := range g.adj[u] {
-			l := g.link[li]
-			if l.Up && !seen[l.To] {
-				seen[l.To] = true
-				queue = append(queue, l.To)
-			}
-		}
-	}
-	return seen
+	return NodeID(max(t.next[dst], -1)) // queued nodes hold -2-pos
 }
 
 // Connected reports whether every node can reach every other node over
@@ -856,29 +776,6 @@ func flood(start, nbr []int32, seen []bool, q []NodeID, src NodeID) []NodeID {
 	return q
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, version: g.version}
-	c.adj = make([][]int, len(g.adj))
-	for i, a := range g.adj {
-		c.adj[i] = append([]int(nil), a...)
-	}
-	c.link = append([]Link(nil), g.link...)
-	c.pos = append([]Point(nil), g.pos...)
-	c.edge = make([]map[NodeID]int32, len(g.edge))
-	for i, m := range g.edge {
-		if m == nil {
-			continue
-		}
-		cm := make(map[NodeID]int32, len(m))
-		for to, li := range m {
-			cm[to] = li
-		}
-		c.edge[i] = cm
-	}
-	return c
-}
-
 // DOT renders the graph in Graphviz format with optional node labels.
 func (g *Graph) DOT(name string, label func(NodeID) string) string {
 	var b strings.Builder
@@ -907,13 +804,6 @@ func (g *Graph) AllLinks(id NodeID) []int {
 	copy(out, g.adj[id])
 	return out
 }
-
-// AdjLinks returns the indexes of every link leaving id — up or down, in
-// insertion order — as a direct view of the graph's adjacency storage.
-// The caller must not modify or retain it across mutations. Unlike
-// AllLinks and Neighbors it allocates nothing, which makes it the
-// iteration primitive for routing kernels.
-func (g *Graph) AdjLinks(id NodeID) []int { return g.adj[id] }
 
 // BFSScratch is the reusable working memory of a breadth-first search:
 // the predecessor table, the visited set and the queue. Like SPTScratch

@@ -391,7 +391,7 @@ func TestLinkBetweenMatchesAdjacencyScan(t *testing.T) {
 				continue
 			}
 			want := -1
-			for _, li := range g.AdjLinks(NodeID(from)) {
+			for _, li := range g.adj[from] {
 				if g.Link(li).To == NodeID(to) {
 					want = li
 					break
