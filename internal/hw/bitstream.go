@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Bitstream is the transportable form of a fabric (sub)configuration: a
@@ -71,7 +72,10 @@ func DecodeBitstream(data []byte) (*Bitstream, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.In[j] = int(v)
+			if v > math.MaxInt32 {
+				return nil, fmt.Errorf("%w: cell %d input %d overflows int32", ErrBitstream, i, v)
+			}
+			c.In[j] = int32(v)
 		}
 		tr, err := next()
 		if err != nil {
@@ -118,8 +122,12 @@ func (b *Bitstream) ApplyAt(f *Fabric, offset int) error {
 	for i, c := range b.Cells {
 		shifted := c
 		for j, s := range c.In {
-			if s >= b.NumIn { // cell-output signal: shift by placement
-				shifted.In[j] = s + offset
+			if int(s) >= b.NumIn { // cell-output signal: shift by placement
+				v := int(s) + offset
+				if v > math.MaxInt32 {
+					return fmt.Errorf("%w: bitstream cell %d reads signal %d beyond the fabric", ErrConfig, i, s)
+				}
+				shifted.In[j] = int32(v)
 			}
 		}
 		if err := f.SetCell(offset+i, shifted); err != nil {
@@ -150,13 +158,13 @@ func Snapshot(f *Fabric, lo, hi int) (*Bitstream, error) {
 	for _, c := range cells {
 		rel := c
 		for j, s := range c.In {
-			if s >= numIn {
-				cellIdx := s - numIn
+			if int(s) >= numIn {
+				cellIdx := int(s) - numIn
 				if cellIdx < lo || cellIdx >= hi {
 					// References to cells outside the region cannot relocate.
 					return nil, fmt.Errorf("%w: region [%d,%d) reads cell %d outside region", ErrConfig, lo, hi, cellIdx)
 				}
-				rel.In[j] = numIn + (cellIdx - lo)
+				rel.In[j] = int32(numIn + cellIdx - lo)
 			}
 		}
 		b.Cells = append(b.Cells, rel)

@@ -14,6 +14,7 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"viator/internal/vm"
 )
@@ -25,8 +26,13 @@ const LUTInputs = 4
 // indexes; signal s < fabric.NumInputs() is a fabric input, otherwise it is
 // the output of cell s-NumInputs. Feed-forward: a cell may only read
 // signals with an index strictly below its own output signal.
+//
+// The indexes are int32, so a cell takes 20 B: four 4-byte inputs, the
+// 2-byte truth table and 2 B of padding. Every ship of generation 3 or
+// more holds a fabric of them. NewFabric keeps a fabric's signal count
+// within int32, and DecodeBitstream rejects an input beyond it.
 type Cell struct {
-	In    [LUTInputs]int
+	In    [LUTInputs]int32
 	Truth uint16 // truth table: bit (i3<<3|i2<<2|i1<<1|i0) gives the output
 }
 
@@ -43,10 +49,14 @@ type Fabric struct {
 var ErrConfig = errors.New("hw: invalid configuration")
 
 // NewFabric creates a fabric with numIn input pins and capacity cells, all
-// initialized to constant-zero LUTs reading input 0.
+// initialized to constant-zero LUTs reading input 0. Its numIn+capacity
+// signals must be indexable by a cell's int32 inputs.
 func NewFabric(numIn, capacity int) *Fabric {
 	if numIn <= 0 || capacity <= 0 {
 		panic("hw: fabric needs inputs and cells")
+	}
+	if capacity > math.MaxInt32-numIn {
+		panic("hw: fabric has more signals than an int32 cell input can index")
 	}
 	return &Fabric{numIn: numIn, cells: make([]Cell, capacity)}
 }
@@ -74,7 +84,7 @@ func (f *Fabric) SetCell(i int, c Cell) error {
 		return fmt.Errorf("%w: cell %d of %d", ErrConfig, i, len(f.cells))
 	}
 	for _, s := range c.In {
-		if s < 0 || s >= f.numIn+i {
+		if s < 0 || int(s) >= f.numIn+i {
 			return fmt.Errorf("%w: cell %d reads signal %d (must be < %d)", ErrConfig, i, s, f.numIn+i)
 		}
 	}

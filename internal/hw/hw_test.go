@@ -1,6 +1,9 @@
 package hw
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -30,15 +33,15 @@ func evalOne(t *testing.T, f *Fabric, in []bool) bool {
 func TestFabricFeedForwardConstraint(t *testing.T) {
 	f := NewFabric(2, 4)
 	// Cell 0 may read inputs 0,1 only (signals < 2).
-	if err := f.SetCell(0, Cell{In: [4]int{0, 1, 0, 0}, Truth: TruthAND}); err != nil {
+	if err := f.SetCell(0, Cell{In: [4]int32{0, 1, 0, 0}, Truth: TruthAND}); err != nil {
 		t.Fatal(err)
 	}
 	// Cell 0 may not read its own output (signal 2).
-	if err := f.SetCell(0, Cell{In: [4]int{2, 0, 0, 0}}); err == nil {
+	if err := f.SetCell(0, Cell{In: [4]int32{2, 0, 0, 0}}); err == nil {
 		t.Fatal("self-reference accepted")
 	}
 	// Cell 1 may read cell 0's output.
-	if err := f.SetCell(1, Cell{In: [4]int{2, 0, 0, 0}, Truth: TruthNOT}); err != nil {
+	if err := f.SetCell(1, Cell{In: [4]int32{2, 0, 0, 0}, Truth: TruthNOT}); err != nil {
 		t.Fatal(err)
 	}
 	// Cell index bounds.
@@ -180,6 +183,107 @@ func TestBitstreamRejectsGarbage(t *testing.T) {
 	}
 }
 
+// oneCellBitstream encodes a bitstream over numIn pins of one buffer
+// cell that reads signal in, which may lie beyond any int32 cell input,
+// and exports nothing.
+func oneCellBitstream(numIn int, in uint64) []byte {
+	out := []byte{bsMagic}
+	out = binary.AppendUvarint(out, uint64(numIn))
+	out = binary.AppendUvarint(out, 1)
+	out = binary.AppendUvarint(out, in)
+	for j := 1; j < LUTInputs; j++ {
+		out = binary.AppendUvarint(out, 0)
+	}
+	out = binary.AppendUvarint(out, uint64(TruthBUF))
+	return binary.AppendUvarint(out, 0)
+}
+
+// TestDecodeBitstreamCellInputRange checks that a decoded cell input is
+// kept exactly when it fits an int32 and rejected with ErrBitstream
+// when it does not, rather than wrapped: 1<<32+3 would become signal 3.
+// A kept input too large for the fabric it is placed in is a
+// configuration error at ApplyAt, not a wrapped signal either.
+func TestDecodeBitstreamCellInputRange(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   uint64
+		ok   bool
+	}{
+		{"pin", 3, true},
+		{"largest int32", math.MaxInt32, true},
+		{"one past int32", math.MaxInt32 + 1, false},
+		{"wraps to 3", 1<<32 + 3, false},
+		{"largest uint64", math.MaxUint64, false},
+	} {
+		b, err := DecodeBitstream(oneCellBitstream(4, c.in))
+		if !c.ok {
+			if !errors.Is(err, ErrBitstream) {
+				t.Errorf("%s: err = %v, want ErrBitstream", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got := b.Cells[0].In[0]; int64(got) != int64(c.in) {
+			t.Errorf("%s: decoded input %d, want %d", c.name, got, c.in)
+		}
+		if c.in >= 4 {
+			if err := b.ApplyAt(NewFabric(4, 16), 1); !errors.Is(err, ErrConfig) {
+				t.Errorf("%s: ApplyAt err = %v, want ErrConfig", c.name, err)
+			}
+		}
+	}
+}
+
+// TestNewFabricSignalRange checks NewFabric's bounds: it needs inputs
+// and cells, and its numIn+capacity signals must fit an int32 cell
+// input. Every rejected size is refused before any cell is allocated.
+func TestNewFabricSignalRange(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		numIn, capacity int
+		ok              bool
+	}{
+		{"ship default", 8, 64, true},
+		{"signals fill int32", math.MaxInt32 - 1, 1, true},
+		{"no inputs", 0, 4, false},
+		{"no cells", 4, 0, false},
+		{"signals one past int32", 1, math.MaxInt32, false},
+		{"inputs alone past int32", math.MaxInt32, 1, false},
+		{"capacity far past int32", 8, 1 << 40, false},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Errorf("NewFabric(%d, %d) %s: panic %v, want ok=%v", c.numIn, c.capacity, c.name, r, c.ok)
+				}
+			}()
+			NewFabric(c.numIn, c.capacity)
+		}()
+	}
+}
+
+// sinkFabric keeps TestFabricBytesPerCell's fabrics on the heap.
+var sinkFabric *Fabric
+
+// TestFabricBytesPerCell pins a fabric's size: NewFabric(8, 4096)
+// allocates its cells at 20 B each (four int32 inputs and the truth
+// table), plus a small constant for the Fabric itself. With int inputs
+// a cell would take 40 B.
+func TestFabricBytesPerCell(t *testing.T) {
+	const cells = 4096
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkFabric = NewFabric(8, cells)
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(20*cells+1<<10); got > limit {
+		t.Fatalf("NewFabric(8, %d) allocated %d B, want at most %d (20 B a cell + 1 KiB)", cells, got, limit)
+	}
+}
+
 func TestBitstreamTooBigForFabric(t *testing.T) {
 	f := NewFabric(8, 3)
 	if err := Parity(8, 8).ApplyAt(f, 0); err == nil {
@@ -226,10 +330,10 @@ func TestSnapshotGeneticTranscoding(t *testing.T) {
 
 func TestSnapshotRejectsDanglingRefs(t *testing.T) {
 	f := NewFabric(2, 4)
-	if err := f.SetCell(0, Cell{In: [4]int{0, 1, 0, 0}, Truth: TruthAND}); err != nil {
+	if err := f.SetCell(0, Cell{In: [4]int32{0, 1, 0, 0}, Truth: TruthAND}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetCell(1, Cell{In: [4]int{2, 0, 0, 0}, Truth: TruthNOT}); err != nil {
+	if err := f.SetCell(1, Cell{In: [4]int32{2, 0, 0, 0}, Truth: TruthNOT}); err != nil {
 		t.Fatal(err)
 	}
 	// Region [1,2) reads cell 0 which is outside: must refuse.

@@ -47,7 +47,7 @@ func reduce(numIn, n int, truth uint16) *Bitstream {
 	}
 	b := &Bitstream{NumIn: numIn}
 	if n == 1 {
-		b.Cells = append(b.Cells, Cell{In: [LUTInputs]int{0, 0, 0, 0}, Truth: TruthBUF})
+		b.Cells = append(b.Cells, Cell{In: [LUTInputs]int32{0, 0, 0, 0}, Truth: TruthBUF})
 		b.Outputs = []int{numIn}
 		return b
 	}
@@ -60,7 +60,7 @@ func reduce(numIn, n int, truth uint16) *Bitstream {
 		var next []int
 		for i := 0; i+1 < len(level); i += 2 {
 			cellIdx := len(b.Cells)
-			b.Cells = append(b.Cells, Cell{In: [LUTInputs]int{level[i], level[i+1], 0, 0}, Truth: truth})
+			b.Cells = append(b.Cells, Cell{In: [LUTInputs]int32{int32(level[i]), int32(level[i+1]), 0, 0}, Truth: truth})
 			next = append(next, numIn+cellIdx)
 		}
 		if len(level)%2 == 1 {
@@ -98,7 +98,7 @@ func Majority3(numIn int) *Bitstream {
 	}
 	return &Bitstream{
 		NumIn:   numIn,
-		Cells:   []Cell{{In: [LUTInputs]int{0, 1, 2, 0}, Truth: t}},
+		Cells:   []Cell{{In: [LUTInputs]int32{0, 1, 2, 0}, Truth: t}},
 		Outputs: []int{numIn},
 	}
 }
@@ -121,7 +121,7 @@ func Comparator(numIn int, pattern []bool) *Bitstream {
 		} else {
 			t = TruthNOT
 		}
-		b.Cells = append(b.Cells, Cell{In: [LUTInputs]int{i, 0, 0, 0}, Truth: t})
+		b.Cells = append(b.Cells, Cell{In: [LUTInputs]int32{int32(i), 0, 0, 0}, Truth: t})
 		matches[i] = numIn + len(b.Cells) - 1
 	}
 	// AND-reduce the match bits.
@@ -129,7 +129,7 @@ func Comparator(numIn int, pattern []bool) *Bitstream {
 	for len(level) > 1 {
 		var next []int
 		for i := 0; i+1 < len(level); i += 2 {
-			b.Cells = append(b.Cells, Cell{In: [LUTInputs]int{level[i], level[i+1], 0, 0}, Truth: TruthAND})
+			b.Cells = append(b.Cells, Cell{In: [LUTInputs]int32{int32(level[i]), int32(level[i+1]), 0, 0}, Truth: TruthAND})
 			next = append(next, numIn+len(b.Cells)-1)
 		}
 		if len(level)%2 == 1 {

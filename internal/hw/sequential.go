@@ -141,13 +141,13 @@ func BuildCounter(bits int) (*Sequential, error) {
 	cellIdx := 0
 	for b := 0; b < bits; b++ {
 		// XOR cell: regb ^ carry.
-		if err := f.SetCell(cellIdx, Cell{In: [LUTInputs]int{regPin(b), carry, 0, 0}, Truth: TruthXOR}); err != nil {
+		if err := f.SetCell(cellIdx, Cell{In: [LUTInputs]int32{int32(regPin(b)), int32(carry), 0, 0}, Truth: TruthXOR}); err != nil {
 			return nil, err
 		}
 		xorSig := cellSig(cellIdx)
 		cellIdx++
 		// AND cell: regb & carry → next carry.
-		if err := f.SetCell(cellIdx, Cell{In: [LUTInputs]int{regPin(b), carry, 0, 0}, Truth: TruthAND}); err != nil {
+		if err := f.SetCell(cellIdx, Cell{In: [LUTInputs]int32{int32(regPin(b)), int32(carry), 0, 0}, Truth: TruthAND}); err != nil {
 			return nil, err
 		}
 		carry = cellSig(cellIdx)

@@ -11,8 +11,8 @@ import (
 
 // TestTeardownDefaultOverlayGuarded is the regression test for the
 // nil-table crash: tearing down the default "" overlay used to succeed,
-// after which any NextHop/Path on an unknown overlay indexed a nil
-// fallback table and panicked. The default overlay is now permanent.
+// after which any route on an unknown overlay indexed a nil fallback
+// table and panicked. The default overlay is now permanent.
 func TestTeardownDefaultOverlayGuarded(t *testing.T) {
 	g := topo.Line(3)
 	a := NewAdaptive(g, 2)
@@ -26,8 +26,8 @@ func TestTeardownDefaultOverlayGuarded(t *testing.T) {
 	if hop := a.NextHop("qos", 0, 2); hop != 1 {
 		t.Fatalf("fallback NextHop = %d, want 1", hop)
 	}
-	if p := a.Path("nosuch", 0, 2); len(p) != 3 {
-		t.Fatalf("fallback Path = %v", p)
+	if p := walk(t, a, "nosuch", 0, 2); !slices.Equal(p, []topo.NodeID{0, 1, 2}) {
+		t.Fatalf("fallback walk = %v, want [0 1 2]", p)
 	}
 	if hop := a.NextHop(DefaultOverlay, 0, 2); hop != 1 {
 		t.Fatalf("default NextHop = %d, want 1", hop)
@@ -70,6 +70,24 @@ func TestPulseGateSkipsUnchangedInputs(t *testing.T) {
 	}
 }
 
+// walk follows a's next hops on an overlay from src until dst and
+// returns the nodes it visits, src and dst included, or nil when a hop
+// has no route. A walk longer than the node count is a forwarding loop
+// and fails the test.
+func walk(t *testing.T, a *Adaptive, overlay string, src, dst topo.NodeID) []topo.NodeID {
+	t.Helper()
+	p := []topo.NodeID{src}
+	for v := src; v != dst; {
+		if v = a.NextHop(overlay, v, dst); v == -1 {
+			return nil
+		}
+		if p = append(p, v); len(p) > a.g.N() {
+			t.Fatalf("forwarding loop from %d toward %d: %v", src, dst, p)
+		}
+	}
+	return p
+}
+
 // oneShot builds src's complete tree in one run over an independent
 // capture of a's graph at the given overlay bias — the reference every
 // lazily built, partially settled tree of a must agree with.
@@ -85,9 +103,9 @@ func oneShot(a *Adaptive, bias float64, src topo.NodeID) *topo.SPT {
 // TestLazyMatchesOneShot drives a mutation/feedback script through a
 // lazy router with three overlays, leaving trees partial in every epoch,
 // and requires every routing decision to equal a one-shot tree over an
-// independent capture at the overlay's bias. Path is checked first on a
-// source whose tree the script leaves partial, so the query resumes the
-// run from its kept frontier; then all-pairs NextHop on every overlay.
+// independent capture at the overlay's bias. NextHop is checked first on
+// a source whose tree the script leaves partial, so the query resumes
+// the run from its kept frontier; then all pairs on every overlay.
 func TestLazyMatchesOneShot(t *testing.T) {
 	g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(11))
 	a := NewAdaptive(g, 3)
@@ -114,8 +132,8 @@ func TestLazyMatchesOneShot(t *testing.T) {
 		a.NextHop("", topo.NodeID(round), near(topo.NodeID(round)))
 	}
 	// The router must really hold a partial tree for source 3 (settled by
-	// round 3 toward a neighbor only), or the Path checks below would
-	// read a complete tree.
+	// round 3 toward a neighbor only), or the checks below would read a
+	// complete tree.
 	partial := a.overlays[DefaultOverlay].tables[3]
 	far := topo.NodeID(-1)
 	for v := 0; v < g.N(); v++ {
@@ -129,8 +147,8 @@ func TestLazyMatchesOneShot(t *testing.T) {
 	}
 	want3 := oneShot(a, 1, 3)
 	for _, dst := range []topo.NodeID{near(3), far, 0, topo.NodeID(g.N() - 1)} {
-		if got, want := a.Path("", 3, dst), want3.PathTo(dst); !slices.Equal(got, want) {
-			t.Fatalf("path 3→%d = %v, one-shot %v", dst, got, want)
+		if got, want := a.NextHop("", 3, dst), want3.NextHop(dst); got != want {
+			t.Fatalf("hop 3→%d = %d, one-shot %d", dst, got, want)
 		}
 	}
 	for _, ov := range []struct {
@@ -186,8 +204,8 @@ func TestPulseResetsPartialFrontier(t *testing.T) {
 			}
 		}
 	}
-	if got, want := a.Path("", 0, 24), ref.Path("", 0, 24); !slices.Equal(got, want) {
-		t.Fatalf("path 0→24 = %v, fresh router %v", got, want)
+	if got, want := walk(t, a, "", 0, 24), walk(t, ref, "", 0, 24); got == nil || !slices.Equal(got, want) {
+		t.Fatalf("walk 0→24 = %v, fresh router %v", got, want)
 	}
 }
 
@@ -219,8 +237,8 @@ func TestPulseSeesAddedNodes(t *testing.T) {
 	if hop := a.NextHop("", 0, w); hop != -1 {
 		t.Fatalf("pre-pulse hop toward new node = %d, want -1", hop)
 	}
-	if p := a.Path("", 0, w); p != nil {
-		t.Fatalf("pre-pulse path toward new node = %v, want nil", p)
+	if p := walk(t, a, "", 1, w); p != nil {
+		t.Fatalf("pre-pulse walk from 1 toward new node = %v, want nil", p)
 	}
 	if hop := a.NextHop("", w, 0); hop != -1 {
 		t.Fatalf("pre-pulse hop from new node = %d, want -1", hop)
@@ -300,9 +318,6 @@ func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 		for _, dst := range dsts {
 			if got, want := a.NextHop("", src, dst), want.NextHop(dst); src != dst && got != want {
 				t.Fatalf("epoch %d: hop %d→%d = %d, fresh build %d", epoch, src, dst, got, want)
-			}
-			if got, want := a.Path("", src, dst), want.PathTo(dst); !slices.Equal(got, want) {
-				t.Fatalf("epoch %d: path %d→%d = %v, fresh build %v", epoch, src, dst, got, want)
 			}
 		}
 	}

@@ -24,7 +24,7 @@
 //     invalidation, the pulse is a counter bump plus one slice compare.
 //   - Invalidation is O(links), not O(n · Dijkstra): it refreshes the
 //     cost snapshots and bumps a generation number. Each source's tree is
-//     restarted lazily on its first NextHop/Path after that and settled
+//     restarted lazily on its first NextHop after that and settled
 //     only as far as the queried destination; the tree keeps its
 //     Dijkstra frontier, and a later query in the same epoch resumes
 //     from it (topo.CostOverlay.StartInto / SettleUntil). Sparse and
@@ -35,10 +35,11 @@
 //     tree from there before allocating; StartInto resets it completely.
 //     Live routing memory is thus the sources one epoch touches, not
 //     every source a long mobile run has ever touched.
-//   - Trees hold no distances: a tree is its predecessor and next-hop
-//     arrays, 8 B a node, and its frontier carries the queued nodes'
-//     tentative distances. A settle's working distances live in a
-//     topo.SPTScratch that is +Inf between calls, one per overlay.
+//   - Trees hold neither distances nor predecessors: a tree is its
+//     next-hop array, 4 B a node, and its frontier carries the queued
+//     nodes' tentative distances and canonical predecessors. A settle's
+//     working distances live in a topo.SPTScratch that is +Inf between
+//     calls, one per overlay.
 package routing
 
 import (
@@ -240,7 +241,7 @@ type Adaptive struct {
 	// Pulses counts Pulse calls; Recomputes counts pulses that found
 	// changed inputs and invalidated the tables; SkippedPulses counts
 	// gated no-ops; LazyBuilds counts single-source table builds done on
-	// demand by NextHop/Path.
+	// demand by NextHop.
 	Pulses        int
 	Recomputes    int
 	SkippedPulses int
@@ -304,8 +305,8 @@ func (a *Adaptive) SpawnOverlay(name string, bias float64) {
 // TeardownOverlay removes a virtual overlay. The default "" overlay is
 // the fallback for every unknown overlay name and cannot be torn down —
 // removing it is a no-op. (It used to be removable, which left NextHop
-// and Path indexing a nil fallback table and panicking on the next
-// unknown-overlay route.)
+// indexing a nil fallback table and panicking on the next unknown-overlay
+// route.)
 func (a *Adaptive) TeardownOverlay(name string) {
 	if name == DefaultOverlay {
 		return
@@ -449,17 +450,4 @@ func (a *Adaptive) NextHop(overlay string, src, dst topo.NodeID) topo.NodeID {
 		return -1
 	}
 	return t.NextHop(dst)
-}
-
-// Path returns the overlay path src→dst, or nil.
-func (a *Adaptive) Path(overlay string, src, dst topo.NodeID) []topo.NodeID {
-	o := a.lookup(overlay)
-	if int(dst) >= o.ov.N() {
-		return nil // node added after the capture: no route until a pulse
-	}
-	t := a.spt(o, src, dst)
-	if t == nil {
-		return nil
-	}
-	return t.PathTo(dst)
 }

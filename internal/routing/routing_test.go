@@ -165,9 +165,8 @@ func TestAdaptiveTopologyOnDemand(t *testing.T) {
 	g := topo.ConnectedWaxman(20, 0.3, 0.25, rng)
 	a := NewAdaptive(g, 2)
 	a.SpawnOverlay("media", 3)
-	p := a.Path("media", 0, topo.NodeID(g.N()-1))
-	if p == nil {
-		t.Fatal("no overlay path in connected graph")
+	if p := walk(t, a, "media", 0, topo.NodeID(g.N()-1)); p == nil {
+		t.Fatal("no overlay route in connected graph")
 	}
 	if a.Pulses != 0 {
 		t.Fatalf("pulses = %d before any Pulse", a.Pulses)

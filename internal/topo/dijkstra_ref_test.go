@@ -124,40 +124,20 @@ func canonicalReference(g *Graph, src NodeID) *SPT {
 func expectEqualSPT(t *testing.T, ov *CostOverlay, got, ref *SPT) {
 	t.Helper()
 	n := len(ref.Dist)
-	dists := n
+	stored := n
 	if ov != nil {
-		dists = 0 // overlay trees store no distances
+		stored = 0 // overlay trees store only next hops
 	}
-	if len(got.Dist) != dists || len(got.Prev) != n {
-		t.Fatalf("size mismatch: got %d/%d want %d/%d", len(got.Dist), len(got.Prev), dists, n)
+	if len(got.Dist) != stored || len(got.Prev) != stored || len(got.next) != n {
+		t.Fatalf("size mismatch: got %d/%d/%d want %d/%d/%d",
+			len(got.Dist), len(got.Prev), len(got.next), stored, stored, n)
 	}
 	for i := 0; i < n; i++ {
 		expectNodeEqual(t, ov, got, ref, NodeID(i))
 	}
-}
-
-// treeDist is v's distance in got: its Dist entry in a static tree
-// (ov == nil). An overlay tree stores none, so there it is recomputed
-// from the capture along v's Prev chain, summed outward from the source:
-// d(v) = d(Prev v) + the cheapest captured edge Prev v→v. That is the
-// kernel's own arithmetic, so it must equal the reference's Dist bit for
-// bit. A node not settled in got reads +Inf.
-func treeDist(ov *CostOverlay, got *SPT, v NodeID) float64 {
-	if ov == nil {
-		return got.Dist[v]
+	if ov != nil {
+		expectFrontierCanonical(t, ov, got, ref)
 	}
-	if !got.Settled(v) {
-		return math.Inf(1)
-	}
-	var chain []NodeID
-	for u := v; u != got.Source; u = NodeID(got.Prev[u]) {
-		chain = append(chain, u)
-	}
-	d := 0.0
-	for i := len(chain) - 1; i >= 0; i-- {
-		d += cheapest(ov, NodeID(got.Prev[chain[i]]), chain[i])
-	}
-	return d
 }
 
 // cheapest is the lowest captured cost of an edge p→u, +Inf if none.
@@ -171,18 +151,56 @@ func cheapest(ov *CostOverlay, p, u NodeID) float64 {
 	return c
 }
 
-// expectNodeEqual requires v's distance, predecessor and next hop in got
-// to equal the reference tree's.
+// expectNodeEqual requires v's next hop in got to equal the reference
+// tree's, and in a static tree (ov == nil) its distance and predecessor
+// too. An overlay tree stores only next hops; its distances and
+// predecessors are checked where it still keeps them, in its frontier
+// (expectFrontierCanonical).
 func expectNodeEqual(t *testing.T, ov *CostOverlay, got, ref *SPT, v NodeID) {
 	t.Helper()
-	if d := treeDist(ov, got, v); d != ref.Dist[v] && !(math.IsInf(d, 1) && math.IsInf(ref.Dist[v], 1)) {
-		t.Fatalf("dist[%d] = %v, reference %v", v, d, ref.Dist[v])
-	}
-	if got.Prev[v] != ref.Prev[v] {
-		t.Fatalf("prev[%d] = %d, reference %d", v, got.Prev[v], ref.Prev[v])
+	if ov == nil {
+		if d := got.Dist[v]; d != ref.Dist[v] && !(math.IsInf(d, 1) && math.IsInf(ref.Dist[v], 1)) {
+			t.Fatalf("dist[%d] = %v, reference %v", v, d, ref.Dist[v])
+		}
+		if got.Prev[v] != ref.Prev[v] {
+			t.Fatalf("prev[%d] = %d, reference %d", v, got.Prev[v], ref.Prev[v])
+		}
 	}
 	if hop, want := got.NextHop(v), refNextHop(ref, v); hop != want {
 		t.Fatalf("next hop to %d = %d, reference %d", v, hop, want)
+	}
+}
+
+// expectFrontierCanonical checks every entry of an overlay tree's
+// frontier against the reference and the capture. The settled nodes
+// have relaxed all their edges, so a queued node's key must be the
+// cheapest way to it through a settled node, ref.Dist[p] + cheapest(p,
+// v) bit for bit, and its prev the lowest-id settled p that achieves
+// it: the canonical tie rule. The source, queued before anything is
+// settled, has key 0 and prev -1. Each entry must also sit where its
+// node's next entry (-2-pos) says it does.
+func expectFrontierCanonical(t *testing.T, ov *CostOverlay, got, ref *SPT) {
+	t.Helper()
+	for i, q := range got.frontier {
+		v := NodeID(q.node)
+		if got.next[v] != int32(-2-i) {
+			t.Fatalf("queued node %d at position %d has next %d, want %d", v, i, got.next[v], -2-i)
+		}
+		key, prev := 0.0, int32(-1)
+		if v != got.Source {
+			key = math.Inf(1)
+			for p := 0; p < len(got.next); p++ {
+				if !got.Settled(NodeID(p)) {
+					continue
+				}
+				if d := ref.Dist[p] + cheapest(ov, NodeID(p), v); d < key {
+					key, prev = d, int32(p)
+				}
+			}
+		}
+		if q.dist != key || q.prev != prev {
+			t.Fatalf("queued node %d has key %v via %d, want %v via settled %d", v, q.dist, q.prev, key, prev)
+		}
 	}
 }
 
@@ -311,7 +329,8 @@ func oneShot(ov *CostOverlay, src NodeID) *SPT {
 }
 
 // expectSettledMatch requires every node settled in a (possibly partial)
-// overlay tree over ov to equal the reference.
+// overlay tree over ov to equal the reference, and its frontier to be
+// canonical.
 func expectSettledMatch(t *testing.T, ov *CostOverlay, got, ref *SPT) {
 	t.Helper()
 	for i := range ref.Dist {
@@ -319,15 +338,16 @@ func expectSettledMatch(t *testing.T, ov *CostOverlay, got, ref *SPT) {
 			expectNodeEqual(t, ov, got, ref, NodeID(i))
 		}
 	}
+	expectFrontierCanonical(t, ov, got, ref)
 }
 
 // TestSettleUntilMatchesReference drives random sequences of bounded
 // settles — reachable, unreachable and repeated targets and the source
 // itself — on Waxman graphs (float costs) and grids (unit costs, dense
 // equal-cost ties). After every step each settled node must equal the
-// canonical reference, nothing beyond the target's distance may be
-// settled, and settling to completion must reproduce a one-shot build
-// exactly. One
+// canonical reference — its next hop, and every frontier entry's key and
+// predecessor — nothing beyond the target's distance may be settled, and
+// settling to completion must reproduce a one-shot build exactly. One
 // tree is reused across sources without completing, so every StartInto
 // must discard the previous run's frontier.
 func TestSettleUntilMatchesReference(t *testing.T) {
@@ -382,13 +402,8 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 				}
 			}
 			ov.SettleUntil(sc, tree, -1)
-			one := oneShot(&ov, src)
-			for v := 0; v < n; v++ {
-				dt, do := treeDist(&ov, tree, NodeID(v)), treeDist(&ov, one, NodeID(v))
-				if dt != do && !(math.IsInf(dt, 1) && math.IsInf(do, 1)) ||
-					tree.Prev[v] != one.Prev[v] || tree.next[v] != one.next[v] {
-					t.Fatalf("trial %d src %d: completed tree differs from one-shot at %d", trial, src, v)
-				}
+			if one := oneShot(&ov, src); !slices.Equal(tree.next, one.next) || len(tree.frontier) != 0 {
+				t.Fatalf("trial %d src %d: completed tree differs from one-shot", trial, src)
 			}
 			expectEqualSPT(t, &ov, tree, ref)
 			ov.StartInto(tree, (src+1)%NodeID(n)) // leave a partial run behind
@@ -476,10 +491,10 @@ func TestSettleScratchRestsAtInf(t *testing.T) {
 }
 
 // TestOverlayTreeBytesPerNode pins an overlay tree's size: StartInto on
-// a fresh tree over a 100k-node capture allocates Prev and the next
-// hops, 4 B a node each, plus a small constant — the tree itself, a
-// one-entry frontier and the allocator's page rounding of the two
-// arrays. A tree that stored distances too would take 16 B a node.
+// a fresh tree over a 100k-node capture allocates the next hops, 4 B a
+// node, plus a small constant — the tree itself, a one-entry frontier
+// and the allocator's page rounding of the array. A tree that kept
+// predecessors too would take 8 B a node, and with distances 16 B.
 func TestOverlayTreeBytesPerNode(t *testing.T) {
 	const n = 100_000
 	g := Line(n)
@@ -490,15 +505,16 @@ func TestOverlayTreeBytesPerNode(t *testing.T) {
 			ov.StartInto(&SPT{}, 0)
 		}
 	})
-	if got, limit := res.AllocedBytesPerOp(), int64(8*n+16<<10); got > limit {
-		t.Fatalf("StartInto on a fresh %d-node tree allocated %d B, want at most %d (8 B a node + 16 KiB)", n, got, limit)
+	if got, limit := res.AllocedBytesPerOp(), int64(4*n+16<<10); got > limit {
+		t.Fatalf("StartInto on a fresh %d-node tree allocated %d B, want at most %d (4 B a node + 16 KiB)", n, got, limit)
 	}
 }
 
 // TestPartialTreeHidesFrontier checks the frontier's entries: a node
 // waiting in a partial tree's heap holds -2-pos in next, its entry keys
-// it by its tentative distance — through its settled predecessor — and
-// it is neither settled nor routed to.
+// it by its tentative distance through its canonical settled
+// predecessor, which the entry carries, and it is neither settled nor
+// routed to.
 func TestPartialTreeHidesFrontier(t *testing.T) {
 	g := Grid(6, 6)
 	var ov CostOverlay
@@ -509,15 +525,9 @@ func TestPartialTreeHidesFrontier(t *testing.T) {
 	if len(tree.frontier) == 0 {
 		t.Fatal("settling a neighbor should leave a frontier")
 	}
-	for i, q := range tree.frontier {
+	expectFrontierCanonical(t, &ov, tree, canonicalReference(g, 0))
+	for _, q := range tree.frontier {
 		v := NodeID(q.node)
-		p := NodeID(tree.Prev[v])
-		if want := treeDist(&ov, tree, p) + cheapest(&ov, p, v); q.dist != want {
-			t.Fatalf("queued node %d has key %v, want %v via settled %d", v, q.dist, want, p)
-		}
-		if tree.next[v] != int32(-2-i) {
-			t.Fatalf("queued node %d at position %d has next %d, want %d", v, i, tree.next[v], -2-i)
-		}
 		if tree.Settled(v) {
 			t.Fatalf("queued node %d reported settled", v)
 		}
@@ -528,6 +538,57 @@ func TestPartialTreeHidesFrontier(t *testing.T) {
 	if hop := tree.NextHop(0); hop != -1 {
 		t.Fatalf("source next hop %d, want -1", hop)
 	}
+}
+
+// TestFrontierEntryTakesTiedPredecessor builds a tie whose lower-id
+// predecessor relaxes last: node 3 is reached at distance 3 through 2
+// (settled first, at 1) and then through 1 (settled at 2). The entry
+// queued via 2 must switch to 1 and keep its key, whether 1 is settled
+// in the call that queued 3 or in a later call resuming the frontier.
+func TestFrontierEntryTakesTiedPredecessor(t *testing.T) {
+	g := New()
+	g.AddNodes(5)
+	g.Connect(0, 1, 2)
+	g.Connect(0, 2, 1)
+	g.Connect(2, 3, 2)
+	g.Connect(1, 3, 1)
+	g.Connect(3, 4, 1)
+	var ov CostOverlay
+	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
+	for _, stops := range [][]NodeID{{1}, {2, 1}} {
+		tree, sc := &SPT{}, &SPTScratch{}
+		ov.StartInto(tree, 0)
+		for _, dst := range stops {
+			ov.SettleUntil(sc, tree, dst)
+		}
+		want := []frontierItem{{3, 3, 1}}
+		if !slices.Equal(tree.frontier, want) {
+			t.Fatalf("stops %v: frontier %v, want %v", stops, tree.frontier, want)
+		}
+		ov.SettleUntil(sc, tree, -1)
+		if hop := tree.NextHop(4); hop != 1 {
+			t.Fatalf("stops %v: next hop to 4 = %d, want 1 (via the tied predecessor)", stops, hop)
+		}
+	}
+}
+
+// TestPathToRefusesOverlayTree checks that PathTo fails loudly on an
+// overlay tree, which keeps no predecessors, instead of returning a
+// path, and still walks a static tree.
+func TestPathToRefusesOverlayTree(t *testing.T) {
+	g := Line(3)
+	if p := g.Dijkstra(0).PathTo(2); !slices.Equal(p, []NodeID{0, 1, 2}) {
+		t.Fatalf("static path = %v, want [0 1 2]", p)
+	}
+	var ov CostOverlay
+	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
+	tree := oneShot(&ov, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PathTo on an overlay tree returned instead of panicking")
+		}
+	}()
+	tree.PathTo(2)
 }
 
 // expectSameTree requires two trees to hold identical arrays and

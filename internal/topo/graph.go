@@ -246,13 +246,15 @@ func spPop(h []spItem) ([]spItem, spItem) {
 	return h, top
 }
 
-// frontierItem is one entry of an overlay run's frontier: a queued node
-// and its tentative distance. Overlay trees store no distances of their
-// own, so a queued node's key lives here and travels with the tree from
-// one SettleUntil call to the next.
+// frontierItem is one entry of an overlay run's frontier: a queued node,
+// its tentative distance and the canonical predecessor that distance
+// runs through (-1 for the source). Overlay trees store neither
+// distances nor predecessors of their own, so both live here and travel
+// with the tree from one SettleUntil call to the next. prev takes what
+// would be padding after node, so an entry stays 16 B.
 type frontierItem struct {
-	dist float64
-	node int32
+	dist       float64
+	node, prev int32
 }
 
 // frontierUp and frontierPop are the overlay kernel's indexed binary
@@ -335,10 +337,11 @@ func b2i(b bool) int {
 // its frontier — stays with the tree so the next SettleUntil resumes the
 // run where the last one stopped.
 //
-// Overlay trees carry no distances: a tree is two int32 arrays, 8 B a
-// node, because routers hold many trees and forwarding needs only the
-// next hop. A queued node's tentative distance lives in its frontier
-// entry, and a run's working distances in the caller's SPTScratch.
+// Overlay trees carry neither distances nor predecessors: a tree is one
+// int32 next-hop array, 4 B a node, because routers hold many trees and
+// forwarding needs only the next hop. A queued node's tentative distance
+// and predecessor live in its frontier entry, and a run's working
+// distances in the caller's SPTScratch.
 type SPT struct {
 	Source NodeID
 	// Dist is each node's distance, +Inf when unreachable. Only trees
@@ -346,7 +349,8 @@ type SPT struct {
 	// trees.
 	Dist []float64
 	// Prev is each node's predecessor; -1 at the source and unreachable
-	// nodes. Like next it is int32, half a NodeID table.
+	// nodes. Like next it is int32, half a NodeID table. Like Dist, only
+	// static trees fill it; it is empty in overlay trees.
 	Prev []int32
 	// next is the first hop toward each node once it is settled, so
 	// next[v] >= 0 marks v settled. It is -1 at the source and at nodes
@@ -354,7 +358,8 @@ type SPT struct {
 	// overlay run's frontier.
 	next []int32
 	// frontier is the pending heap of a partial overlay run, each queued
-	// node with its tentative distance; empty once the run is complete.
+	// node with its tentative distance and predecessor; empty once the
+	// run is complete.
 	frontier []frontierItem
 }
 
@@ -454,23 +459,22 @@ func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 // StartInto resets t to the start of a shortest-path run from src over
 // the capture: every node but src unsettled, and the frontier holding src
 // alone at distance 0. It always discards t's previous frontier, whatever
-// run or epoch that came from, and leaves Dist empty: overlay trees hold
-// only Prev and the next hops. Nothing is settled yet beyond the source,
-// whose entries are final from here; SettleUntil does the work.
+// run or epoch that came from, and leaves Dist and Prev empty: overlay
+// trees hold only the next hops. Nothing is settled yet beyond the
+// source, whose entries are final from here; SettleUntil does the work.
 //
 //viator:noalloc
 func (o *CostOverlay) StartInto(t *SPT, src NodeID) {
 	n := o.n
 	t.Source = src
 	t.Dist = t.Dist[:0]
-	t.Prev = resize(t.Prev, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
+	t.Prev = t.Prev[:0]
 	t.next = resize(t.next, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
-	for i := 0; i < n; i++ {
-		t.Prev[i] = -1
+	for i := range t.next {
 		t.next[i] = -1
 	}
 	t.next[src] = -2 // position 0
-	t.frontier = append(t.frontier[:0], frontierItem{0, int32(src)})
+	t.frontier = append(t.frontier[:0], frontierItem{0, int32(src), -1})
 }
 
 // SettleUntil resumes t's run from its frontier and stops right after
@@ -484,12 +488,14 @@ func (o *CostOverlay) StartInto(t *SPT, src NodeID) {
 // the relaxation tells it by its next hop, the first time an edge
 // reaches it, and marks it -Inf, which fails every later comparison.
 //
-// Trees are canonical: among equal-cost shortest paths a node's Prev is
-// its lowest-id predecessor. That holds when every captured cost is
-// positive (a zero-cost link can tie a node with a predecessor settled
-// after it); under it the tree depends neither on the heap nor on where
-// earlier calls stopped, so after any sequence of calls every settled
-// node's distance, Prev and next hop equals a one-shot build's.
+// Trees are canonical: among equal-cost shortest paths a node's
+// predecessor is its lowest-id one. A queued node's frontier entry
+// carries that predecessor, and settling the node reads its next hop
+// off it. That holds when every captured cost is positive (a zero-cost
+// link can tie a node with a predecessor settled after it); under it the
+// tree depends neither on the heap nor on where earlier calls stopped,
+// so after any sequence of calls every settled node's next hop, and
+// every frontier entry, equals a one-shot build's.
 //
 //viator:noalloc
 func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
@@ -504,7 +510,7 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 		}
 	}
 	src := t.Source
-	dist, prev, next := sc.dist, t.Prev, t.next
+	dist, next := sc.dist, t.next
 	start, tos, costs := o.start, o.to, o.cost
 	h := t.frontier
 	for _, it := range h {
@@ -516,10 +522,11 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 		h = frontierPop(h, next)
 		u, du := NodeID(top.node), top.dist
 		touched = append(touched, top.node) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
-		// Settle-time next-hop fill, as in Graph.computeInto.
+		// Settle-time next-hop fill, as in Graph.computeInto, through the
+		// predecessor the entry carried.
 		if u == src {
 			next[u] = -1
-		} else if p := prev[u]; NodeID(p) == src {
+		} else if p := top.prev; NodeID(p) == src {
 			next[u] = int32(u)
 		} else {
 			next[u] = next[p]
@@ -537,20 +544,23 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 					continue
 				}
 				dist[to] = nd
-				prev[to] = int32(u)
 				if q == -1 {
-					h = append(h, frontierItem{nd, int32(to)}) //viator:alloc-ok amortized frontier growth, bounded by n; steady state reuses the tree's frontier
+					h = append(h, frontierItem{nd, int32(to), int32(u)}) //viator:alloc-ok amortized frontier growth, bounded by n; steady state reuses the tree's frontier
 					frontierUp(h, next, len(h)-1)
 				} else {
 					j := int(-2 - q)
-					h[j].dist = nd
+					h[j].dist, h[j].prev = nd, int32(u)
 					frontierUp(h, next, j)
 				}
-			} else if nd == d && next[to] < 0 && int32(u) < prev[to] {
-				// Canonical tie: the lowest predecessor id wins. A
-				// settled node keeps its entries; the source's Prev is
-				// -1, so no node replaces it.
-				prev[to] = int32(u)
+			} else if nd == d {
+				// Canonical tie: the lowest predecessor id wins. Only a
+				// queued node (next -2-pos) can tie and change: a settled
+				// node, the source included, keeps its next hop.
+				if q := next[to]; q < -1 {
+					if j := int(-2 - q); int32(u) < h[j].prev {
+						h[j].prev = int32(u)
+					}
+				}
 			}
 		}
 		if u == dst {
@@ -568,10 +578,10 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 	t.frontier = h
 }
 
-// Settled reports whether v's distance, Prev and next hop are final in
-// t: v is the source, or its next hop has been set. Trees built by
-// Dijkstra or ComputeInto, and overlay trees settled with dst = -1, are
-// complete, so every reachable node is settled there.
+// Settled reports whether v's entries are final in t: v is the source,
+// or its next hop has been set. Trees built by Dijkstra or ComputeInto,
+// and overlay trees settled with dst = -1, are complete, so every
+// reachable node is settled there.
 func (t *SPT) Settled(v NodeID) bool { return v == t.Source || t.next[v] >= 0 }
 
 func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
@@ -640,9 +650,13 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 	return t
 }
 
-// PathTo reconstructs the node sequence src..dst, or nil when dst is
-// unreachable — in a partial overlay tree, when dst is not yet settled.
+// PathTo reconstructs the node sequence src..dst of a static tree
+// (Dijkstra, ComputeInto), or nil when dst is unreachable. It panics on
+// an overlay tree, which keeps no predecessors to walk.
 func (t *SPT) PathTo(dst NodeID) []NodeID {
+	if len(t.Prev) != len(t.next) {
+		panic("topo: PathTo on an overlay tree, which keeps only next hops")
+	}
 	if !t.Settled(dst) {
 		return nil
 	}
