@@ -42,6 +42,16 @@ func (p sleepPacer) Pace(simDelta float64) {
 	time.Sleep(time.Duration(simDelta / p.factor * float64(time.Second)))
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pile up. Streams and
+// long scrapes are unaffected: it stops counting once the headers are in.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the listener the command serves h on.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("viatorserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -70,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "viatorserve listening on %s\n", *addr)
-	if err := http.ListenAndServe(*addr, s.Handler()); err != nil {
+	if err := newHTTPServer(*addr, s.Handler()).ListenAndServe(); err != nil {
 		fmt.Fprintf(stderr, "viatorserve: %v\n", err)
 		return 1
 	}

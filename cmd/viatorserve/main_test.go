@@ -28,6 +28,15 @@ func TestRunUnknownBootScenario(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts pins that the command's listener bounds how long
+// a client may take to send its request headers.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Fatalf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+}
+
 // TestServeBootRun boots the real command on a random port with a
 // free-running s2 run and checks /healthz and /metrics answer.
 func TestServeBootRun(t *testing.T) {

@@ -35,8 +35,10 @@ func main() {
 	// Drive 60 seconds of mobility in 1 s steps; each step refreshes the
 	// radio connectivity and routes a QoS flow 0 → 19.
 	okSteps, partitioned, upSum := 0, 0, 0
+	var pos []topo.Point
 	for step := 0; step < 60; step++ {
-		upSum += conn.RefreshInto(g, model.Step(1), radius)
+		pos = model.StepInto(pos, 1)
+		upSum += conn.RefreshInto(g, pos, radius)
 		if path := router.Route(0, ships-1); path != nil {
 			okSteps++
 		} else {

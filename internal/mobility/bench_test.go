@@ -25,10 +25,10 @@ const benchRadius = 75.0
 // count the harness picks.
 func benchFrames() [][]topo.Point {
 	m := benchModel()
-	m.Step(60)
+	m.StepInto(nil, 60)
 	frames := make([][]topo.Point, 256)
 	for f := range frames {
-		frames[f] = append([]topo.Point(nil), m.Step(0.1)...)
+		frames[f] = m.StepInto(nil, 0.1)
 	}
 	return frames
 }
@@ -63,10 +63,10 @@ func BenchmarkConnectivityGrid(b *testing.B) {
 	frames := benchFrames()
 	g := benchGraph(frames)
 	var sc ConnScratch
-	sc.GridRefresh(g, frames[len(frames)-1], benchRadius)
+	sc.gridRefresh(g, frames[len(frames)-1], benchRadius)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.GridRefresh(g, frames[i%len(frames)], benchRadius)
+		sc.gridRefresh(g, frames[i%len(frames)], benchRadius)
 	}
 }
 

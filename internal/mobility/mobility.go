@@ -1,36 +1,29 @@
 // Package mobility implements the physical layer of the Wandering
-// Network: node mobility models (random waypoint, random walk,
-// reference-point group mobility) and radio-range connectivity synthesis
-// that keeps a topology graph in sync with current node positions.
+// Network: random-waypoint node mobility and radio-range connectivity
+// synthesis that keeps a topology graph in sync with current node
+// positions.
 //
 // The paper's ships are *mobile* active nodes; mobility is what turns the
-// routing problem adaptive. Models are deterministic given an RNG, and
-// every model offers two stepping forms: Step advances and returns the
-// model's internal position slice, StepInto additionally copies the
-// positions into a caller-owned buffer so a simulation loop can hold one
-// positions slice for its whole life (0 allocs per step).
+// routing problem adaptive. The model is deterministic given an RNG, and
+// StepInto advances it into a caller-owned buffer, so a simulation loop
+// holds one positions slice for its whole life (0 allocs per step).
 //
-// Connectivity synthesis comes in three forms that produce identical
-// graph state:
+// ConnScratch.RefreshInto is the one way links are built from positions,
+// for static arenas (one call) and mobile ones (one call per refresh).
+// Candidate pairs come from a uniform-grid spatial hash, so only a small
+// grid neighborhood of each node is visited: O(n·k). The first call on a
+// scratch reconciles the whole graph — every link down, in-range pairs
+// up with cost = distance. Later calls diff against the previous
+// refresh's neighbor sets and toggle only links whose endpoints actually
+// crossed radio range; costs are rewritten only for pairs still in range,
+// so a refresh where nothing moved leaves topo.Graph.Version untouched
+// and the routing control plane's pulse gate can skip recomputation.
 //
-//   - Connectivity — the brute-force oracle: tests all n(n-1)/2 pairs and
-//     flaps every link down/up per refresh. O(n²); kept as the reference
-//     the fast paths are property-tested against.
-//   - ConnScratch.GridRefresh — same flap semantics, but candidate pairs
-//     come from a uniform-grid spatial hash, so only a small grid
-//     neighborhood of each node is visited: O(n·k).
-//   - ConnScratch.RefreshInto — the production path: grid candidates plus
-//     an incremental diff against the previous refresh's neighbor sets.
-//     Only links whose endpoints actually crossed radio range are
-//     toggled, and costs are rewritten only for pairs still in range, so
-//     a refresh where nothing moved leaves topo.Graph.Version untouched
-//     and the routing control plane's pulse gate can skip recomputation.
-//
-// All three enumerate surviving/new pairs in the same (i<j) lexicographic
-// order, so link creation order — and with it every link index, adjacency
-// order and downstream routing tie-break — is identical. That is the
-// determinism contract that keeps experiment output byte-identical
-// whichever path refreshes connectivity.
+// Both forms create links in the same (i<j) lexicographic order as the
+// brute-force O(n²) oracle the tests keep, so every link index,
+// adjacency order and downstream routing tie-break is identical. That is
+// the determinism contract that keeps experiment output byte-identical
+// whichever form refreshed connectivity.
 package mobility
 
 import (
@@ -39,19 +32,6 @@ import (
 	"viator/internal/sim"
 	"viator/internal/topo"
 )
-
-// Model advances a set of node positions through virtual time.
-type Model interface {
-	// Step advances all nodes by dt seconds and returns current positions
-	// as a view of the model's internal state.
-	Step(dt float64) []topo.Point
-	// StepInto advances all nodes by dt seconds and appends the current
-	// positions into dst[:0], returning the (possibly regrown) buffer.
-	// Once dst has the model's capacity, stepping allocates nothing.
-	StepInto(dst []topo.Point, dt float64) []topo.Point
-	// Positions returns the current positions without advancing.
-	Positions() []topo.Point
-}
 
 // RandomWaypoint is the classic ad-hoc mobility model: each node picks a
 // uniform destination in the arena, moves toward it at a uniform speed in
@@ -90,8 +70,12 @@ func (m *RandomWaypoint) pickDst(i int) {
 	m.speed[i] = m.MinSpeed + m.rng.Float64()*(m.MaxSpeed-m.MinSpeed)
 }
 
-// advance moves every node by dt seconds.
-func (m *RandomWaypoint) advance(dt float64) {
+// StepInto advances every node by dt seconds and appends the positions
+// into dst[:0], returning the (possibly regrown) buffer. Once dst has
+// the fleet's capacity, stepping allocates nothing.
+//
+//viator:noalloc
+func (m *RandomWaypoint) StepInto(dst []topo.Point, dt float64) []topo.Point {
 	for i := range m.pos {
 		remain := dt
 		for remain > 0 {
@@ -105,9 +89,6 @@ func (m *RandomWaypoint) advance(dt float64) {
 			if d < 1e-9 {
 				m.wait[i] = m.Pause
 				m.pickDst(i)
-				if m.Pause == 0 {
-					continue
-				}
 				continue
 			}
 			travel := m.speed[i] * remain
@@ -124,210 +105,17 @@ func (m *RandomWaypoint) advance(dt float64) {
 			}
 		}
 	}
-}
-
-// Step advances every node by dt seconds.
-func (m *RandomWaypoint) Step(dt float64) []topo.Point {
-	m.advance(dt)
-	return m.pos
-}
-
-// StepInto advances every node by dt seconds into a caller-owned buffer.
-//
-//viator:noalloc
-func (m *RandomWaypoint) StepInto(dst []topo.Point, dt float64) []topo.Point {
-	m.advance(dt)
 	return append(dst[:0], m.pos...)
 }
 
 // Positions returns current positions without advancing time.
 func (m *RandomWaypoint) Positions() []topo.Point { return m.pos }
 
-// RandomWalk moves each node in a uniformly random direction at a fixed
-// speed, reflecting off arena walls. It produces less clustering bias than
-// random waypoint and is used for adversarial-mobility stress tests.
-type RandomWalk struct {
-	Side  float64
-	Speed float64
-	Turn  float64 // mean seconds between direction changes
-
-	rng *sim.RNG
-	pos []topo.Point
-	dir []float64 // heading in radians
-	til []float64 // time until next turn
-}
-
-// NewRandomWalk places n walkers uniformly with random headings.
-func NewRandomWalk(n int, side, speed, turn float64, rng *sim.RNG) *RandomWalk {
-	m := &RandomWalk{Side: side, Speed: speed, Turn: turn, rng: rng,
-		pos: make([]topo.Point, n), dir: make([]float64, n), til: make([]float64, n)}
-	for i := range m.pos {
-		m.pos[i] = topo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-		m.dir[i] = rng.Float64() * 2 * math.Pi
-		m.til[i] = rng.Exp(turn)
-	}
-	return m
-}
-
-// advance moves every walker by dt seconds.
-func (m *RandomWalk) advance(dt float64) {
-	for i := range m.pos {
-		remain := dt
-		for remain > 0 {
-			leg := math.Min(remain, m.til[i])
-			m.pos[i].X += math.Cos(m.dir[i]) * m.Speed * leg
-			m.pos[i].Y += math.Sin(m.dir[i]) * m.Speed * leg
-			// Reflect off walls.
-			if m.pos[i].X < 0 {
-				m.pos[i].X = -m.pos[i].X
-				m.dir[i] = math.Pi - m.dir[i]
-			}
-			if m.pos[i].X > m.Side {
-				m.pos[i].X = 2*m.Side - m.pos[i].X
-				m.dir[i] = math.Pi - m.dir[i]
-			}
-			if m.pos[i].Y < 0 {
-				m.pos[i].Y = -m.pos[i].Y
-				m.dir[i] = -m.dir[i]
-			}
-			if m.pos[i].Y > m.Side {
-				m.pos[i].Y = 2*m.Side - m.pos[i].Y
-				m.dir[i] = -m.dir[i]
-			}
-			m.til[i] -= leg
-			remain -= leg
-			if m.til[i] <= 0 {
-				m.dir[i] = m.rng.Float64() * 2 * math.Pi
-				m.til[i] = m.rng.Exp(m.Turn)
-			}
-		}
-	}
-}
-
-// Step advances every walker by dt seconds.
-func (m *RandomWalk) Step(dt float64) []topo.Point {
-	m.advance(dt)
-	return m.pos
-}
-
-// StepInto advances every walker by dt seconds into a caller-owned buffer.
-//
-//viator:noalloc
-func (m *RandomWalk) StepInto(dst []topo.Point, dt float64) []topo.Point {
-	m.advance(dt)
-	return append(dst[:0], m.pos...)
-}
-
-// Positions returns current positions without advancing time.
-func (m *RandomWalk) Positions() []topo.Point { return m.pos }
-
-// Group implements reference-point group mobility: a leader follows random
-// waypoint and members jitter around it. It models convoys of nomadic
-// users, the paper's delegation/unified-messaging scenario.
-type Group struct {
-	leader *RandomWaypoint
-	Radius float64
-	rng    *sim.RNG
-	n      int
-	off    []topo.Point
-	pos    []topo.Point
-}
-
-// NewGroup creates a group of n members around one leader.
-func NewGroup(n int, side, speed, radius float64, rng *sim.RNG) *Group {
-	g := &Group{
-		leader: NewRandomWaypoint(1, side, speed, speed, 0, rng),
-		Radius: radius, rng: rng, n: n,
-		off: make([]topo.Point, n),
-		pos: make([]topo.Point, n),
-	}
-	for i := range g.off {
-		g.off[i] = topo.Point{X: (rng.Float64()*2 - 1) * radius, Y: (rng.Float64()*2 - 1) * radius}
-	}
-	return g
-}
-
-// advance moves the leader and recomputes member positions with jitter.
-func (g *Group) advance(dt float64) {
-	lp := g.leader.Step(dt)[0]
-	for i := range g.pos {
-		jx := (g.rng.Float64()*2 - 1) * g.Radius * 0.1
-		jy := (g.rng.Float64()*2 - 1) * g.Radius * 0.1
-		g.pos[i] = topo.Point{X: lp.X + g.off[i].X + jx, Y: lp.Y + g.off[i].Y + jy}
-	}
-}
-
-// Step advances the leader and recomputes member positions with jitter.
-func (g *Group) Step(dt float64) []topo.Point {
-	g.advance(dt)
-	return g.pos
-}
-
-// StepInto advances the group by dt seconds into a caller-owned buffer.
-//
-//viator:noalloc
-func (g *Group) StepInto(dst []topo.Point, dt float64) []topo.Point {
-	g.advance(dt)
-	return append(dst[:0], g.pos...)
-}
-
-// Positions returns current member positions.
-func (g *Group) Positions() []topo.Point { return g.pos }
-
-// Connectivity rebuilds radio-range links on g from the given positions:
-// existing links are torn down and pairs within radius are connected with
-// cost = distance. It returns the number of (directed) up links.
-//
-// This is the brute-force O(n²) reference implementation — all pairs
-// tested, every link flapped, link reuse via a linear adjacency scan —
-// kept verbatim as the pre-refactor oracle that the spatial-hash paths
-// (ConnScratch) are property-tested and benchmarked against. Hot loops
-// use ConnScratch.RefreshInto instead.
-func Connectivity(g *topo.Graph, pos []topo.Point, radius float64) int {
-	for i := 0; i < g.Links(); i++ {
-		g.SetUp(i, false)
-	}
-	up := 0
-	for i := 0; i < g.N(); i++ {
-		g.SetPos(topo.NodeID(i), pos[i])
-	}
-	for i := 0; i < g.N(); i++ {
-		for j := i + 1; j < g.N(); j++ {
-			d := pos[i].Dist(pos[j])
-			if d > radius {
-				continue
-			}
-			a, b := topo.NodeID(i), topo.NodeID(j)
-			reuseDirected(g, a, b, d)
-			reuseDirected(g, b, a, d)
-			up += 2
-		}
-	}
-	return up
-}
-
-// reuseDirected re-activates an existing down link a→b if present,
-// otherwise adds one — by scanning a copy of a's adjacency, exactly as
-// the pre-refactor refresh did. Kept for the oracle only, so the
-// benchmark baseline measures what the old physical layer actually cost;
-// the fast paths use ensureDirected's O(1) index instead.
-func reuseDirected(g *topo.Graph, a, b topo.NodeID, cost float64) {
-	for _, li := range g.AllLinks(a) {
-		l := g.Link(li)
-		if l.To == b {
-			g.SetCost(li, cost)
-			g.SetUp(li, true)
-			return
-		}
-	}
-	g.Connect(a, b, cost)
-}
-
-// ensureDirected re-activates the existing a→b link if present (an O(1)
-// LinkBetween lookup), otherwise adds one, keeping the link table from
-// growing without bound under repeated connectivity refreshes. It
-// returns the link's index so refresh paths can remember it and skip
-// even the map lookup next time the pair is seen.
+// ensureDirected re-activates the existing a→b link if present (a
+// LinkBetween scan of a's out-links), otherwise adds one, keeping the
+// link table from growing without bound under repeated connectivity
+// refreshes. It returns the link's index so refresh paths can remember
+// it and skip even the scan next time the pair is seen.
 func ensureDirected(g *topo.Graph, a, b topo.NodeID, cost float64) int32 {
 	if li := g.LinkBetween(a, b); li >= 0 {
 		g.SetCost(li, cost)
@@ -337,7 +125,7 @@ func ensureDirected(g *topo.Graph, a, b topo.NodeID, cost float64) int32 {
 	return int32(g.Connect(a, b, cost))
 }
 
-// maxGridCells bounds the spatial hash's cell count relative to the node
+// maxGridCellsPerNode bounds the spatial hash's cell count relative to the node
 // count: pathological radius/arena ratios (tiny radius, huge arena) would
 // otherwise demand an unbounded grid. Cells only ever grow — a coarser
 // cell is still correct, it just admits more candidates per neighborhood.
@@ -376,8 +164,8 @@ type ConnScratch struct {
 	// refresh, as CSR over nodes. curDist carries the pair distances so
 	// the diff pass does not recompute them; the AB/BA arrays carry the
 	// i→j and j→i link indexes, so surviving and departing pairs touch
-	// their links directly instead of going through the graph's
-	// per-target map (LinkBetween is only consulted when a pair appears).
+	// their links directly instead of scanning the graph's adjacency
+	// (LinkBetween is only consulted when a pair appears).
 	curStart  []int32
 	curNbr    []int32
 	curDist   []float64
@@ -389,7 +177,7 @@ type ConnScratch struct {
 	prevBA    []int32
 
 	// seeded marks that prev{Start,Nbr} mirror the graph's link state; the
-	// first refresh (or any GridRefresh) establishes it with a full
+	// first refresh (gridRefresh) establishes it with a full
 	// down-all/up-in-range reconcile.
 	seeded bool
 }
@@ -587,13 +375,12 @@ func setPositions(g *topo.Graph, pos []topo.Point) {
 	}
 }
 
-// GridRefresh rebuilds radio-range links like Connectivity — every link
-// flaps down, in-range pairs come back up with cost = distance — but
-// discovers candidate pairs through the spatial hash: O(n·k + links)
-// instead of O(n²). Graph state afterwards, including link creation
-// order, is identical to the oracle's. Returns the directed up-link
-// count.
-func (s *ConnScratch) GridRefresh(g *topo.Graph, pos []topo.Point, radius float64) int {
+// gridRefresh is RefreshInto's full reconcile: every link flaps down and
+// in-range pairs come back up with cost = distance, candidate pairs
+// coming from the spatial hash: O(n·k + links). Graph state afterwards,
+// including link creation order, is identical to the brute-force
+// oracle's. Returns the directed up-link count.
+func (s *ConnScratch) gridRefresh(g *topo.Graph, pos []topo.Point, radius float64) int {
 	setPositions(g, pos)
 	s.gatherCur(pos[:g.N()], radius)
 	up := s.reconcileAll(g)
@@ -646,7 +433,7 @@ func (s *ConnScratch) reconcileAll(g *topo.Graph) int {
 // crossed radio range are toggled. Pairs still in range get their cost
 // rewritten to the current distance (a no-op — and no Version movement —
 // when nothing moved). The first call on a scratch performs a full
-// GridRefresh-style reconcile to establish the baseline.
+// reconcile (gridRefresh) to establish the baseline.
 //
 // Returns the directed up-link count after the refresh. Steady-state
 // calls allocate nothing.
@@ -655,7 +442,7 @@ func (s *ConnScratch) reconcileAll(g *topo.Graph) int {
 func (s *ConnScratch) RefreshInto(g *topo.Graph, pos []topo.Point, radius float64) int {
 	if !s.seeded || len(s.prevStart) != g.N()+1 {
 		// First refresh, or the node set changed: no usable baseline.
-		return s.GridRefresh(g, pos, radius)
+		return s.gridRefresh(g, pos, radius)
 	}
 	setPositions(g, pos)
 	n := g.N()

@@ -21,8 +21,9 @@ func inArena(pos []topo.Point, side float64) bool {
 func TestRandomWaypointStaysInArena(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		m := NewRandomWaypoint(10, 100, 1, 5, 0.5, sim.NewRNG(seed))
+		var pos []topo.Point
 		for i := 0; i < 50; i++ {
-			if !inArena(m.Step(1), 100) {
+			if pos = m.StepInto(pos, 1); !inArena(pos, 100) {
 				return false
 			}
 		}
@@ -35,7 +36,7 @@ func TestRandomWaypointStaysInArena(t *testing.T) {
 func TestRandomWaypointMoves(t *testing.T) {
 	m := NewRandomWaypoint(5, 100, 2, 2, 0, sim.NewRNG(1))
 	before := append([]topo.Point(nil), m.Positions()...)
-	m.Step(10)
+	m.StepInto(nil, 10)
 	moved := 0
 	for i, p := range m.Positions() {
 		if p.Dist(before[i]) > 1 {
@@ -51,7 +52,7 @@ func TestRandomWaypointSpeedBound(t *testing.T) {
 	m := NewRandomWaypoint(8, 1000, 1, 3, 0, sim.NewRNG(2))
 	before := append([]topo.Point(nil), m.Positions()...)
 	const dt = 5.0
-	m.Step(dt)
+	m.StepInto(nil, dt)
 	for i, p := range m.Positions() {
 		if d := p.Dist(before[i]); d > 3*dt+1e-6 {
 			t.Fatalf("node %d moved %v > max speed*dt", i, d)
@@ -62,58 +63,12 @@ func TestRandomWaypointSpeedBound(t *testing.T) {
 func TestRandomWaypointPause(t *testing.T) {
 	// With an enormous pause, a node that reaches its destination stops.
 	m := NewRandomWaypoint(1, 10, 100, 100, 1e9, sim.NewRNG(3))
-	m.Step(1) // at speed 100 in a 10x10 arena the waypoint is surely reached
+	m.StepInto(nil, 1) // at speed 100 in a 10x10 arena the waypoint is surely reached
 	p1 := m.Positions()[0]
-	m.Step(5)
+	m.StepInto(nil, 5)
 	p2 := m.Positions()[0]
 	if p1.Dist(p2) > 1e-9 {
 		t.Fatalf("node moved while paused: %v", p1.Dist(p2))
-	}
-}
-
-func TestRandomWalkStaysInArena(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		m := NewRandomWalk(10, 50, 4, 2, sim.NewRNG(seed))
-		for i := 0; i < 50; i++ {
-			if !inArena(m.Step(0.7), 50) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRandomWalkCoversArena(t *testing.T) {
-	m := NewRandomWalk(1, 20, 5, 1, sim.NewRNG(7))
-	var minX, maxX = 1e18, -1e18
-	for i := 0; i < 2000; i++ {
-		p := m.Step(0.5)[0]
-		if p.X < minX {
-			minX = p.X
-		}
-		if p.X > maxX {
-			maxX = p.X
-		}
-	}
-	if maxX-minX < 10 {
-		t.Fatalf("walker explored only %v of the arena width", maxX-minX)
-	}
-}
-
-func TestGroupCohesion(t *testing.T) {
-	g := NewGroup(6, 100, 3, 5, sim.NewRNG(4))
-	for i := 0; i < 30; i++ {
-		pos := g.Step(1)
-		// All members within ~2*radius of each other.
-		for a := 0; a < len(pos); a++ {
-			for b := a + 1; b < len(pos); b++ {
-				if pos[a].Dist(pos[b]) > 4*5 {
-					t.Fatalf("group dispersed: %v", pos[a].Dist(pos[b]))
-				}
-			}
-		}
 	}
 }
 
@@ -121,7 +76,8 @@ func TestConnectivityRadius(t *testing.T) {
 	g := topo.New()
 	g.AddNodes(3)
 	pos := []topo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 10, Y: 0}}
-	up := Connectivity(g, pos, 2)
+	var s ConnScratch
+	up := s.RefreshInto(g, pos, 2)
 	if up != 2 {
 		t.Fatalf("up links = %d, want 2", up)
 	}
@@ -137,14 +93,15 @@ func TestConnectivityReusesLinks(t *testing.T) {
 	g := topo.New()
 	g.AddNodes(2)
 	pos := []topo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}
-	Connectivity(g, pos, 2)
+	var s ConnScratch
+	s.RefreshInto(g, pos, 2)
 	n1 := g.Links()
 	// Move out of range and back; link table must not grow.
-	Connectivity(g, []topo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, 2)
+	s.RefreshInto(g, []topo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, 2)
 	if g.FindLink(0, 1) != -1 {
 		t.Fatal("out-of-range pair still linked")
 	}
-	Connectivity(g, pos, 2)
+	s.RefreshInto(g, pos, 2)
 	if g.Links() != n1 {
 		t.Fatalf("link table grew: %d -> %d", n1, g.Links())
 	}
@@ -156,12 +113,13 @@ func TestConnectivityReusesLinks(t *testing.T) {
 func TestConnectivityUpdatesCost(t *testing.T) {
 	g := topo.New()
 	g.AddNodes(2)
-	Connectivity(g, []topo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}, 5)
+	var s ConnScratch
+	s.RefreshInto(g, []topo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}, 5)
 	li := g.FindLink(0, 1)
 	if g.Link(li).Cost != 1 {
 		t.Fatalf("cost = %v", g.Link(li).Cost)
 	}
-	Connectivity(g, []topo.Point{{X: 0, Y: 0}, {X: 3, Y: 0}}, 5)
+	s.RefreshInto(g, []topo.Point{{X: 0, Y: 0}, {X: 3, Y: 0}}, 5)
 	if g.Link(li).Cost != 3 {
 		t.Fatalf("cost not refreshed: %v", g.Link(li).Cost)
 	}
@@ -204,22 +162,61 @@ func linksChanged(prev []topo.Link, g *topo.Graph) bool {
 	return false
 }
 
+// stepper advances a set of node positions into a caller-owned buffer.
+type stepper interface {
+	StepInto(dst []topo.Point, dt float64) []topo.Point
+}
+
+// group is a dense, reference-point group fleet for the path-agreement
+// test: every node holds a fixed offset of up to ±groupSpan per axis from
+// a centre that a random-waypoint model drives, plus a small per-step
+// jitter, so every node stays within about 30 of the centre and
+// neighbourhoods stay dense while the group moves through the arena.
+type group struct {
+	centre *RandomWaypoint
+	at     []topo.Point // the centre's position buffer
+	off    []topo.Point
+	rng    *sim.RNG
+}
+
+const groupSpan = 21.0
+
+func newGroup(n int, side, speed float64, rng *sim.RNG) *group {
+	m := &group{centre: NewRandomWaypoint(1, side, speed, speed, 0, rng), off: make([]topo.Point, n), rng: rng}
+	for i := range m.off {
+		m.off[i] = topo.Point{X: (rng.Float64()*2 - 1) * groupSpan, Y: (rng.Float64()*2 - 1) * groupSpan}
+	}
+	return m
+}
+
+func (m *group) StepInto(dst []topo.Point, dt float64) []topo.Point {
+	m.at = m.centre.StepInto(m.at, dt)
+	c := m.at[0]
+	dst = dst[:0]
+	for _, o := range m.off {
+		jx := (m.rng.Float64()*2 - 1) * groupSpan * 0.1
+		jy := (m.rng.Float64()*2 - 1) * groupSpan * 0.1
+		dst = append(dst, topo.Point{X: c.X + o.X + jx, Y: c.Y + o.Y + jy})
+	}
+	return dst
+}
+
 // TestConnectivityPathsAgree property-tests the determinism contract:
-// for every mobility model, random radii and dozens of refreshes with
-// range churn, the brute-force oracle, the spatial-hash GridRefresh and
-// the incremental RefreshInto produce identical link tables (set, cost,
-// creation order) and identical up-link counts; the two flap paths move
-// Version identically, and the incremental path moves Version exactly
-// when link state or costs actually changed.
+// for a spread fleet and a clustered group, random radii and dozens of
+// refreshes with range churn, the brute-force oracle, the full
+// spatial-hash reconcile gridRefresh and the incremental RefreshInto
+// produce identical link tables (set, cost, creation order) and
+// identical up-link counts; the two flap paths move Version identically,
+// and the incremental path moves Version exactly when link state or
+// costs actually changed.
 func TestConnectivityPathsAgree(t *testing.T) {
 	const n = 60
 	models := []struct {
 		name string
-		mk   func(seed uint64) Model
+		mk   func(seed uint64) stepper
 	}{
-		{"waypoint", func(seed uint64) Model { return NewRandomWaypoint(n, 120, 1, 8, 0.3, sim.NewRNG(seed)) }},
-		{"walk", func(seed uint64) Model { return NewRandomWalk(n, 120, 6, 1.5, sim.NewRNG(seed)) }},
-		{"group", func(seed uint64) Model { return NewGroup(n, 120, 5, 30, sim.NewRNG(seed)) }},
+		{"waypoint", func(seed uint64) stepper { return NewRandomWaypoint(n, 120, 1, 8, 0.3, sim.NewRNG(seed)) }},
+		{"group", func(seed uint64) stepper { return newGroup(n, 120, 5, sim.NewRNG(seed)) }},
 	}
 	for _, tc := range models {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,15 +229,16 @@ func TestConnectivityPathsAgree(t *testing.T) {
 				gInc.AddNodes(n)
 				var sGrid, sInc ConnScratch
 				prev := snapshotLinks(gInc)
+				var pos []topo.Point
 				for step := 0; step < 30; step++ {
-					pos := model.Step(0.8)
+					pos = model.StepInto(pos, 0.8)
 					r := radius
 					if step%7 == 6 {
 						r = radius * 1.5 // radio-range churn on top of motion
 					}
 					vO, vG, vI := gOracle.Version(), gGrid.Version(), gInc.Version()
 					upO := Connectivity(gOracle, pos, r)
-					upG := sGrid.GridRefresh(gGrid, pos, r)
+					upG := sGrid.gridRefresh(gGrid, pos, r)
 					upI := sInc.RefreshInto(gInc, pos, r)
 					if upO != upG || upO != upI {
 						t.Fatalf("step %d: up counts oracle=%d grid=%d incremental=%d", step, upO, upG, upI)
@@ -272,7 +270,7 @@ func TestRefreshIntoNoMotionVersionStable(t *testing.T) {
 	g := topo.New()
 	g.AddNodes(n)
 	var s ConnScratch
-	pos := m.Step(1)
+	pos := m.StepInto(nil, 1)
 	up1 := s.RefreshInto(g, pos, 25)
 	if up1 == 0 {
 		t.Fatal("degenerate layout: no links")
@@ -310,39 +308,12 @@ func TestRefreshIntoAllocFree(t *testing.T) {
 	// Warm up: a giant-radius refresh creates every pair's links once, so
 	// steady-state refreshes only toggle and re-cost existing links.
 	pos = m.StepInto(pos, 1)
-	s.GridRefresh(g, pos, 1e9)
+	s.gridRefresh(g, pos, 1e9)
 	s.RefreshInto(g, pos, 30)
 	allocpin.Zero(t, 20, func() {
 		pos = m.StepInto(pos, 0.5)
 		s.RefreshInto(g, pos, 30)
 	}, "(*RandomWaypoint).StepInto", "(*ConnScratch).RefreshInto")
-}
-
-// TestStepIntoMatchesStep pins that StepInto is Step plus a copy: two
-// identically seeded models advanced through the two APIs yield the same
-// trajectories for all three model kinds.
-func TestStepIntoMatchesStep(t *testing.T) {
-	mks := []func(seed uint64) Model{
-		func(seed uint64) Model { return NewRandomWaypoint(9, 70, 1, 5, 0.2, sim.NewRNG(seed)) },
-		func(seed uint64) Model { return NewRandomWalk(9, 70, 4, 2, sim.NewRNG(seed)) },
-		func(seed uint64) Model { return NewGroup(9, 70, 4, 10, sim.NewRNG(seed)) },
-	}
-	for k, mk := range mks {
-		a, b := mk(5), mk(5)
-		var buf []topo.Point
-		for step := 0; step < 15; step++ {
-			pa := a.Step(0.7)
-			buf = b.StepInto(buf, 0.7)
-			if len(pa) != len(buf) {
-				t.Fatalf("model %d: lengths differ", k)
-			}
-			for i := range pa {
-				if pa[i] != buf[i] {
-					t.Fatalf("model %d step %d node %d: %v vs %v", k, step, i, pa[i], buf[i])
-				}
-			}
-		}
-	}
 }
 
 func TestConnectivityDeterministicPartition(t *testing.T) {
@@ -351,9 +322,12 @@ func TestConnectivityDeterministicPartition(t *testing.T) {
 		m := NewRandomWaypoint(12, 50, 1, 4, 0, sim.NewRNG(55))
 		g := topo.New()
 		g.AddNodes(12)
+		var s ConnScratch
+		var pos []topo.Point
 		var comps []int
 		for i := 0; i < 20; i++ {
-			Connectivity(g, m.Step(1), 15)
+			pos = m.StepInto(pos, 1)
+			s.RefreshInto(g, pos, 15)
 			comps = append(comps, len(g.Components()))
 		}
 		return comps

@@ -136,8 +136,9 @@ func (s *Server) Get(id string) (*Run, bool) {
 	return r, ok
 }
 
-// snapshotGroups collects every run's published Prometheus families in
-// creation order.
+// snapshotGroups collects the server-wide families (run count, stream
+// subscribers and dropped batches), then every run's published
+// Prometheus families in creation order.
 func (s *Server) snapshotGroups() [][]telemetry.PromFamily {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -145,6 +146,14 @@ func (s *Server) snapshotGroups() [][]telemetry.PromFamily {
 	groups = append(groups, []telemetry.PromFamily{{
 		Name:    "viator_server_runs",
 		Samples: []byte(fmt.Sprintf("viator_server_runs %d\n", len(s.order))),
+	}, {
+		Name:    "viator_stream_subscribers",
+		Header:  []byte("# TYPE viator_stream_subscribers gauge\n"),
+		Samples: []byte(fmt.Sprintf("viator_stream_subscribers %d\n", s.broker.subscribers())),
+	}, {
+		Name:    "viator_stream_dropped_batches_total",
+		Header:  []byte("# TYPE viator_stream_dropped_batches_total counter\n"),
+		Samples: []byte(fmt.Sprintf("viator_stream_dropped_batches_total %d\n", s.broker.dropped.Load())),
 	}})
 	for _, id := range s.order {
 		if snap := s.runs[id].snap.Load(); snap != nil {

@@ -352,6 +352,52 @@ func TestMetricsValidPrometheus(t *testing.T) {
 	}
 }
 
+// TestMetricsCountStreamDrops pins the stream's loss accounting: a
+// subscriber that never reads fills its 64-batch buffer, the 65th
+// publication is dropped, and the next scrape reports the drop and the
+// attached subscriber. The count is server-wide, so it outlives the
+// subscriber that dropped.
+func TestMetricsCountStreamDrops(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	scrape := func() map[string]string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		validateProm(t, buf.String())
+		vals := map[string]string{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				vals[name] = v
+			}
+		}
+		return vals
+	}
+	sub := s.broker.subscribe("")
+	for i := 0; i < 65; i++ {
+		s.broker.publish("r1", []byte("{}\n"))
+	}
+	m := scrape()
+	if m["viator_stream_subscribers"] != "1" {
+		t.Fatalf("viator_stream_subscribers = %q, want 1", m["viator_stream_subscribers"])
+	}
+	var dropped int
+	fmt.Sscan(m["viator_stream_dropped_batches_total"], &dropped)
+	if dropped < 1 {
+		t.Fatalf("viator_stream_dropped_batches_total = %q, want >= 1", m["viator_stream_dropped_batches_total"])
+	}
+	s.broker.unsubscribe(sub)
+	m = scrape()
+	if m["viator_stream_subscribers"] != "0" || m["viator_stream_dropped_batches_total"] != fmt.Sprint(dropped) {
+		t.Fatalf("after detach: subscribers %q, dropped %q; want 0, %d",
+			m["viator_stream_subscribers"], m["viator_stream_dropped_batches_total"], dropped)
+	}
+}
+
 // openStream subscribes to the stream and returns a channel of parsed
 // records plus a cancel func. It returns only after the subscription is
 // established server-side (response headers received), so records from

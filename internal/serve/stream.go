@@ -9,24 +9,25 @@ import (
 // pre-rendered batch of lines per snapshot publication, and every
 // subscriber (one per open /api/v1/stream request) receives the batches
 // over a buffered channel. Publication never blocks the sim driver — a
-// subscriber that cannot keep up drops whole batches and counts them,
-// trading completeness for the determinism contract (a slow reader must
-// not be able to stall, and thereby perturb the timing of, a run; it
-// cannot perturb results either way, but an unbounded stall would make
-// the server useless).
+// subscriber that cannot keep up drops whole batches, which the broker
+// counts server-wide for /metrics, trading completeness for the
+// determinism contract (a slow reader must not be able to stall, and
+// thereby perturb the timing of, a run; it cannot perturb results either
+// way, but an unbounded stall would make the server useless).
 
 // subscriber is one attached stream reader.
 type subscriber struct {
 	ch  chan []byte
 	run string // run ID filter; "" receives every run
-	// dropped counts batches discarded because the channel was full.
-	dropped atomic.Uint64
 }
 
 // broker fans published batches out to subscribers.
 type broker struct {
 	mu   sync.Mutex
 	subs map[*subscriber]struct{}
+	// dropped counts batches discarded because a subscriber's channel was
+	// full, over every subscriber the server has had.
+	dropped atomic.Uint64
 }
 
 func newBroker() *broker {
@@ -49,6 +50,13 @@ func (b *broker) unsubscribe(sub *subscriber) {
 	b.mu.Unlock()
 }
 
+// subscribers returns the number of attached readers.
+func (b *broker) subscribers() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs)
+}
+
 // publish hands one batch of stream lines to every matching subscriber,
 // dropping (and counting) for any whose buffer is full. The batch is
 // immutable after publication; subscribers share the backing bytes.
@@ -66,7 +74,7 @@ func (b *broker) publish(run string, batch []byte) {
 		select {
 		case sub.ch <- batch:
 		default:
-			sub.dropped.Add(1)
+			b.dropped.Add(1)
 		}
 	}
 }

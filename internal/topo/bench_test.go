@@ -72,3 +72,34 @@ func BenchmarkSettleUntil(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkLinkBetween measures LinkBetween's worst case: a star whose
+// hub has 4,096 out-links, queried for its last-inserted target (the
+// longest hit) and for a node it has no link to (a full miss). The scan
+// is linear in out-degree; no scenario has a hub of this size.
+func BenchmarkLinkBetween(b *testing.B) {
+	const spokes = 4096
+	g := New()
+	hub := g.AddNodes(spokes + 2)
+	for i := 1; i <= spokes; i++ {
+		g.Connect(hub, NodeID(i), 1)
+	}
+	absent := NodeID(spokes + 1)
+	for _, bc := range []struct {
+		name string
+		to   NodeID
+		want int
+	}{
+		{"Last", NodeID(spokes), spokes - 1},
+		{"Absent", absent, -1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if g.LinkBetween(hub, bc.to) != bc.want {
+					b.Fatal("wrong link")
+				}
+			}
+		})
+	}
+}

@@ -226,17 +226,6 @@ func (g *Graph) Clone() *Graph {
 	}
 	c.link = append([]Link(nil), g.link...)
 	c.pos = append([]Point(nil), g.pos...)
-	c.edge = make([]map[NodeID]int32, len(g.edge))
-	for i, m := range g.edge {
-		if m == nil {
-			continue
-		}
-		cm := make(map[NodeID]int32, len(m))
-		for to, li := range m {
-			cm[to] = li
-		}
-		c.edge[i] = cm
-	}
 	return c
 }
 

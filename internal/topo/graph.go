@@ -30,10 +30,6 @@ type Graph struct {
 	link    []Link
 	pos     []Point // optional geometry, used by geometric generators
 	version uint64  // bumped on every topology change: node/link add, up/down, cost
-	// edge[u] maps a target node to the first link u→target in insertion
-	// order (up or down), giving LinkBetween its O(1) lookup. Maps are
-	// created lazily on a node's first outgoing link.
-	edge []map[NodeID]int32
 }
 
 // Point is a 2-D coordinate used by geometric topologies and mobility.
@@ -54,7 +50,6 @@ func New() *Graph { return &Graph{} }
 func (g *Graph) AddNode() NodeID {
 	g.adj = append(g.adj, nil)
 	g.pos = append(g.pos, Point{})
-	g.edge = append(g.edge, nil)
 	g.n++
 	g.version++
 	return NodeID(g.n - 1)
@@ -87,14 +82,6 @@ func (g *Graph) Connect(from, to NodeID, cost float64) int {
 	g.link = append(g.link, Link{From: from, To: to, Cost: cost, Up: true})
 	idx := len(g.link) - 1
 	g.adj[from] = append(g.adj[from], idx)
-	if g.edge[from] == nil {
-		g.edge[from] = make(map[NodeID]int32)
-	}
-	if _, dup := g.edge[from][to]; !dup {
-		// Parallel edges keep the first index, matching the insertion-order
-		// scan LinkBetween replaces.
-		g.edge[from][to] = int32(idx)
-	}
 	g.version++
 	return idx
 }
@@ -160,13 +147,15 @@ func (g *Graph) FindLink(from, to NodeID) int {
 }
 
 // LinkBetween returns the index of the first link from→to in insertion
-// order — up or down — or -1 when the nodes were never connected. It is
-// an O(1) map lookup, which is what lets the incremental connectivity
-// refresh toggle a specific directed link without scanning the node's
-// adjacency (the old reuseDirected path was linear in out-degree).
+// order — up or down — or -1 when the nodes were never connected. It
+// scans from's out-links, so it is linear in out-degree; the incremental
+// connectivity refresh remembers every pair's link indexes and only asks
+// when a pair comes into range.
 func (g *Graph) LinkBetween(from, to NodeID) int {
-	if li, ok := g.edge[from][to]; ok {
-		return int(li)
+	for _, li := range g.adj[from] {
+		if g.link[li].To == to {
+			return li
+		}
 	}
 	return -1
 }
@@ -809,14 +798,6 @@ func (g *Graph) DOT(name string, label func(NodeID) string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// AllLinks returns indexes of all links leaving id, up or down, in
-// insertion order. Mobility models use it to recycle torn-down links.
-func (g *Graph) AllLinks(id NodeID) []int {
-	out := make([]int, len(g.adj[id]))
-	copy(out, g.adj[id])
-	return out
 }
 
 // BFSScratch is the reusable working memory of a breadth-first search:

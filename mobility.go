@@ -2,16 +2,15 @@ package viator
 
 import (
 	"viator/internal/mobility"
-	"viator/internal/routing"
 	"viator/internal/topo"
 )
 
 // Ship mobility: "the main distinction from other AN approaches
 // elsewhere is that the active nodes (ships) are considered to be
-// mobile". EnableMobility attaches a mobility model to the fleet: node
-// positions advance continuously, radio-range connectivity is refreshed
-// periodically, and the adaptive router re-pulses after every refresh so
-// shuttles keep flowing over the changing topology.
+// mobile". EnableMobility attaches a random-waypoint model to the fleet:
+// node positions advance continuously, radio-range connectivity is
+// refreshed periodically, and the adaptive router re-pulses after every
+// refresh so shuttles keep flowing over the changing topology.
 //
 // The refresh is incremental and allocation-free in steady state: the
 // model steps into a caller-owned position buffer, a spatial hash
@@ -24,7 +23,7 @@ import (
 // Mobility drives a Network's physical layer.
 type Mobility struct {
 	net    *Network
-	model  mobility.Model
+	model  *mobility.RandomWaypoint
 	radius float64
 
 	scratch mobility.ConnScratch
@@ -38,18 +37,16 @@ type Mobility struct {
 	// the connectivity refresh reports it, so nothing rescans the link
 	// table to learn it.
 	LinksUp int
-	// AODV is the on-demand route fallback available to experiments.
-	AODV *routing.AODV
 }
 
 // EnableMobility arms continuous ship movement. The model must cover
 // len(Ships) nodes; radius is the radio range; period is the
 // connectivity-refresh interval in virtual seconds.
-func (n *Network) EnableMobility(model mobility.Model, radius, period float64) *Mobility {
+func (n *Network) EnableMobility(model *mobility.RandomWaypoint, radius, period float64) *Mobility {
 	if len(model.Positions()) != len(n.Ships) {
 		panic("viator: mobility model size mismatch")
 	}
-	m := &Mobility{net: n, model: model, radius: radius, AODV: routing.NewAODV(n.G)}
+	m := &Mobility{net: n, model: model, radius: radius}
 	last := n.Now()
 	n.K.Every(period, func() {
 		dt := n.Now() - last
@@ -60,7 +57,7 @@ func (n *Network) EnableMobility(model mobility.Model, radius, period float64) *
 		if !n.G.Connected() {
 			m.Partitions++
 		}
-		// Re-route: the adaptive tables and on-demand caches are stale.
+		// Re-route: the adaptive tables are stale.
 		n.adaptRouter()
 		n.Trace.Add(n.Now(), "mobility", "connectivity refresh: %d links up", m.LinksUp)
 	})

@@ -21,7 +21,8 @@ func TestMobileWanderingNetworkDelivers(t *testing.T) {
 	cfg.Graph = g
 	n := NewNetwork(cfg)
 	model := mobility.NewRandomWaypoint(ships, 60, 1, 4, 0.5, n.K.Rand.Split())
-	mobility.Connectivity(n.G, model.Positions(), 40)
+	var cs mobility.ConnScratch
+	cs.RefreshInto(n.G, model.Positions(), 40)
 	n.Router.Pulse()
 	m := n.EnableMobility(model, 40, 0.5)
 

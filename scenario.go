@@ -328,14 +328,16 @@ func (r *fleetRun) arm(id int, seed uint64) *district {
 	case scenario.ArenaStatic:
 		// Positions are drawn once from their own split — the static
 		// arena's analogue of the mobility model's stream — and the link
-		// table is synthesized in one pass. No periodic refresh runs, so
-		// injected link faults persist until a rejoin fault undoes them.
+		// table is synthesized by one refresh on a throwaway scratch. No
+		// periodic refresh runs, so injected link faults persist until a
+		// rejoin fault undoes them.
 		prng := k.Rand.Split()
 		d.pos = make([]topo.Point, per)
 		for i := range d.pos {
 			d.pos[i] = topo.Point{X: prng.Float64() * sp.Arena.Side, Y: prng.Float64() * sp.Arena.Side}
 		}
-		mobility.Connectivity(g, d.pos, sp.Arena.Radius)
+		var cs mobility.ConnScratch
+		cs.RefreshInto(g, d.pos, sp.Arena.Radius)
 	}
 	n.Router.Pulse()
 	n.StartPulses(sp.PulsePeriod)
