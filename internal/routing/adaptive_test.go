@@ -100,71 +100,107 @@ func oneShot(a *Adaptive, bias float64, src topo.NodeID) *topo.SPT {
 	return t
 }
 
-// TestLazyMatchesOneShot drives a mutation/feedback script through a
-// lazy router with three overlays, leaving trees partial in every epoch,
-// and requires every routing decision to equal a one-shot tree over an
-// independent capture at the overlay's bias. NextHop is checked first on
-// a source whose tree the script leaves partial, so the query resumes
-// the run from its kept frontier; then all pairs on every overlay.
+// roundingGraph is a hand-built capture whose two paths 0→5 tie in
+// exact arithmetic, 2.4+2.3+3.1 = 1.0+3.9+2.9, but round apart by two
+// ulps between the source run's summation order and the sink run's: a
+// source tree at 0 prefers the first path (first hop 1), a sink tree at
+// 5 the second (first hop 3). Only the tie mark at 0 keeps the sink
+// answer from being the wrong hop.
+func roundingGraph() *topo.Graph {
+	g := topo.New()
+	g.AddNodes(6)
+	for _, l := range []struct {
+		a, b topo.NodeID
+		c    float64
+	}{{0, 1, 2.4}, {1, 2, 2.3}, {2, 5, 3.1}, {0, 3, 1.0}, {3, 4, 3.9}, {4, 5, 2.9}} {
+		g.ConnectBoth(l.a, l.b, l.c)
+	}
+	return g
+}
+
+// TestLazyMatchesOneShot is the router's all-pairs oracle. On a Waxman
+// graph, a random-geometric graph, a unit-cost grid (ties everywhere)
+// and the rounding capture, it drives a mutation/feedback script through
+// a lazy router with three overlays, leaving sink trees partial in every
+// epoch, and requires every routing decision to equal a one-shot source
+// tree over an independent capture at the overlay's bias. The first
+// checks resume a sink tree the script left partial; then all pairs on
+// every overlay. The grid's and the rounding capture's ties must reach
+// the source-tree fallback.
 func TestLazyMatchesOneShot(t *testing.T) {
-	g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(11))
-	a := NewAdaptive(g, 3)
-	a.SpawnOverlay("qos", 4)
-	a.SpawnOverlay("bulk", 0)
-	// near is the source's first out-neighbor: settling toward it stops
-	// long before the tree is complete.
-	near := func(src topo.NodeID) topo.NodeID { return g.Neighbors(src)[0] }
-	r := sim.NewRNG(7)
-	for round := 0; round < 4; round++ {
-		for k := 0; k < 8; k++ {
-			a.ObserveUtilization(r.Intn(g.Links()), r.Float64())
-		}
-		if round == 2 {
-			g.SetUp(r.Intn(g.Links()), false)
-		}
-		a.Pulse()
-		// Leave a few trees partial.
-		for k := 0; k < 3; k++ {
-			src := topo.NodeID(r.Intn(g.N()))
-			a.NextHop("qos", src, near(src))
-		}
-		a.NextHop("qos", topo.NodeID(r.Intn(g.N())), topo.NodeID(r.Intn(g.N())))
-		a.NextHop("", topo.NodeID(round), near(topo.NodeID(round)))
-	}
-	// The router must really hold a partial tree for source 3 (settled by
-	// round 3 toward a neighbor only), or the checks below would read a
-	// complete tree.
-	partial := a.overlays[DefaultOverlay].tables[3]
-	far := topo.NodeID(-1)
-	for v := 0; v < g.N(); v++ {
-		if !partial.Settled(topo.NodeID(v)) {
-			far = topo.NodeID(v)
-			break
-		}
-	}
-	if far == -1 {
-		t.Fatal("tree for source 3 is complete; the script must leave it partial")
-	}
-	want3 := oneShot(a, 1, 3)
-	for _, dst := range []topo.NodeID{near(3), far, 0, topo.NodeID(g.N() - 1)} {
-		if got, want := a.NextHop("", 3, dst), want3.NextHop(dst); got != want {
-			t.Fatalf("hop 3→%d = %d, one-shot %d", dst, got, want)
-		}
-	}
-	for _, ov := range []struct {
-		name string
-		bias float64
-	}{{"", 1}, {"qos", 4}, {"bulk", 0}} {
-		for src := 0; src < g.N(); src++ {
-			s := topo.NodeID(src)
-			want := oneShot(a, ov.bias, s)
-			for dst := 0; dst < g.N(); dst++ {
-				d := topo.NodeID(dst)
-				if got, want := a.NextHop(ov.name, s, d), want.NextHop(d); s != d && got != want {
-					t.Fatalf("overlay=%q: hop %d→%d = %d, one-shot %d", ov.name, src, dst, got, want)
+	for _, tc := range []struct {
+		name     string
+		g        *topo.Graph
+		fallback bool
+	}{
+		{"waxman", topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(11)), false},
+		{"geometric", topo.RandomGeometric(60, 100, 25, sim.NewRNG(12)), false},
+		{"grid", topo.Grid(6, 6), true},
+		{"rounding", roundingGraph(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			a := NewAdaptive(g, 3)
+			a.SpawnOverlay("qos", 4)
+			a.SpawnOverlay("bulk", 0)
+			r := sim.NewRNG(7)
+			node := func() topo.NodeID { return topo.NodeID(r.Intn(g.N())) }
+			mutate := tc.name != "rounding" // keep its exact costs and paths
+			for round := 0; round < 4; round++ {
+				for k := 0; mutate && k < 8; k++ {
+					a.ObserveUtilization(r.Intn(g.Links()), r.Float64())
+				}
+				if mutate && round == 2 {
+					g.SetUp(r.Intn(g.Links()), false)
+				}
+				a.Pulse()
+				// Leave a few sink trees partial: each settles only as far
+				// as a node next to its destination.
+				for k := 0; k < 3; k++ {
+					if dst := node(); len(g.Neighbors(dst)) > 0 {
+						a.NextHop("qos", g.Neighbors(dst)[0], dst)
+					}
+				}
+				a.NextHop("qos", node(), node())
+				a.NextHop("", g.Neighbors(0)[0], 0)
+			}
+			// The router must really hold a partial sink tree toward 0, or
+			// the checks below would read a complete tree.
+			partial := a.overlays[DefaultOverlay].sinks.byRoot[0]
+			far := topo.NodeID(-1)
+			for v := g.N() - 1; v > 0; v-- {
+				if !partial.Settled(topo.NodeID(v)) {
+					far = topo.NodeID(v)
+					break
 				}
 			}
-		}
+			if far == -1 {
+				t.Fatal("sink tree toward 0 is complete; the script must leave it partial")
+			}
+			for _, src := range []topo.NodeID{far, g.Neighbors(0)[0], topo.NodeID(g.N() / 2)} {
+				if got, want := a.NextHop("", src, 0), oneShot(a, 1, src).NextHop(0); got != want {
+					t.Fatalf("hop %d→0 = %d, one-shot %d", src, got, want)
+				}
+			}
+			for _, ov := range []struct {
+				name string
+				bias float64
+			}{{"", 1}, {"qos", 4}, {"bulk", 0}} {
+				for src := 0; src < g.N(); src++ {
+					s := topo.NodeID(src)
+					want := oneShot(a, ov.bias, s)
+					for dst := 0; dst < g.N(); dst++ {
+						d := topo.NodeID(dst)
+						if got, want := a.NextHop(ov.name, s, d), want.NextHop(d); s != d && got != want {
+							t.Fatalf("overlay=%q: hop %d→%d = %d, one-shot %d", ov.name, src, dst, got, want)
+						}
+					}
+				}
+			}
+			if fell := a.TieFallbacks > 0; fell != tc.fallback {
+				t.Fatalf("tie fallbacks = %d, want some: %v", a.TieFallbacks, tc.fallback)
+			}
+		})
 	}
 }
 
@@ -181,9 +217,9 @@ func TestPulseResetsPartialFrontier(t *testing.T) {
 		return NewAdaptive(g, 2), g, iso
 	}
 	a, g, iso := build()
-	a.NextHop("", 0, 1) // partial: only the source's corner settled
-	if a.overlays[DefaultOverlay].tables[0].Settled(24) {
-		t.Fatal("tree toward a neighbor settled the far corner")
+	a.NextHop("", 0, 1) // partial: only the nodes next to 1 settled
+	if a.overlays[DefaultOverlay].sinks.byRoot[1].Settled(24) {
+		t.Fatal("sink tree queried from a neighbor settled the far corner")
 	}
 	ref, refG, _ := build()
 	for _, h := range []*topo.Graph{g, refG} {
@@ -269,7 +305,8 @@ func TestAdaptiveNextHopAllocationFree(t *testing.T) {
 // on cold trees that are restarted and settled only part-way every run:
 // the restart, the bounded settle and the resumed settle toward a second
 // destination all reuse the tree's memory, including the frontier it
-// keeps.
+// keeps. On the grid the queries from 0 are tied, so both tree kinds are
+// pinned: each cycle restarts two sink trees and a source tree.
 func TestAdaptiveNextHopPartialAllocationFree(t *testing.T) {
 	g := topo.Grid(8, 8)
 	iso := g.AddNode()
@@ -284,26 +321,30 @@ func TestAdaptiveNextHopPartialAllocationFree(t *testing.T) {
 		a.NextHop("", 0, 9)
 		a.NextHop("", 0, dst)
 	}
-	// Grow the tree and its frontier to both cost states' full runs.
+	// Grow the trees and their frontiers to both cost states' full runs.
 	cycle(iso)
 	cycle(iso)
-	before := a.LazyBuilds
+	sinks, sources := a.SinkBuilds, a.SourceBuilds
 	allocpin.Zero(t, 100, func() { cycle(18) }, "(*Adaptive).NextHop")
-	if a.LazyBuilds == before {
-		t.Fatal("pinned cycle never restarted the tree")
+	if a.SinkBuilds == sinks || a.SourceBuilds == sources {
+		t.Fatalf("pinned cycle restarted %d sink and %d source trees; want both kinds",
+			a.SinkBuilds-sinks, a.SourceBuilds-sources)
 	}
-	if a.overlays[DefaultOverlay].tables[0].Settled(63) {
-		t.Fatal("pinned cycle settled the whole grid; the tree should stay partial")
+	// The last cycle's source tree is nil when its cost state left 0
+	// with one shortest first hop.
+	o := a.overlays[DefaultOverlay]
+	if src := o.sources.byRoot[0]; o.sinks.byRoot[18].Settled(63) || src != nil && src.Settled(63) {
+		t.Fatal("pinned cycle settled the whole grid; the trees should stay partial")
 	}
 }
 
 // TestAdaptiveRecyclesStaleTrees pins epoch-scoped trees: each epoch
-// routes from a disjoint set of m sources and leaves some of their trees
-// partial, yet no more than m trees are ever allocated, because every
-// pulse hands the last epoch's trees to the next one. Every route must
-// equal a fresh build over an independent capture, before and after an
-// epoch that routes all pairs, whose complete trees are recycled the
-// same way.
+// routes toward a disjoint set of m destinations and leaves some of
+// their sink trees partial, yet no more than m trees are ever allocated,
+// because every pulse hands the last epoch's trees to the next one.
+// Every route must equal a fresh source tree over an independent
+// capture, before and after an epoch that routes all pairs, whose
+// complete trees are recycled the same way.
 func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 	const m = 4
 	g := topo.ConnectedWaxman(40, 0.4, 0.3, sim.NewRNG(5))
@@ -311,12 +352,12 @@ func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 	o := a.overlays[DefaultOverlay]
 	r := sim.NewRNG(9)
 	trees := map[*topo.SPT]bool{}
-	// check compares src's routes toward dsts with a fresh one-shot build.
-	check := func(epoch int, src topo.NodeID, dsts ...topo.NodeID) {
+	// check compares the routes from srcs toward dst with fresh one-shot
+	// source trees.
+	check := func(epoch int, dst topo.NodeID, srcs ...topo.NodeID) {
 		t.Helper()
-		want := oneShot(a, 1, src)
-		for _, dst := range dsts {
-			if got, want := a.NextHop("", src, dst), want.NextHop(dst); src != dst && got != want {
+		for _, src := range srcs {
+			if got, want := a.NextHop("", src, dst), oneShot(a, 1, src).NextHop(dst); src != dst && got != want {
 				t.Fatalf("epoch %d: hop %d→%d = %d, fresh build %d", epoch, src, dst, got, want)
 			}
 		}
@@ -335,41 +376,65 @@ func TestAdaptiveRecyclesStaleTrees(t *testing.T) {
 	for epoch := 0; epoch < epochs; epoch++ {
 		pulse()
 		for k := 0; k < m; k++ {
-			src := topo.NodeID(epoch*m + k)
-			// Settle toward one neighbor only: half the trees go into the
+			dst := topo.NodeID(epoch*m + k)
+			// Settle from one neighbor only: half the trees go into the
 			// next pulse partial, frontier and all.
-			check(epoch, src, g.Neighbors(src)[0])
+			check(epoch, dst, g.Neighbors(dst)[0])
 			if k%2 == 0 {
-				check(epoch, src, all...)
+				check(epoch, dst, all...)
 			}
-			trees[o.tables[src]] = true
+			trees[o.sinks.byRoot[dst]] = true
 		}
 		if len(trees) > m {
 			t.Fatalf("epoch %d: %d distinct trees allocated, want at most %d", epoch, len(trees), m)
 		}
 	}
 	pulse()
-	for src := range all {
-		check(epochs, topo.NodeID(src), all...)
+	for dst := range all {
+		check(epochs, topo.NodeID(dst), all...)
 	}
 	pulse()
-	for src := 0; src < g.N(); src += 3 {
-		check(epochs+1, topo.NodeID(src), g.Neighbors(topo.NodeID(src))[0], topo.NodeID(g.N()-1-src))
+	for dst := 0; dst < g.N(); dst += 3 {
+		check(epochs+1, topo.NodeID(dst), g.Neighbors(topo.NodeID(dst))[0], topo.NodeID(g.N()-1-dst))
+	}
+	// One sink tree per destination and epoch; no query is tied.
+	if want := uint64(epochs*m + g.N() + (g.N()+2)/3); a.SinkBuilds != want || a.SourceBuilds != 0 || a.TieFallbacks != 0 {
+		t.Fatalf("sink/source builds = %d/%d, fallbacks %d; want %d/0, 0",
+			a.SinkBuilds, a.SourceBuilds, a.TieFallbacks, want)
 	}
 }
 
 // TestLazyBuildsCountSparseTraffic checks that a post-invalidation pulse
-// computes only the tables traffic actually touches.
+// builds only the trees traffic actually touches: one sink tree per
+// destination, whatever the number of sources routing toward it. On a
+// geometric graph no query is tied, so no source tree is built; on a
+// unit-cost grid the queries whose source has two shortest first hops
+// fall back to source trees.
 func TestLazyBuildsCountSparseTraffic(t *testing.T) {
-	g := topo.Grid(5, 5)
-	a := NewAdaptive(g, 2)
-	a.ObserveUtilization(0, 0.9)
-	a.Pulse()
-	before := a.LazyBuilds
-	a.NextHop("", 0, 24)
-	a.NextHop("", 0, 12) // same source: table reused
-	a.NextHop("", 7, 24)
-	if built := a.LazyBuilds - before; built != 2 {
-		t.Fatalf("lazy builds = %d, want 2 (sources 0 and 7)", built)
+	query := func(a *Adaptive, n int) {
+		a.ObserveUtilization(0, 0.9)
+		a.Pulse()
+		a.NextHop("", 0, topo.NodeID(n-1))
+		a.NextHop("", 7, topo.NodeID(n-1)) // same destination: tree reused
+		a.NextHop("", 0, topo.NodeID(n/2))
+		a.NextHop("", topo.NodeID(n-1), topo.NodeID(n/2))
 	}
+	t.Run("geometric", func(t *testing.T) {
+		g := topo.ConnectedWaxman(30, 0.4, 0.3, sim.NewRNG(4))
+		a := NewAdaptive(g, 2)
+		query(a, g.N())
+		if a.SinkBuilds != 2 || a.SourceBuilds != 0 || a.TieFallbacks != 0 {
+			t.Fatalf("sink/source builds = %d/%d, fallbacks %d; want 2/0, 0",
+				a.SinkBuilds, a.SourceBuilds, a.TieFallbacks)
+		}
+	})
+	t.Run("grid", func(t *testing.T) {
+		g := topo.Grid(5, 5)
+		a := NewAdaptive(g, 2)
+		query(a, g.N())
+		if a.SinkBuilds != 2 || a.TieFallbacks == 0 || a.SourceBuilds == 0 {
+			t.Fatalf("sink/source builds = %d/%d, fallbacks %d; want 2 sink trees and some fallbacks",
+				a.SinkBuilds, a.SourceBuilds, a.TieFallbacks)
+		}
+	})
 }

@@ -26,8 +26,8 @@ func controlPlaneRouter(g *topo.Graph) *Adaptive {
 }
 
 // warmAllPairs routes every pair through NextHop on every overlay of r,
-// so each overlay holds a complete tree per source: the steady state
-// with the table arena built.
+// so each overlay holds a sink tree per destination, settled out to
+// every source: the steady state with the tree arena built.
 func warmAllPairs(r *Adaptive, g *topo.Graph) {
 	n := topo.NodeID(g.N())
 	for _, ov := range r.Overlays() {
@@ -40,9 +40,9 @@ func warmAllPairs(r *Adaptive, g *topo.Graph) {
 }
 
 // BenchmarkAdaptivePulse measures the adaptive control plane at S1 scale
-// (1000 nodes, ~16k links, 2 overlays): the gated no-op pulse and the
+// (1000 nodes, ~16k links, 2 overlays): the gated no-op pulse, the
 // sparse-traffic lazy cycle toward far and toward near (three-hop)
-// destinations.
+// destinations, and packets walking hop by hop to far destinations.
 func BenchmarkAdaptivePulse(b *testing.B) {
 	// Steady is the gated no-op pulse: no routing input changed since the
 	// last invalidation, so a pulse is one version compare plus a
@@ -62,31 +62,37 @@ func BenchmarkAdaptivePulse(b *testing.B) {
 		}
 	})
 	// LazySparse routes 16 sources per op to the far side of the node
-	// range — the per-source lazy builds, not all-pairs, each settling
+	// range, one hop each: the lazy builds, not all-pairs, each settling
 	// most of its tree.
-	b.Run("LazySparse", func(b *testing.B) {
-		adaptivePulseLazy(b, func(g *topo.Graph) []topo.NodeID {
-			n := g.N()
-			dst := make([]topo.NodeID, n)
-			for src := range dst {
-				dst[src] = topo.NodeID((src + n/2) % n)
-			}
-			return dst
-		})
-	})
+	b.Run("LazySparse", func(b *testing.B) { adaptivePulseLazy(b, farSide, false) })
+	// LazyWalk sends the same 16 packets per op, each walking hop by hop
+	// through NextHop to its far destination: the per-packet pattern,
+	// where every hop after the first queries a node nearer the
+	// destination.
+	b.Run("LazyWalk", func(b *testing.B) { adaptivePulseLazy(b, farSide, true) })
 	// LazyLocal is district-local traffic: each source routes to a node
 	// three radio hops away, so each lazy build settles its tree only
 	// over that neighborhood.
 	b.Run("LazyLocal", func(b *testing.B) {
-		adaptivePulseLazy(b, func(g *topo.Graph) []topo.NodeID { return hopsAway(g, 3) })
+		adaptivePulseLazy(b, func(g *topo.Graph) []topo.NodeID { return hopsAway(g, 3) }, false)
 	})
+}
+
+// farSide maps each source to the node half the id range away.
+func farSide(g *topo.Graph) []topo.NodeID {
+	n := g.N()
+	dst := make([]topo.NodeID, n)
+	for src := range dst {
+		dst[src] = topo.NodeID((src + n/2) % n)
+	}
+	return dst
 }
 
 // adaptivePulseLazy is the sparse-traffic adaptation cycle: fresh
 // utilization on one link, an invalidating pulse, then routes from 16
 // sources to the destination table dstOf builds for the benchmark
-// topology.
-func adaptivePulseLazy(b *testing.B, dstOf func(g *topo.Graph) []topo.NodeID) {
+// topology — the first hop only, or with walk every hop of the way.
+func adaptivePulseLazy(b *testing.B, dstOf func(g *topo.Graph) []topo.NodeID, walk bool) {
 	b.ReportAllocs()
 	g := controlPlaneGraph()
 	r := controlPlaneRouter(g)
@@ -102,7 +108,13 @@ func adaptivePulseLazy(b *testing.B, dstOf func(g *topo.Graph) []topo.NodeID) {
 		r.Pulse()
 		for s := 0; s < 16; s++ {
 			src := (i*31 + s*61) % n
-			r.NextHop("qos", topo.NodeID(src), dst[src])
+			v := r.NextHop("qos", topo.NodeID(src), dst[src])
+			for hops := 1; walk && v >= 0 && v != dst[src]; hops++ {
+				if hops == n {
+					b.Fatalf("forwarding loop from %d toward %d", src, dst[src])
+				}
+				v = r.NextHop("qos", v, dst[src])
+			}
 		}
 	}
 }

@@ -23,23 +23,41 @@
 //     snapshot nor the congestion weight has changed since the last
 //     invalidation, the pulse is a counter bump plus one slice compare.
 //   - Invalidation is O(links), not O(n · Dijkstra): it refreshes the
-//     cost snapshots and bumps a generation number. Each source's tree is
-//     restarted lazily on its first NextHop after that and settled
-//     only as far as the queried destination; the tree keeps its
-//     Dijkstra frontier, and a later query in the same epoch resumes
-//     from it (topo.CostOverlay.StartInto / SettleUntil). Sparse and
-//     district-local traffic never pays the all-pairs cost, nor often a
-//     whole tree, and every settled entry equals a one-shot build's.
-//   - Trees belong to the epoch, not the source. Invalidation moves the
-//     trees built since the last one to a free list, and a build takes a
-//     tree from there before allocating; StartInto resets it completely.
-//     Live routing memory is thus the sources one epoch touches, not
-//     every source a long mobile run has ever touched.
+//     cost snapshots and bumps a generation number. Nothing is built
+//     until traffic asks.
+//   - Trees are rooted at destinations. NextHop(o, at, dst) reads dst's
+//     sink tree — the shortest paths from every node to dst, grown over
+//     the capture's in-links (topo.CostOverlay.StartSinkInto) — which
+//     holds at each settled node its next hop toward dst. A sink tree is
+//     started on the first query toward dst after an invalidation and
+//     settled only as far as the querying node; it keeps its Dijkstra
+//     frontier, and a later query resumes from it. Every hop of a packet
+//     after its first is nearer dst, so already settled: one tree per
+//     destination answers every hop of every packet sent to it, where a
+//     tree per forwarding node would start one per hop.
+//   - Source trees stay the oracle of record. The answer must be the
+//     next hop of the canonical source tree rooted at the forwarding
+//     node (lowest-id predecessor among equal-cost paths), and a sink
+//     tree cannot break ties the same way, nor sum costs in the same
+//     order. So a sink run marks a node tied when it has a second way to
+//     dst within a relative ε of its key, wide enough to cover the
+//     rounding gap between the two summation orders (see
+//     topo.CostOverlay.SettleUntil), and a tied query is answered by the
+//     source tree rooted at the forwarding node, built the same lazy way
+//     over the same capture. Random-cost radio meshes tie almost never;
+//     unit-cost grids tie everywhere.
+//   - Trees belong to the epoch, not the root. Invalidation moves the
+//     trees built since the last one, of either kind, to a free list,
+//     and a build takes a tree from there before allocating; the start
+//     resets it completely. Live routing memory is thus the destinations
+//     one epoch touches, not every root a long mobile run has ever
+//     touched.
 //   - Trees hold neither distances nor predecessors: a tree is its
-//     next-hop array, 4 B a node, and its frontier carries the queued
-//     nodes' tentative distances and canonical predecessors. A settle's
-//     working distances live in a topo.SPTScratch that is +Inf between
-//     calls, one per overlay.
+//     next-hop array, 4 B a node (a sink tree's tie marks ride in it),
+//     and its frontier carries the queued nodes' tentative distances and
+//     predecessors. A settle's working distances live in a
+//     topo.SPTScratch that is +Inf between calls, one per overlay,
+//     shared by both kinds of tree.
 package routing
 
 import (
@@ -175,8 +193,9 @@ func (a *AODV) valid(path []topo.NodeID) bool {
 const DefaultOverlay = ""
 
 // overlay is one virtual topology: a congestion bias, a frozen
-// effective-cost capture of the graph, and lazily built per-source
-// routing tables.
+// effective-cost capture of the graph, and the epoch's routing trees,
+// built lazily: a sink tree per destination, and a source tree per
+// forwarding node whose sink answer was tied.
 type overlay struct {
 	bias float64
 	// ov is the pooled topo.CostOverlay holding the up links and their
@@ -187,41 +206,77 @@ type overlay struct {
 	// for the overlay's life, handed to Graph.CaptureInto.
 	costOf func(li int) float64
 	// sc holds the working distances of every settle over this overlay's
-	// trees; trees are built only on the router's goroutine, in turn.
+	// trees, of both kinds; trees are built only on the router's
+	// goroutine, in turn.
 	sc topo.SPTScratch
-	// gen/stamp mark the current epoch: tables[i] is valid iff
-	// stamp[i] == gen. Trees belong to the epoch, not the source: built
-	// lists the sources whose trees were started this epoch, and
-	// invalidation moves exactly those trees to free and clears their
-	// slots, so a source untouched in the new epoch holds no memory and
-	// the next build of any source takes a tree from free first.
-	gen    uint64
-	stamp  []uint64
-	tables []*topo.SPT
-	built  []topo.NodeID
-	free   []*topo.SPT
+	// gen marks the current epoch. sinks holds the sink trees by
+	// destination, sources the source trees by root.
+	gen     uint64
+	sinks   trees
+	sources trees
+	// free holds the trees of past epochs, of either kind, for the next
+	// builds to reuse.
+	free []*topo.SPT
 }
 
-// take returns a tree for a new build: a recycled one from free when
-// there is one, else a fresh one. StartInto resets whatever run the tree
-// held, so a recycled tree builds exactly what a fresh one would.
-func (o *overlay) take() *topo.SPT {
-	k := len(o.free) - 1
-	if k < 0 {
-		return &topo.SPT{}
+// trees is one kind of tree of an overlay, by root. Trees belong to the
+// epoch, not the root: byRoot[r] is valid iff stamp[r] is the overlay's
+// gen, built lists the roots whose trees were started this epoch, and
+// invalidation moves exactly those trees to the free list and clears
+// their slots, so a root untouched in the new epoch holds no memory.
+type trees struct {
+	stamp  []uint64
+	byRoot []*topo.SPT
+	built  []topo.NodeID
+}
+
+// grow extends the table to n roots.
+func (ts *trees) grow(n int) {
+	for len(ts.byRoot) < n {
+		ts.byRoot = append(ts.byRoot, nil)
+		ts.stamp = append(ts.stamp, 0)
 	}
-	t := o.free[k]
-	o.free[k] = nil
-	o.free = o.free[:k]
-	return t
+}
+
+// retire moves the epoch's trees to free and returns it.
+func (ts *trees) retire(free []*topo.SPT) []*topo.SPT {
+	for _, r := range ts.built {
+		free = append(free, ts.byRoot[r])
+		ts.byRoot[r] = nil
+	}
+	ts.built = ts.built[:0]
+	return free
+}
+
+// tree returns the epoch's tree rooted at root and whether it is new
+// this epoch: a recycled one from free when there is one, else a fresh
+// one. The caller starts a new tree; StartInto and StartSinkInto reset
+// whatever run it held, so a recycled tree builds exactly what a fresh
+// one would.
+func (o *overlay) tree(ts *trees, root topo.NodeID) (*topo.SPT, bool) {
+	if ts.stamp[root] == o.gen {
+		return ts.byRoot[root], false
+	}
+	var t *topo.SPT
+	if k := len(o.free) - 1; k >= 0 {
+		t = o.free[k]
+		o.free[k] = nil
+		o.free = o.free[:k]
+	} else {
+		t = &topo.SPT{}
+	}
+	ts.byRoot[root] = t
+	ts.stamp[root] = o.gen
+	ts.built = append(ts.built, root)
+	return t, true
 }
 
 // Adaptive is the WLI QoS router: link costs blend propagation cost with
 // a congestion estimate fed by per-link utilization feedback, and
 // per-class overlays reweight the blend — topology-on-demand. Pulse
 // refreshes the overlays from current feedback; see the package comment
-// for how pulses are gated, invalidation stays O(links), and tables
-// build lazily per source.
+// for how pulses are gated, invalidation stays O(links), and trees
+// build lazily per destination.
 type Adaptive struct {
 	g *topo.Graph
 	// CongestionWeight scales how strongly utilization inflates cost.
@@ -239,13 +294,16 @@ type Adaptive struct {
 	gateUtil    []float64
 
 	// Pulses counts Pulse calls; Recomputes counts pulses that found
-	// changed inputs and invalidated the tables; SkippedPulses counts
-	// gated no-ops; LazyBuilds counts single-source table builds done on
-	// demand by NextHop.
+	// changed inputs and invalidated the trees; SkippedPulses counts
+	// gated no-ops. SinkBuilds and SourceBuilds count the trees NextHop
+	// started, over all overlays, and TieFallbacks the NextHop queries
+	// a source tree answered because the sink answer was tied.
 	Pulses        int
 	Recomputes    int
 	SkippedPulses int
-	LazyBuilds    uint64
+	SinkBuilds    uint64
+	SourceBuilds  uint64
+	TieFallbacks  uint64
 }
 
 // NewAdaptive creates the adaptive router with a default overlay "" of
@@ -288,8 +346,8 @@ func (a *Adaptive) effectiveCost(li int, bias float64) float64 {
 // SpawnOverlay creates (or reweights) a virtual overlay network with the
 // given congestion bias: bias > 1 is a latency-sensitive class that flees
 // congestion aggressively, bias 0 ignores congestion (bulk class).
-// Spawning captures the overlay's cost snapshot but computes no tables —
-// they are built per source on first use.
+// Spawning captures the overlay's cost snapshot but computes no trees —
+// they are built per destination on first use.
 func (a *Adaptive) SpawnOverlay(name string, bias float64) {
 	o, exists := a.overlays[name]
 	if !exists {
@@ -328,45 +386,48 @@ func (a *Adaptive) Overlays() []string {
 }
 
 // invalidate recaptures o's effective-cost overlay from the live graph
-// and feedback state, moves the epoch's trees to the free list and
-// invalidates every source's table. O(links).
+// and feedback state and moves the epoch's trees to the free list, which
+// invalidates every tree. O(links).
 func (a *Adaptive) invalidate(o *overlay) {
 	a.g.CaptureInto(&o.ov, o.costOf)
 	n := o.ov.N()
-	for len(o.tables) < n {
-		o.tables = append(o.tables, nil)
-		o.stamp = append(o.stamp, 0)
-	}
-	for _, src := range o.built {
-		o.free = append(o.free, o.tables[src])
-		o.tables[src] = nil
-	}
-	o.built = o.built[:0]
+	o.sinks.grow(n)
+	o.sources.grow(n)
+	o.free = o.sinks.retire(o.free)
+	o.free = o.sources.retire(o.free)
 	o.gen++
 }
 
-// spt returns the overlay's table for src with dst settled, starting the
-// tree from the frozen cost snapshot if src has none this epoch. A tree
-// settles only as far as the destinations queried so far this epoch; a
-// later query resumes from the frontier the tree kept. Trees come from
-// the free list, so steady-state builds allocate nothing.
-func (a *Adaptive) spt(o *overlay, src, dst topo.NodeID) *topo.SPT {
-	if int(src) >= len(o.tables) {
-		return nil // node added after the snapshot; no route yet
+// sinkHop answers a query from the overlay's sink tree toward dst,
+// starting it from the frozen cost snapshot if dst has none this epoch
+// and settling it as far as at. A tree settles only as far as the
+// sources queried so far this epoch; a later query resumes from the
+// frontier the tree kept, and the hops of a packet after its first are
+// nearer dst, so already settled.
+func (a *Adaptive) sinkHop(o *overlay, at, dst topo.NodeID) (topo.NodeID, bool) {
+	t, fresh := o.tree(&o.sinks, dst)
+	if fresh {
+		o.ov.StartSinkInto(t, dst)
+		a.SinkBuilds++
 	}
-	t := o.tables[src]
-	if o.stamp[src] != o.gen {
-		t = o.take()
-		o.tables[src] = t
-		o.built = append(o.built, src)
-		o.ov.StartInto(t, src)
-		o.stamp[src] = o.gen
-		a.LazyBuilds++
+	if !t.Settled(at) {
+		o.ov.SettleUntil(&o.sc, t, at)
+	}
+	return t.SinkHop(at)
+}
+
+// sourceHop answers a query from the overlay's source tree rooted at
+// at, started and settled as the sink tree is, over the same capture.
+func (a *Adaptive) sourceHop(o *overlay, at, dst topo.NodeID) topo.NodeID {
+	t, fresh := o.tree(&o.sources, at)
+	if fresh {
+		o.ov.StartInto(t, at)
+		a.SourceBuilds++
 	}
 	if !t.Settled(dst) {
 		o.ov.SettleUntil(&o.sc, t, dst)
 	}
-	return t
+	return t.NextHop(dst)
 }
 
 // lookup resolves an overlay name, falling back to the default overlay —
@@ -416,8 +477,8 @@ func (a *Adaptive) rememberInputs() {
 // adaptation step of the vertical wandering scheme. It is incremental
 // twice over: when no routing input changed since the last pulse it does
 // nothing at all, and when inputs did change it only recaptures the
-// per-overlay cost snapshots and invalidates — each source's tree is then
-// rebuilt lazily on its next use.
+// per-overlay cost snapshots and invalidates — each destination's tree
+// is then rebuilt lazily on its next use.
 func (a *Adaptive) Pulse() {
 	a.Pulses++
 	if !a.inputsChanged() {
@@ -432,22 +493,26 @@ func (a *Adaptive) Pulse() {
 }
 
 // NextHop routes within an overlay; unknown overlays fall back to the
-// default overlay. It returns -1 when dst is unreachable. The overlay's
-// table for src is built on first use after an invalidation, so callers
-// touching few sources never pay the all-pairs cost.
+// default overlay. It returns the next hop from at toward dst, or -1
+// when dst is unreachable. The hop is the one the canonical source tree
+// rooted at at takes (topo.CostOverlay.SettleUntil); it is read off
+// dst's sink tree, built on the first query toward dst after an
+// invalidation, unless the sink tree marks at tied, in which case at's
+// source tree answers.
 //
 //viator:noalloc
-func (a *Adaptive) NextHop(overlay string, src, dst topo.NodeID) topo.NodeID {
-	if src == dst {
+func (a *Adaptive) NextHop(overlay string, at, dst topo.NodeID) topo.NodeID {
+	if at == dst {
 		return dst
 	}
 	o := a.lookup(overlay)
-	if int(dst) >= o.ov.N() {
+	if n := o.ov.N(); int(dst) >= n || int(at) >= n {
 		return -1 // node added after the capture: no route until a pulse
 	}
-	t := a.spt(o, src, dst)
-	if t == nil {
-		return -1
+	hop, tied := a.sinkHop(o, at, dst)
+	if !tied {
+		return hop
 	}
-	return t.NextHop(dst)
+	a.TieFallbacks++
+	return a.sourceHop(o, at, dst)
 }

@@ -28,6 +28,9 @@ const (
 	StatePaused  = "paused"
 	StateDone    = "done"
 	StateStopped = "stopped"
+	// StateFailed is a run whose driver panicked; RunStatus.Error holds
+	// the panic's message. The other runs carry on.
+	StateFailed = "failed"
 )
 
 // control operations sent to the driver.
@@ -66,6 +69,8 @@ type RunStatus struct {
 	Flows     []FlowStatus `json:"flows,omitempty"`
 	// Pass is the overall assertion verdict, present once the run is done.
 	Pass *bool `json:"pass,omitempty"`
+	// Error is the panic message of a failed run.
+	Error string `json:"error,omitempty"`
 }
 
 // RunResult is the sealed outcome served by /api/v1/runs/{id}/result.
@@ -193,9 +198,10 @@ func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // runFams renders the run-level metric families (progress, outcome
 // counters) published alongside the telemetry sink families.
 func runFams(labels string, st RunStatus) []telemetry.PromFamily {
-	gauge := func(name, val string) telemetry.PromFamily {
+	fam := func(name, typ, val string) telemetry.PromFamily {
 		return telemetry.PromFamily{
 			Name:    name,
+			Header:  []byte("# TYPE " + name + " " + typ + "\n"),
 			Samples: []byte(name + "{" + labels + "} " + val + "\n"),
 		}
 	}
@@ -206,12 +212,12 @@ func runFams(labels string, st RunStatus) []telemetry.PromFamily {
 		return "0"
 	}
 	return []telemetry.PromFamily{
-		gauge("viator_run_sim_time", fnum(st.SimNow)),
-		gauge("viator_run_horizon", fnum(st.Horizon)),
-		gauge("viator_run_alive_frac", fnum(st.AliveFrac)),
-		gauge("viator_run_shuttles_delivered_total", strconv.FormatUint(st.Delivered, 10)),
-		gauge("viator_run_shuttles_lost_total", strconv.FormatUint(st.Lost, 10)),
-		gauge("viator_run_done", b2s(st.State == StateDone)),
+		fam("viator_run_sim_time", "gauge", fnum(st.SimNow)),
+		fam("viator_run_horizon", "gauge", fnum(st.Horizon)),
+		fam("viator_run_alive_frac", "gauge", fnum(st.AliveFrac)),
+		fam("viator_run_shuttles_delivered_total", "counter", strconv.FormatUint(st.Delivered, 10)),
+		fam("viator_run_shuttles_lost_total", "counter", strconv.FormatUint(st.Lost, 10)),
+		fam("viator_run_done", "gauge", b2s(st.State == StateDone)),
 	}
 }
 
@@ -261,10 +267,16 @@ func (s *Server) publish(r *Run, h *viator.RunHandle, state string, em *emitter)
 
 // drive is the run's driver goroutine: step one publication period,
 // publish at the barrier, pace, repeat — handling pause/resume/stop
-// between steps, never during one.
+// between steps, never during one. A panic anywhere in the driver fails
+// this run alone (fail) and still closes done.
 func (s *Server) drive(r *Run, h *viator.RunHandle) {
 	defer close(r.done)
 	em := &emitter{tags: `"run":` + strconv.Quote(r.id)}
+	defer func() {
+		if p := recover(); p != nil {
+			s.fail(r, em, fmt.Sprint(p))
+		}
+	}()
 	period := s.cfg.PublishEvery
 	next := period
 	paused := false
@@ -311,6 +323,21 @@ func (s *Server) drive(r *Run, h *viator.RunHandle) {
 	}
 	h.Finish()
 	s.publish(r, h, StateDone, em)
+}
+
+// fail publishes a run's failure: its last published status with the
+// state failed and the panic's message, also streamed as a status line.
+// The simulation is not read again, since the panic may have left it
+// half-stepped, so the run's metric families stay as last published.
+func (s *Server) fail(r *Run, em *emitter, msg string) {
+	last := r.snap.Load()
+	snap := &snapshot{status: last.status, fams: last.fams}
+	snap.status.State = StateFailed
+	snap.status.Error = msg
+	r.snap.Store(snap)
+	var buf bytes.Buffer
+	em.statusLine(&buf, snap.status)
+	s.broker.publish(r.id, buf.Bytes())
 }
 
 // start registers and launches a run for a compiled scenario.

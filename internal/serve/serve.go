@@ -145,6 +145,7 @@ func (s *Server) snapshotGroups() [][]telemetry.PromFamily {
 	groups := make([][]telemetry.PromFamily, 0, len(s.order)+1)
 	groups = append(groups, []telemetry.PromFamily{{
 		Name:    "viator_server_runs",
+		Header:  []byte("# TYPE viator_server_runs gauge\n"),
 		Samples: []byte(fmt.Sprintf("viator_server_runs %d\n", len(s.order))),
 	}, {
 		Name:    "viator_stream_subscribers",

@@ -10,8 +10,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"viator"
 )
 
 // smokeSpec is a cheap feature-dense scenario: churn, healing, two
@@ -274,8 +277,8 @@ func promFamily(line string) string {
 }
 
 // validateProm checks the exposition-format grouping rules: every
-// family's samples are consecutive, and # TYPE headers are unique and
-// precede their family's samples.
+// family's samples are consecutive, and every family has exactly one
+// # TYPE header, which precedes its samples.
 func validateProm(t *testing.T, text string) map[string]int {
 	t.Helper()
 	closed := make(map[string]bool) // families whose block has ended
@@ -312,9 +315,81 @@ func validateProm(t *testing.T, text string) map[string]int {
 			}
 			current = fam
 		}
+		if !typed[fam] {
+			t.Fatalf("family %s has no # TYPE before its samples (line %q)", fam, line)
+		}
 		samples[fam]++
 	}
+	for fam := range typed {
+		if samples[fam] == 0 {
+			t.Fatalf("# TYPE for %s, which has no samples", fam)
+		}
+	}
 	return samples
+}
+
+// panicOnce is a Pacer whose first Pace call panics; every later call
+// returns at once.
+type panicOnce struct{ fired atomic.Bool }
+
+func (p *panicOnce) Pace(float64) {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("pacer: injected failure")
+	}
+}
+
+// TestDriverPanicFailsOnlyItsRun runs two scenarios under a Pacer that
+// panics once. The driver that meets the panic must fail its own run —
+// state failed, the panic's message in its status JSON, no result, done
+// closed — while the other run finishes with the table of an unobserved
+// run, and /metrics stays valid with the failed run resident.
+func TestDriverPanicFailsOnlyItsRun(t *testing.T) {
+	sc, err := viator.ParseScenario([]byte(smokeSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Pacer: &panicOnce{}})
+	seeds := map[string]uint64{}
+	for _, seed := range []uint64{11, 22} {
+		seeds[postRun(t, ts.URL, specBody(seed)).ID] = seed
+	}
+	failed, done := 0, 0
+	for id, seed := range seeds {
+		r, _ := s.Get(id)
+		r.Wait()
+		var st RunStatus
+		getJSON(t, ts.URL+"/api/v1/runs/"+id, &st)
+		switch st.State {
+		case StateFailed:
+			failed++
+			if !strings.Contains(st.Error, "injected failure") || st.Pass != nil {
+				t.Fatalf("failed run %s: status %+v", id, st)
+			}
+			if code := getJSON(t, ts.URL+"/api/v1/runs/"+id+"/result", nil); code != http.StatusConflict {
+				t.Fatalf("failed run %s: result status %d, want 409", id, code)
+			}
+		case StateDone:
+			done++
+			var res RunResult
+			getJSON(t, ts.URL+"/api/v1/runs/"+id+"/result", &res)
+			if want := sc.Run(seed).Table().String(); res.Table != want {
+				t.Fatalf("run %s beside the failed one diverged from an unobserved run:\n%s\nwant:\n%s", id, res.Table, want)
+			}
+		default:
+			t.Fatalf("run %s ended in state %q", id, st.State)
+		}
+	}
+	if failed != 1 || done != 1 {
+		t.Fatalf("%d failed and %d done runs, want one each", failed, done)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	validateProm(t, buf.String())
 }
 
 func TestMetricsValidPrometheus(t *testing.T) {

@@ -364,25 +364,24 @@ type PromFamily struct {
 // family order WriteProms uses (histograms, flow counters and gauges,
 // then recorder last-values). Families that would emit no samples are
 // omitted. labels is the dump's Prometheus label fragment (e.g.
-// `run="r1"`), applied to every sample.
+// `run="r1"`), applied to every sample. Every family carries a `# TYPE`
+// header, the flow and recorder families included, which WriteProms
+// leaves untyped (the batch snapshots are pinned byte for byte).
 func PromFamilies(d *Dump, labels string) []PromFamily {
 	var fams []PromFamily
-	add := func(name string, header string, render func(w io.Writer)) {
+	add := func(name, typ string, render func(w io.Writer)) {
 		var buf bytes.Buffer
 		render(&buf)
 		if buf.Len() == 0 {
 			return
 		}
-		var hdr []byte
-		if header != "" {
-			hdr = []byte(header)
-		}
+		hdr := []byte("# TYPE " + name + " " + typ + "\n")
 		fams = append(fams, PromFamily{Name: name, Header: hdr, Samples: buf.Bytes()})
 	}
 	for _, nh := range d.Hists {
 		name := "viator_" + promName(nh.Name)
 		h := nh.H
-		add(name, "# TYPE "+name+" histogram\n", func(w io.Writer) {
+		add(name, "histogram", func(w io.Writer) {
 			cum := uint64(0)
 			h.EachBucket(func(upper float64, count uint64) {
 				cum += count
@@ -403,22 +402,22 @@ func PromFamilies(d *Dump, labels string) []PromFamily {
 			f(w, `flow="`+promName(r.Name)+`"`, r)
 		}
 	}
-	add("viator_flow_sent_total", "", func(w io.Writer) {
+	add("viator_flow_sent_total", "counter", func(w io.Writer) {
 		eachFlow(w, func(w io.Writer, fl string, r FlowReport) {
 			fmt.Fprintf(w, "viator_flow_sent_total%s %d\n", promLabel(labels, fl), r.Sent)
 		})
 	})
-	add("viator_flow_delivered_total", "", func(w io.Writer) {
+	add("viator_flow_delivered_total", "counter", func(w io.Writer) {
 		eachFlow(w, func(w io.Writer, fl string, r FlowReport) {
 			fmt.Fprintf(w, "viator_flow_delivered_total%s %d\n", promLabel(labels, fl), r.Delivered)
 		})
 	})
-	add("viator_flow_delivery_ratio", "", func(w io.Writer) {
+	add("viator_flow_delivery_ratio", "gauge", func(w io.Writer) {
 		eachFlow(w, func(w io.Writer, fl string, r FlowReport) {
 			fmt.Fprintf(w, "viator_flow_delivery_ratio%s %s\n", promLabel(labels, fl), fnum(r.DeliveryRatio))
 		})
 	})
-	add("viator_flow_latency_seconds", "", func(w io.Writer) {
+	add("viator_flow_latency_seconds", "gauge", func(w io.Writer) {
 		eachFlow(w, func(w io.Writer, fl string, r FlowReport) {
 			for _, qv := range [...]struct {
 				q string
@@ -429,7 +428,7 @@ func PromFamilies(d *Dump, labels string) []PromFamily {
 			}
 		})
 	})
-	add("viator_flow_slo_pass", "", func(w io.Writer) {
+	add("viator_flow_slo_pass", "gauge", func(w io.Writer) {
 		eachFlow(w, func(w io.Writer, fl string, r FlowReport) {
 			pass := uint64(0)
 			if r.SLOPass {
@@ -438,7 +437,7 @@ func PromFamilies(d *Dump, labels string) []PromFamily {
 			fmt.Fprintf(w, "viator_flow_slo_pass%s %d\n", promLabel(labels, fl), pass)
 		})
 	})
-	add("viator_series_last", "", func(w io.Writer) {
+	add("viator_series_last", "gauge", func(w io.Writer) {
 		if d.Rec == nil {
 			return
 		}
@@ -456,7 +455,8 @@ func PromFamilies(d *Dump, labels string) []PromFamily {
 // snapshot: families are merged by name in first-seen order, each
 // family's header is written once, and every group's samples for that
 // family follow consecutively. When all groups share a family set this
-// reproduces WriteProms byte-for-byte.
+// reproduces WriteProms' samples line for line, with a `# TYPE` header
+// on every family PromFamilies typed.
 func WritePromFamilies(w io.Writer, groups ...[]PromFamily) error {
 	var order []string
 	byName := make(map[string][]*PromFamily)

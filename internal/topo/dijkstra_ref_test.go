@@ -143,9 +143,9 @@ func expectEqualSPT(t *testing.T, ov *CostOverlay, got, ref *SPT) {
 // cheapest is the lowest captured cost of an edge p→u, +Inf if none.
 func cheapest(ov *CostOverlay, p, u NodeID) float64 {
 	c := math.Inf(1)
-	for e := ov.start[p]; e < ov.start[p+1]; e++ {
-		if ov.to[e] == u {
-			c = min(c, ov.cost[e])
+	for _, l := range ov.in[ov.inStart[u]:ov.inStart[u+1]] {
+		if NodeID(l.from) == p {
+			c = min(c, l.cost)
 		}
 	}
 	return c
@@ -413,12 +413,14 @@ func expectScratchAtRest(t *testing.T, sc *SPTScratch, what string) {
 }
 
 // TestSettleScratchRestsAtInf drives random call sequences on Waxman
-// graphs and grids — partial and complete runs, a dst already settled,
-// an unreachable dst, the source as dst, and StartInto in the middle of
-// a run — over two trees that share one scratch. After every call the
-// scratch must be back at rest, +Inf everywhere, and every settled node
-// of the tree must still equal the canonical reference: an entry left
-// behind would hand one tree's distances to the other's next run.
+// graphs and grids — partial and complete runs, a target already
+// settled, an unreachable target, the root as target, and a restart of
+// either kind in the middle of a run — over two source trees and two
+// sink trees that share one scratch. After every call the scratch must
+// be back at rest, +Inf everywhere, every settled node of a source tree
+// must still equal the canonical reference, and every untied node of a
+// sink tree the source tree rooted there: an entry left behind would
+// hand one tree's distances to the other's next run.
 func TestSettleScratchRestsAtInf(t *testing.T) {
 	rng := sim.NewRNG(57)
 	for trial := 0; trial < 6; trial++ {
@@ -439,10 +441,15 @@ func TestSettleScratchRestsAtInf(t *testing.T) {
 			}
 			return refs[src]
 		}
+		sources := sourceTrees(&ov)
 		sc := &SPTScratch{}
-		trees := []*SPT{{}, {}}
-		for _, tree := range trees {
-			ov.StartInto(tree, NodeID(rng.Intn(n)))
+		trees := []*SPT{{}, {}, {}, {}}
+		for i, tree := range trees {
+			if i%2 == 0 {
+				ov.StartInto(tree, NodeID(rng.Intn(n)))
+			} else {
+				ov.StartSinkInto(tree, NodeID(rng.Intn(n)))
+			}
 		}
 		for step := 0; step < 150; step++ {
 			tree := trees[rng.Intn(len(trees))]
@@ -471,31 +478,47 @@ func TestSettleScratchRestsAtInf(t *testing.T) {
 				ov.SettleUntil(sc, tree, tree.Source)
 			default:
 				what = "restart mid-run"
-				ov.StartInto(tree, NodeID(rng.Intn(n)))
+				if rng.Intn(2) == 0 {
+					ov.StartInto(tree, NodeID(rng.Intn(n)))
+				} else {
+					ov.StartSinkInto(tree, NodeID(rng.Intn(n)))
+				}
 			}
 			expectScratchAtRest(t, sc, what)
-			expectSettledMatch(t, &ov, tree, ref(tree.Source))
+			if tree.sink {
+				expectSinkAgrees(t, tree, sources)
+			} else {
+				expectSettledMatch(t, &ov, tree, ref(tree.Source))
+			}
 		}
 	}
 }
 
-// TestOverlayTreeBytesPerNode pins an overlay tree's size: StartInto on
-// a fresh tree over a 100k-node capture allocates the next hops, 4 B a
-// node, plus a small constant — the tree itself, a one-entry frontier
-// and the allocator's page rounding of the array. A tree that kept
-// predecessors too would take 8 B a node, and with distances 16 B.
+// TestOverlayTreeBytesPerNode pins an overlay tree's size, for both
+// kinds: StartInto or StartSinkInto on a fresh tree over a 100k-node
+// capture allocates the next hops, 4 B a node, plus a small constant —
+// the tree itself, a one-entry frontier and the allocator's page
+// rounding of the array. A tree that kept predecessors too would take
+// 8 B a node, and with distances 16 B. A sink tree's tie marks ride in
+// its next-hop entries.
 func TestOverlayTreeBytesPerNode(t *testing.T) {
 	const n = 100_000
 	g := Line(n)
 	var ov CostOverlay
 	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ov.StartInto(&SPT{}, 0)
+	ov.StartInto(&SPT{}, 0) // builds the capture's out-link CSR once
+	for _, kind := range []struct {
+		name  string
+		start func(*SPT, NodeID)
+	}{{"StartInto", ov.StartInto}, {"StartSinkInto", ov.StartSinkInto}} {
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kind.start(&SPT{}, 0)
+			}
+		})
+		if got, limit := res.AllocedBytesPerOp(), int64(4*n+16<<10); got > limit {
+			t.Fatalf("%s on a fresh %d-node tree allocated %d B, want at most %d (4 B a node + 16 KiB)", kind.name, n, got, limit)
 		}
-	})
-	if got, limit := res.AllocedBytesPerOp(), int64(4*n+16<<10); got > limit {
-		t.Fatalf("StartInto on a fresh %d-node tree allocated %d B, want at most %d (4 B a node + 16 KiB)", n, got, limit)
 	}
 }
 
@@ -585,18 +608,19 @@ func TestPathToRefusesOverlayTree(t *testing.T) {
 // indistinguishable from a fresh one.
 func expectSameTree(t *testing.T, what string, got, want *SPT) {
 	t.Helper()
-	if got.Source != want.Source || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Prev, want.Prev) ||
+	if got.Source != want.Source || got.sink != want.sink || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Prev, want.Prev) ||
 		!slices.Equal(got.next, want.next) || !slices.Equal(got.frontier, want.frontier) {
 		t.Fatalf("%s: recycled tree differs from a fresh one", what)
 	}
 }
 
 // TestRecycledTreeMatchesFresh reuses one tree for every kind of run in
-// turn — static ComputeInto, partial and complete overlay runs, and runs
-// left unsettled for the next restart — and requires each result to
-// equal the same run on a fresh tree. Static builds leave no frontier
-// and no -2-pos entries, overlay runs do, so each kind must leave the
-// tree in a state the other's reset fully clears.
+// turn — static ComputeInto, partial and complete source and sink runs,
+// and runs left unsettled for the next restart — and requires each
+// result to equal the same run on a fresh tree. Static builds leave no
+// frontier and no -2-pos entries, overlay runs do, and sink runs leave
+// tie marks, so each kind must leave the tree in a state the others'
+// resets fully clear.
 func TestRecycledTreeMatchesFresh(t *testing.T) {
 	rng := sim.NewRNG(11)
 	g := RandomGeometric(200, 100, 15, rng)
@@ -604,28 +628,30 @@ func TestRecycledTreeMatchesFresh(t *testing.T) {
 	g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 	n := g.N()
 	sc, tree := &SPTScratch{}, &SPT{}
-	for step := 0; step < 60; step++ {
-		src := NodeID(rng.Intn(n))
+	for step := 0; step < 90; step++ {
+		root := NodeID(rng.Intn(n))
+		start, kind := ov.StartInto, "source"
+		if rng.Intn(2) == 0 {
+			start, kind = ov.StartSinkInto, "sink"
+		}
+		run := func(t *SPT, sc *SPTScratch, v NodeID) *SPT {
+			start(t, root)
+			ov.SettleUntil(sc, t, v)
+			return t
+		}
 		switch rng.Intn(4) {
 		case 0:
-			expectSameTree(t, "ComputeInto", g.ComputeInto(sc, tree, src), g.ComputeInto(nil, nil, src))
-		case 1: // a partial run: a neighbor or a random node
-			dst := NodeID(rng.Intn(n))
-			if nb := g.Neighbors(src); len(nb) > 0 {
-				dst = nb[rng.Intn(len(nb))]
+			expectSameTree(t, "ComputeInto", g.ComputeInto(sc, tree, root), g.ComputeInto(nil, nil, root))
+		case 1: // a partial run: toward a neighbor or a random node
+			v := NodeID(rng.Intn(n))
+			if nb := g.Neighbors(root); len(nb) > 0 {
+				v = nb[rng.Intn(len(nb))]
 			}
-			fresh := &SPT{}
-			ov.StartInto(fresh, src)
-			ov.SettleUntil(&SPTScratch{}, fresh, dst)
-			ov.StartInto(tree, src)
-			ov.SettleUntil(sc, tree, dst)
-			expectSameTree(t, "partial run", tree, fresh)
+			expectSameTree(t, "partial "+kind+" run", run(tree, sc, v), run(&SPT{}, &SPTScratch{}, v))
 		case 2:
-			ov.StartInto(tree, src)
-			ov.SettleUntil(sc, tree, -1)
-			expectSameTree(t, "complete run", tree, oneShot(&ov, src))
+			expectSameTree(t, "complete "+kind+" run", run(tree, sc, -1), run(&SPT{}, &SPTScratch{}, -1))
 		default: // a run left behind for the next restart, perhaps unsettled
-			ov.StartInto(tree, src)
+			start(tree, root)
 			if rng.Intn(2) == 0 {
 				ov.SettleUntil(sc, tree, NodeID(rng.Intn(n)))
 			}

@@ -26,7 +26,7 @@ type Link struct {
 // It is not safe for concurrent mutation.
 type Graph struct {
 	n       int
-	adj     [][]int // per-node indexes into links
+	adj     [][]int // per-node indexes into links, ascending: Connect appends to both
 	link    []Link
 	pos     []Point // optional geometry, used by geometric generators
 	version uint64  // bumped on every topology change: node/link add, up/down, cost
@@ -237,7 +237,8 @@ func spPop(h []spItem) ([]spItem, spItem) {
 
 // frontierItem is one entry of an overlay run's frontier: a queued node,
 // its tentative distance and the canonical predecessor that distance
-// runs through (-1 for the source). Overlay trees store neither
+// runs through (-1 for the root) — in a sink run the successor, with
+// tiedBit when a second one came close. Overlay trees store neither
 // distances nor predecessors of their own, so both live here and travel
 // with the tree from one SettleUntil call to the next. prev takes what
 // would be padding after node, so an entry stays 16 B.
@@ -320,11 +321,21 @@ func b2i(b bool) int {
 	return 0
 }
 
-// SPT holds a single-source shortest path tree. A tree built by
-// CostOverlay.StartInto and SettleUntil may be partial: only its settled
-// nodes (Settled) carry final entries, and the pending heap of the run —
-// its frontier — stays with the tree so the next SettleUntil resumes the
-// run where the last one stopped.
+// SPT holds a shortest-path tree of one of two kinds:
+//
+//   - a source tree (Dijkstra, ComputeInto, CostOverlay.StartInto): the
+//     shortest paths from Source to every node, and at each settled node
+//     v the first hop of the path Source→v (NextHop);
+//   - a sink tree (CostOverlay.StartSinkInto): the shortest paths from
+//     every node to Source, its root, grown over reversed links, and at
+//     each settled node v the next hop of the path v→Source (SinkHop). A
+//     router forwarding toward one destination reads every hop of every
+//     packet off that destination's one sink tree.
+//
+// An overlay tree (either kind, built by a CostOverlay) may be partial:
+// only its settled nodes (Settled) carry final entries, and the pending
+// heap of the run — its frontier — stays with the tree so the next
+// SettleUntil resumes the run where the last one stopped.
 //
 // Overlay trees carry neither distances nor predecessors: a tree is one
 // int32 next-hop array, 4 B a node, because routers hold many trees and
@@ -341,15 +352,20 @@ type SPT struct {
 	// nodes. Like next it is int32, half a NodeID table. Like Dist, only
 	// static trees fill it; it is empty in overlay trees.
 	Prev []int32
-	// next is the first hop toward each node once it is settled, so
-	// next[v] >= 0 marks v settled. It is -1 at the source and at nodes
-	// not (yet) reached, and -2-i at a node waiting at position i of an
-	// overlay run's frontier.
+	// next holds each settled node's hop, so next[v] >= 0 marks v
+	// settled: in a source tree the first hop toward v, in a sink tree
+	// v's next hop toward the root, with tiedBit set when v is tied
+	// (SinkHop). It is -1 at the tree's Source and at nodes not (yet)
+	// reached, and -2-i at a node waiting at position i of an overlay
+	// run's frontier.
 	next []int32
 	// frontier is the pending heap of a partial overlay run, each queued
-	// node with its tentative distance and predecessor; empty once the
-	// run is complete.
+	// node with its tentative distance and predecessor (in a sink run:
+	// its successor, with tiedBit); empty once the run is complete.
 	frontier []frontierItem
+	// sink marks a sink tree, whose runs relax the capture's links
+	// backwards.
+	sink bool
 }
 
 // SPTScratch is the reusable working memory of a shortest-path
@@ -377,6 +393,16 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// regrow is resize with append's amortized growth: a capture whose link
+// count creeps up from one pulse to the next reallocates rarely, not on
+// every pulse. Like resize it copies nothing over.
+func regrow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:0], make([]T, n)...)
+	}
+	return s[:n]
+}
+
 // Dijkstra computes shortest paths from src over up links using Cost as
 // the metric. Negative costs panic. It allocates a fresh tree; hot
 // callers retain an SPTScratch and an SPT and use ComputeInto instead.
@@ -396,21 +422,78 @@ func (g *Graph) ComputeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 }
 
 // CostOverlay is a frozen, routing-ready view of a graph: the up links
-// at one instant, laid out as a compressed adjacency (CSR) with blended
-// per-link costs. Capturing one is O(links) and reuses the overlay's
+// at one instant with blended per-link costs, laid out as compressed
+// adjacencies (CSR). Capturing one is O(links) and reuses the overlay's
 // backing arrays; computing shortest paths from it never touches the
 // live graph, so a control plane can capture at pulse time and build
-// trees lazily later (StartInto, SettleUntil), with results identical to
-// building them at capture time. The flat layout also makes the
-// relaxation loop two sequential array reads per edge instead of three
-// dependent random loads (adjacency slice → link record → cost table),
-// which is where a tree build spends its time.
+// trees lazily later (StartInto, StartSinkInto, SettleUntil), with
+// results identical to building them at capture time. The flat layout
+// also makes the relaxation loop sequential array reads per edge instead
+// of dependent random loads (adjacency slice → link record → cost
+// table), which is where a tree build spends its time.
+//
+// The capture holds the links grouped by head, each node's in-links:
+// the adjacency a sink run relaxes. It also records where each in-link
+// falls among its tail's out-links in CaptureInto's order (the tail's
+// adjacency order), so the out-link CSR a source run relaxes is built
+// from the in-links on the capture's first StartInto, with the same
+// costs and the same edge order a direct capture would have. A capture
+// that only sink trees use never builds it.
 type CostOverlay struct {
-	n     int
-	start []int32 // edge range of node u is [start[u], start[u+1])
-	to    []NodeID
+	n int
+	// inStart[v] .. inStart[v+1] is the range of v's in-links in in.
+	inStart []int32
+	in      []inLink
+	// start[u] .. start[u+1] is the range of u's out-links in to and
+	// cost. CaptureInto fills start; to and cost are filled on demand
+	// (forward), and fwd says they are current.
+	start []int32
+	to    []int32
 	cost  []float64
+	fwd   bool
+	// eps is the capture's relative tie gap (tieEps). lowOut says some
+	// link is cheap enough to mark a tie at settle time (CaptureInto),
+	// and minOut then holds each node's cheapest out-link (+Inf when it
+	// has none).
+	eps    float64
+	lowOut bool
+	minOut []float64
 }
+
+// inLink is one captured in-link: its cost, its tail, and its rank among
+// the tail's out-links, which places it in the out-link CSR. The three
+// share one 16 B entry, so placing a link writes one cache line and a
+// sink run reads cost and tail from one.
+type inLink struct {
+	cost       float64
+	from, rank int32
+}
+
+// tiedBit marks, in a sink tree's settled entry and in a sink run's
+// frontier entry, a node with a tied way to the root (SinkHop). Node ids
+// stay below it (CaptureInto checks), so an entry is its successor with
+// at most this one bit set, and still non-negative.
+const tiedBit = 1 << 30
+
+// tieEps is the relative gap within which a sink run over an n-node
+// capture counts a node's second way to the root as a tie.
+//
+// A source run sums a path's costs from its root outward,
+// fl(..fl(fl(c1+c2)+c3)..+ck), and a sink run from its root inward,
+// fl(c1+fl(c2+..+fl(c(k-1)+ck)..)). Summing k non-negative costs in
+// either order errs by at most γk = k·u/(1-k·u) of the exact sum, with
+// u = 2⁻⁵³, and a tree path has fewer than n links, so the two runs
+// together err by at most 2·γn. Let the source tree rooted at a take a
+// first hop w toward r other than a's sink successor. Its path is
+// shortest in the source run's rounding and the sink path in the sink
+// run's, so their exact lengths differ by at most 2·γn of a's key, and
+// the sink run, relaxing a's link to w, prices that way within about
+// 4·γn of a's key. ε = 8·n·u covers that with room to spare. A wider ε
+// costs tie fallbacks, never a wrong hop.
+//
+// Only a's own tie matters: a source tree's next hop is its path's first
+// link, so paths that share it and part later answer the same.
+func tieEps(n int) float64 { return 8 * float64(n) * 0x1p-53 }
 
 // N returns the node count at capture time.
 func (o *CostOverlay) N() int { return o.n }
@@ -420,64 +503,155 @@ func (o *CostOverlay) N() int { return o.n }
 // pulse-step timing at which the pre-overlay design ran Dijkstra and
 // panicked. Down links are excluded entirely.
 //
+// It walks the link table twice in index order: once to count each
+// node's up in-links, once to price each up link and place it in its
+// head's in-link range. Connect appends a link to its tail's adjacency
+// as it appends it to the table, so a tail's links come in adjacency
+// order here, and counting them off ranks each among the tail's
+// out-links.
+//
 //viator:noalloc
 func (g *Graph) CaptureInto(o *CostOverlay, costOf func(li int) float64) {
 	n := g.n
+	if n >= tiedBit {
+		panic("topo: capture too large for sink-tree entries") //viator:alloc-ok panic path: 2^30 nodes is far beyond any scenario
+	}
 	o.n = n
-	o.start = resize(o.start, n+1) //viator:alloc-ok amortized capacity growth; steady-state capture reuses the overlay and allocates nothing
-	o.to = o.to[:0]
-	o.cost = o.cost[:0]
-	for u := 0; u < n; u++ {
-		o.start[u] = int32(len(o.to))
-		for _, li := range g.adj[u] {
-			l := &g.link[li]
-			if !l.Up {
-				continue
-			}
-			c := costOf(li)
-			if c < 0 {
-				panic("topo: negative link cost") //viator:alloc-ok panic path: negative cost is a model bug, never taken in a valid run
-			}
-			o.to = append(o.to, l.To)
-			o.cost = append(o.cost, c)
+	o.fwd = false
+	o.inStart = resize(o.inStart, n+1) //viator:alloc-ok amortized capacity growth; steady-state capture reuses the overlay and allocates nothing
+	o.start = resize(o.start, n+1)     //viator:alloc-ok amortized capacity growth; steady-state capture reuses the overlay and allocates nothing
+	at, start, links := o.inStart, o.start, g.link
+	clear(at)
+	clear(start)
+	for i := range links {
+		if l := &links[i]; l.Up {
+			at[l.To+1]++
 		}
 	}
-	o.start[n] = int32(len(o.to))
+	for v := 0; v < n; v++ {
+		at[v+1] += at[v]
+	}
+	o.in = regrow(o.in, int(at[n])) //viator:alloc-ok amortized capacity growth; steady-state capture reuses the overlay and allocates nothing
+	in := o.in
+	// fill[v] is the next free position of v's in-link range; it walks
+	// at[v] up to at[v+1], so at is rebuilt by shifting afterwards.
+	// start[u+1] counts u's up out-links as they come, which ranks them,
+	// and becomes the out-link CSR's offsets by a prefix sum.
+	fill := at[:n]
+	cmin, cmax := math.Inf(1), 0.0
+	for li := range links {
+		l := &links[li]
+		if !l.Up {
+			continue
+		}
+		c := costOf(li)
+		if c < 0 {
+			panic("topo: negative link cost") //viator:alloc-ok panic path: negative cost is a model bug, never taken in a valid run
+		}
+		in[fill[l.To]] = inLink{c, int32(l.From), start[l.From+1]}
+		fill[l.To]++
+		start[l.From+1]++
+		cmin, cmax = min(cmin, c), max(cmax, c)
+	}
+	copy(at[1:], at[:n])
+	at[0] = 0
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	o.eps = tieEps(n)
+	// A settle marks node x tied when x has an out-link no dearer than
+	// 2·ε of its key, and no key reaches n·cmax (a path has fewer than n
+	// links), so the cheapest links are kept per node only when the
+	// cheapest link of all is that cheap: with zero-cost links, say.
+	o.lowOut = cmin <= 2*o.eps*float64(n)*cmax
+	if o.lowOut {
+		o.minOut = resize(o.minOut, n) //viator:alloc-ok amortized capacity growth; steady-state capture reuses the overlay and allocates nothing
+		for v := range o.minOut {
+			o.minOut[v] = math.Inf(1)
+		}
+		for _, l := range in {
+			o.minOut[l.from] = min(o.minOut[l.from], l.cost)
+		}
+	}
 }
 
-// StartInto resets t to the start of a shortest-path run from src over
-// the capture: every node but src unsettled, and the frontier holding src
+// forward fills the out-link CSR from the in-links, once per capture:
+// each in-link lands at its rank in its tail's range, so every node's
+// out-links come in CaptureInto's order.
+//
+//viator:noalloc
+func (o *CostOverlay) forward() {
+	if o.fwd {
+		return
+	}
+	m := len(o.in)
+	o.to = regrow(o.to, m)     //viator:alloc-ok amortized capacity growth on a capture's first source run; steady state reuses it
+	o.cost = regrow(o.cost, m) //viator:alloc-ok amortized capacity growth on a capture's first source run; steady state reuses it
+	to, cost, in, at, start := o.to, o.cost, o.in, o.inStart, o.start
+	for v := 0; v < o.n; v++ {
+		for _, l := range in[at[v]:at[v+1]] {
+			e := start[l.from] + l.rank
+			to[e], cost[e] = int32(v), l.cost
+		}
+	}
+	o.fwd = true
+}
+
+// StartInto resets t to the start of a source run from src over the
+// capture: every node but src unsettled, and the frontier holding src
 // alone at distance 0. It always discards t's previous frontier, whatever
-// run or epoch that came from, and leaves Dist and Prev empty: overlay
-// trees hold only the next hops. Nothing is settled yet beyond the
-// source, whose entries are final from here; SettleUntil does the work.
+// run, kind or epoch that came from, and leaves Dist and Prev empty:
+// overlay trees hold only the next hops. Nothing is settled yet beyond
+// the source, whose entries are final from here; SettleUntil does the
+// work. The capture's first StartInto builds its out-link CSR.
 //
 //viator:noalloc
 func (o *CostOverlay) StartInto(t *SPT, src NodeID) {
+	o.forward()
+	o.begin(t, src, false)
+}
+
+// StartSinkInto resets t to the start of a sink run toward dst over the
+// capture, as StartInto does for a source run: dst is the root, and
+// SettleUntil grows the tree over the in-links.
+//
+//viator:noalloc
+func (o *CostOverlay) StartSinkInto(t *SPT, dst NodeID) {
+	o.begin(t, dst, true)
+}
+
+// begin resets t to a run of the given kind rooted at root.
+//
+//viator:noalloc
+func (o *CostOverlay) begin(t *SPT, root NodeID, sink bool) {
 	n := o.n
-	t.Source = src
+	t.Source = root
+	t.sink = sink
 	t.Dist = t.Dist[:0]
 	t.Prev = t.Prev[:0]
 	t.next = resize(t.next, n) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
 	for i := range t.next {
 		t.next[i] = -1
 	}
-	t.next[src] = -2 // position 0
-	t.frontier = append(t.frontier[:0], frontierItem{0, int32(src), -1})
+	t.next[root] = -2 // position 0
+	t.frontier = append(t.frontier[:0], frontierItem{0, int32(root), -1})
 }
 
 // SettleUntil resumes t's run from its frontier and stops right after
-// settling dst and relaxing dst's edges, or when the frontier empties;
-// dst = -1 runs to completion, and a dst already settled returns at once.
-// t must have been started by StartInto on this same capture. The run's
-// working distances live in sc for the length of the call: it loads the
+// settling v and relaxing v's links, or when the frontier empties; v = -1
+// runs to completion, and a v already settled returns at once. In a
+// source tree v is the destination the caller routes toward; in a sink
+// tree it is the node the caller routes from. t must have been started
+// by StartInto or StartSinkInto on this same capture. The run's working
+// distances live in sc for the length of the call: it loads the
 // frontier's keys into sc's dense table, which every call leaves +Inf
-// again on return, so one scratch serves any number of trees in turn.
-// Inside a call a node settled by an earlier one reads +Inf there, so
-// the relaxation tells it by its next hop, the first time an edge
-// reaches it, and marks it -Inf, which fails every later comparison.
+// again on return, so one scratch serves any number of trees of either
+// kind in turn. Inside a call a node settled by an earlier one reads
+// +Inf there, so the relaxation tells it by its next hop, the first time
+// a link reaches it, and marks it -Inf, which fails every later
+// comparison.
 //
-// Trees are canonical: among equal-cost shortest paths a node's
+// Source trees are canonical: among equal-cost shortest paths a node's
 // predecessor is its lowest-id one. A queued node's frontier entry
 // carries that predecessor, and settling the node reads its next hop
 // off it. That holds when every captured cost is positive (a zero-cost
@@ -486,37 +660,80 @@ func (o *CostOverlay) StartInto(t *SPT, src NodeID) {
 // so after any sequence of calls every settled node's next hop, and
 // every frontier entry, equals a one-shot build's.
 //
+// Sink trees instead mark ties. A queued node's entry is tied while a
+// second successor's way to the root is within ε of its key (tieEps),
+// and settling node x marks it tied too when x has an out-link no
+// dearer than 2·ε of its key: that link's far end may settle after x,
+// too late to be seen. A source tree rooted at a can take a first hop
+// other than a's sink successor only when a is tied, so an untied
+// SinkHop is that source tree's next hop, whatever the heap order and
+// call sequence.
+//
 //viator:noalloc
-func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
-	if dst >= 0 && t.Settled(dst) {
+func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, v NodeID) {
+	if v >= 0 && t.Settled(v) {
 		return
 	}
-	n := o.n
+	sc.load(o.n, t.frontier)
+	if t.sink {
+		o.settleSink(sc, t, int32(v))
+	} else {
+		o.settleSource(sc, t, int32(v))
+	}
+	sc.rest(t.frontier)
+}
+
+// load readies sc for a run over an n-node capture: its distance table
+// grows to n entries, +Inf like the rest, and takes the frontier's keys.
+//
+//viator:noalloc
+func (sc *SPTScratch) load(n int, h []frontierItem) {
 	if len(sc.dist) < n {
 		sc.dist = slices.Grow(sc.dist, n-len(sc.dist)) //viator:alloc-ok amortized capacity growth when n grows; steady state untouched
 		for len(sc.dist) < n {
 			sc.dist = append(sc.dist, math.Inf(1))
 		}
 	}
-	src := t.Source
+	for _, it := range h {
+		sc.dist[it.node] = it.dist
+	}
+	sc.touched = sc.touched[:0]
+}
+
+// rest returns sc's distance table to +Inf at every entry a run set:
+// the nodes it listed in touched and the frontier h it leaves behind.
+//
+//viator:noalloc
+func (sc *SPTScratch) rest(h []frontierItem) {
+	inf := math.Inf(1)
+	for _, v := range sc.touched {
+		sc.dist[v] = inf
+	}
+	for _, it := range h {
+		sc.dist[it.node] = inf
+	}
+}
+
+// settleSource is SettleUntil's loop for a source tree, over the
+// out-links.
+//
+//viator:noalloc
+func (o *CostOverlay) settleSource(sc *SPTScratch, t *SPT, dst int32) {
+	src := int32(t.Source)
 	dist, next := sc.dist, t.next
 	start, tos, costs := o.start, o.to, o.cost
-	h := t.frontier
-	for _, it := range h {
-		dist[it.node] = it.dist
-	}
-	touched := sc.touched[:0]
+	h, touched := t.frontier, sc.touched
 	for len(h) > 0 {
 		top := h[0]
 		h = frontierPop(h, next)
-		u, du := NodeID(top.node), top.dist
-		touched = append(touched, top.node) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
+		u, du := top.node, top.dist
+		touched = append(touched, u) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
 		// Settle-time next-hop fill, as in Graph.computeInto, through the
 		// predecessor the entry carried.
 		if u == src {
 			next[u] = -1
-		} else if p := top.prev; NodeID(p) == src {
-			next[u] = int32(u)
+		} else if p := top.prev; p == src {
+			next[u] = u
 		} else {
 			next[u] = next[p]
 		}
@@ -527,18 +744,18 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 				q := next[to]
 				if q >= 0 || to == src {
 					// Settled by an earlier call, so its distance is not
-					// in sc; -Inf turns away every later edge to it.
+					// in sc; -Inf turns away every later link to it.
 					dist[to] = math.Inf(-1)
-					touched = append(touched, int32(to)) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
+					touched = append(touched, to) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
 					continue
 				}
 				dist[to] = nd
 				if q == -1 {
-					h = append(h, frontierItem{nd, int32(to), int32(u)}) //viator:alloc-ok amortized frontier growth, bounded by n; steady state reuses the tree's frontier
+					h = append(h, frontierItem{nd, to, u}) //viator:alloc-ok amortized frontier growth, bounded by n; steady state reuses the tree's frontier
 					frontierUp(h, next, len(h)-1)
 				} else {
 					j := int(-2 - q)
-					h[j].dist, h[j].prev = nd, int32(u)
+					h[j].dist, h[j].prev = nd, u
 					frontierUp(h, next, j)
 				}
 			} else if nd == d {
@@ -546,8 +763,8 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 				// queued node (next -2-pos) can tie and change: a settled
 				// node, the source included, keeps its next hop.
 				if q := next[to]; q < -1 {
-					if j := int(-2 - q); int32(u) < h[j].prev {
-						h[j].prev = int32(u)
+					if j := int(-2 - q); u < h[j].prev {
+						h[j].prev = u
 					}
 				}
 			}
@@ -556,12 +773,75 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 			break
 		}
 	}
-	inf := math.Inf(1)
-	for _, v := range touched {
-		dist[v] = inf
-	}
-	for _, it := range h {
-		dist[it.node] = inf
+	sc.touched = touched
+	t.frontier = h
+}
+
+// settleSink is SettleUntil's loop for a sink tree: it settles nodes in
+// order of their distance to the root and relaxes each one's in-links,
+// so a queued node's entry holds its best successor so far, with
+// tiedBit while another successor is within ε of its key.
+//
+//viator:noalloc
+func (o *CostOverlay) settleSink(sc *SPTScratch, t *SPT, at int32) {
+	root := int32(t.Source)
+	dist, next := sc.dist, t.next
+	start, in := o.inStart, o.in
+	eps, lowOut, minOut := o.eps, o.lowOut, o.minOut
+	h, touched := t.frontier, sc.touched
+	for len(h) > 0 {
+		top := h[0]
+		h = frontierPop(h, next)
+		w, dw := top.node, top.dist
+		touched = append(touched, w) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
+		if w == root {
+			next[w] = -1
+		} else if hop := top.prev; lowOut && minOut[w] <= 2*eps*dw {
+			next[w] = hop | tiedBit
+		} else {
+			next[w] = hop
+		}
+		for _, l := range in[start[w]:start[w+1]] {
+			u := l.from
+			nd := dw + l.cost
+			if d := dist[u]; nd < d {
+				q := next[u]
+				if q >= 0 || u == root {
+					// Settled by an earlier call, as in settleSource.
+					dist[u] = math.Inf(-1)
+					touched = append(touched, u) //viator:alloc-ok amortized capacity growth to the touched count; steady state reuses the scratch
+					continue
+				}
+				dist[u] = nd
+				// Every earlier candidate costs d or more, so the new key
+				// is tied exactly when the old one is close.
+				hop := w
+				if d-nd <= eps*nd {
+					hop |= tiedBit
+				}
+				if q == -1 {
+					h = append(h, frontierItem{nd, u, hop}) //viator:alloc-ok amortized frontier growth, bounded by n; steady state reuses the tree's frontier
+					frontierUp(h, next, len(h)-1)
+				} else {
+					j := int(-2 - q)
+					h[j].dist, h[j].prev = nd, hop
+					frontierUp(h, next, j)
+				}
+			} else if nd-d <= eps*d {
+				// A queued node's second successor comes close; a second
+				// link to the same successor is no tie. (The gap is
+				// tested first: it is rarely small, and next[u] is a
+				// random read.)
+				if q := next[u]; q < -1 {
+					if j := int(-2 - q); h[j].prev&^tiedBit != w {
+						h[j].prev |= tiedBit
+					}
+				}
+			}
+		}
+		if w == at {
+			break
+		}
 	}
 	sc.touched = touched
 	t.frontier = h
@@ -569,9 +849,25 @@ func (o *CostOverlay) SettleUntil(sc *SPTScratch, t *SPT, dst NodeID) {
 
 // Settled reports whether v's entries are final in t: v is the source,
 // or its next hop has been set. Trees built by Dijkstra or ComputeInto,
-// and overlay trees settled with dst = -1, are complete, so every
+// and overlay trees settled with v = -1, are complete, so every
 // reachable node is settled there.
 func (t *SPT) Settled(v NodeID) bool { return v == t.Source || t.next[v] >= 0 }
+
+// SinkHop reads a sink tree at a settled node at: the next hop from at
+// toward the root (-1 at the root itself and at nodes the tree has not
+// reached), and whether at is tied — it had a second way to the root
+// within ε of its own (SettleUntil). An untied hop is the next hop of
+// the source tree rooted at at toward the root; a tied one may not be,
+// and a caller that must agree with source trees asks one instead.
+//
+//viator:noalloc
+func (t *SPT) SinkHop(at NodeID) (hop NodeID, tied bool) {
+	e := t.next[at]
+	if e < 0 {
+		return -1, false
+	}
+	return NodeID(e &^ tiedBit), e&tiedBit != 0
+}
 
 func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 	if sc == nil {
@@ -582,6 +878,7 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 	}
 	n := g.n
 	t.Source = src
+	t.sink = false
 	t.Dist = resize(t.Dist, n)
 	t.Prev = resize(t.Prev, n)
 	t.next = resize(t.next, n)
@@ -659,11 +956,12 @@ func (t *SPT) PathTo(dst NodeID) []NodeID {
 	return rev
 }
 
-// NextHop returns the first hop on the path source→dst, or -1 when dst
-// is the source or unreachable. The hop table is filled at settle time
-// during the Dijkstra run, so this is an O(1) array read on the
-// forwarding hot path (it used to reconstruct and reverse the full path
-// per call — once per hop per packet).
+// NextHop returns the first hop on a source tree's path source→dst, or
+// -1 when dst is the source or unreachable; a sink tree is read with
+// SinkHop. The hop table is filled at settle time during the Dijkstra
+// run, so this is an O(1) array read on the forwarding hot path (it
+// used to reconstruct and reverse the full path per call — once per hop
+// per packet).
 //
 //viator:noalloc
 func (t *SPT) NextHop(dst NodeID) NodeID {

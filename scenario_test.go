@@ -54,6 +54,34 @@ func TestScenarioGoldenTables(t *testing.T) {
 	diffBytes(t, "S2 table seed 42", []byte(s2.Run(42).String()), readGolden(t, "S2_table_seed42.txt"))
 }
 
+// TestScenarioRoutingWork pins the adaptive router's work in S1 and S2
+// at seed 42: the sink trees built (one per overlay, epoch and queried
+// destination), the source trees built, and the queries a source tree
+// answered because the sink answer was tied. The counts are
+// deterministic; a routing change that builds more trees shows here
+// before it shows in a benchmark.
+func TestScenarioRoutingWork(t *testing.T) {
+	for _, c := range []struct {
+		name                      string
+		sinks, sources, fallbacks uint64
+	}{
+		{"s1", 837, 0, 0},
+		{"s2", 654, 0, 0},
+	} {
+		if c.name == "s2" && testing.Short() {
+			t.Skip("skipping 10k-ship S2 in -short mode")
+		}
+		sc, _ := BuiltinScenario(c.name)
+		h := StartScenario(sc, 42)
+		h.Finish()
+		r := h.r.ds[0].n.Router
+		if r.SinkBuilds != c.sinks || r.SourceBuilds != c.sources || r.TieFallbacks != c.fallbacks {
+			t.Fatalf("%s: sink/source trees %d/%d, tie fallbacks %d; want %d/%d, %d", c.name,
+				r.SinkBuilds, r.SourceBuilds, r.TieFallbacks, c.sinks, c.sources, c.fallbacks)
+		}
+	}
+}
+
 // TestScenarioGoldenReplicated: the replicated aggregates (derived seed
 // stream, mean ±95% CI cells) are byte-identical to the pre-refactor
 // capture, independent of the worker count.
