@@ -8,9 +8,13 @@
 //	go run ./cmd/viatorlint ./...
 //
 // loads every matched package, runs the maporder/walltime/tiebreak/
-// noalloc analyzers, and additionally verifies every //viator:noalloc
-// function against the compiler's escape analysis (go build
-// -gcflags=-m), which a modular vet unit cannot do.
+// noalloc analyzers, and adds two checks a modular vet unit cannot do:
+// it verifies every //viator:noalloc function against the compiler's
+// escape analysis (go build -gcflags=-m), and it runs the deadapi pass,
+// which reports every exported internal/ function or method that no
+// non-test file of the module references (counting references from the
+// whole module, whatever the patterns; //viator:api <reason> exempts a
+// function whose caller is outside the module).
 //
 // Vet tool, for build-cached modular analysis of all packages including
 // test variants:
@@ -107,6 +111,15 @@ func standalone(patterns []string, analyzers []*lint.Analyzer, escape bool) int 
 			fmt.Fprintln(os.Stderr, d.Message)
 			found++
 		}
+	}
+	diags, err := lint.DeadAPICheck(targets)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "viatorlint:", err)
+		return 1
+	}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d.Message)
+		found++
 	}
 	if escape {
 		diags, err := lint.EscapeCheck(dir, targets)

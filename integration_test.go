@@ -8,7 +8,6 @@ import (
 	"viator/internal/netsim"
 	"viator/internal/ployon"
 	"viator/internal/roles"
-	"viator/internal/routing"
 	"viator/internal/ship"
 	"viator/internal/shuttle"
 	"viator/internal/sim"
@@ -20,6 +19,26 @@ import (
 // Integration tests crossing module boundaries: each exercises a path a
 // downstream user would actually wire together.
 
+// multicastTree unions the shortest paths from src to each receiver
+// into a distribution tree: children lists each node's downstream tree
+// neighbours, and links counts the tree's links (copies sent per packet).
+func multicastTree(g *topo.Graph, src topo.NodeID, receivers []topo.NodeID) (children map[topo.NodeID][]topo.NodeID, links int) {
+	spt := g.ComputeInto(nil, nil, src)
+	children = make(map[topo.NodeID][]topo.NodeID)
+	seen := make(map[[2]topo.NodeID]bool)
+	for _, r := range receivers {
+		path := spt.PathTo(r)
+		for i := 0; i+1 < len(path); i++ {
+			if e := [2]topo.NodeID{path[i], path[i+1]}; !seen[e] {
+				seen[e] = true
+				children[path[i]] = append(children[path[i]], path[i+1])
+				links++
+			}
+		}
+	}
+	return children, links
+}
+
 // Multicast tree + netsim + fission role: a source stream fans out to
 // five receivers over a shared tree; branch nodes replicate with the
 // fission role and the backbone carries far fewer bytes than unicast.
@@ -28,14 +47,14 @@ func TestMulticastTreeDrivesNetsimFission(t *testing.T) {
 	g := topo.Star(6)
 	net := netsim.New(k, g)
 	recv := []topo.NodeID{2, 3, 4, 5}
-	tree := routing.BuildMulticastTree(g, 1, recv)
+	children, links := multicastTree(g, 1, recv)
 
 	// Nodes fan arriving packets out along the tree (the fission role's
 	// branch list); leaves count their arrivals. Packets are
 	// tree-addressed, so Dst is unused.
 	leafArrivals := 0
 	net.OnReceive(func(at topo.NodeID, p *netsim.Packet) {
-		for _, next := range tree.FanOut(at) {
+		for _, next := range children[at] {
 			cp := *p
 			net.Send(at, next, &cp)
 		}
@@ -49,7 +68,7 @@ func TestMulticastTreeDrivesNetsimFission(t *testing.T) {
 	// per receiver.
 	for i := 0; i < 10; i++ {
 		p := net.NewPacket(1, -1, 1000, "mcast", nil)
-		for _, next := range tree.FanOut(1) {
+		for _, next := range children[1] {
 			cp := *p
 			net.Send(1, next, &cp)
 		}
@@ -59,9 +78,9 @@ func TestMulticastTreeDrivesNetsimFission(t *testing.T) {
 		t.Fatalf("leaf arrivals = %d, want %d", leafArrivals, 10*len(recv))
 	}
 	// Tree cost 5 links/packet vs unicast 8: bytes on the wire reflect it.
-	wantBytes := uint64(10 * tree.Links * 1000)
+	wantBytes := uint64(10 * links * 1000)
 	if net.TotalBytes() != wantBytes {
-		t.Fatalf("wire bytes = %d, want %d (tree links %d)", net.TotalBytes(), wantBytes, tree.Links)
+		t.Fatalf("wire bytes = %d, want %d (tree links %d)", net.TotalBytes(), wantBytes, links)
 	}
 }
 
@@ -70,17 +89,17 @@ func TestMulticastTreeDrivesNetsimFission(t *testing.T) {
 func TestZipfWorkloadAgainstCachingShip(t *testing.T) {
 	k := sim.NewKernel(2)
 	rng := sim.NewRNG(3)
-	s := ship.New(ship.DefaultConfig(1, ployon.ClassServer))
-	s.Birth()
-	s.SetModalRole(roles.Caching)
-	cache := s.ModalProcessor().(*roles.Cache)
+	// The processor a ship runs once its modal role is caching.
+	cache := roles.NewProcessor(roles.Caching).(*roles.Cache)
 
 	// Warm the cache with the catalog.
 	for i := 0; i < 30; i++ {
 		cache.Process(roles.Chunk{Key: fmt.Sprintf("obj-%d", i), Bytes: 1000})
 	}
-	stop := workload.ZipfRequests(k, rng, 30, 1.2, 100, func(c roles.Chunk) {
-		cache.Process(c)
+	// Requests over the 30-object catalog with Zipf(1.2) popularity.
+	z := workload.NewZipf(30, 1.2)
+	stop := workload.Poisson(k, rng, 100, func(seq int) {
+		cache.Process(roles.Chunk{Stream: "req", Seq: seq, Key: fmt.Sprintf("obj-%d", z.Draw(rng)), Meta: "request"})
 	})
 	k.Run(20)
 	stop()

@@ -33,6 +33,8 @@ import (
 // every named target function is annotated //viator:noalloc in the
 // calling package's sources (the test's working directory). Targets use
 // the lint display form: "Func", "Type.Method" or "(*Type).Method".
+//
+//viator:api test-support package: only _test.go files call it
 func Zero(t *testing.T, runs int, fn func(), targets ...string) {
 	t.Helper()
 	if len(targets) == 0 {
@@ -53,6 +55,8 @@ func Zero(t *testing.T, runs int, fn func(), targets ...string) {
 // Max asserts that fn performs at most max heap allocations per run.
 // Unlike Zero it requires no annotation: a bounded budget is a
 // measurement, not a noalloc contract.
+//
+//viator:api test-support package: only _test.go files call it
 func Max(t *testing.T, runs int, max float64, fn func()) {
 	t.Helper()
 	if n := testing.AllocsPerRun(runs, fn); n > max {

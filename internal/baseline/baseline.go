@@ -1,12 +1,13 @@
-// Package baseline implements the comparison network stacks of the
-// generation ladder: a passive store-and-forward network (pre-AN), and a
-// faithful-in-mechanism 1G active network in the ANTS style — capsules
+// Package baseline implements the 1G rung of the generation ladder: a
+// faithful-in-mechanism active network in the ANTS style — capsules
 // referencing code by identifier, with demand code distribution pulled
 // hop-by-hop from the previous node (Wetherall/Guttag/Tennenhouse 1998).
 //
-// The 2G rung (NodeOS programmability) is the nodeos package; 3G adds hw;
-// the full 4G Wandering Network is the root viator package. Experiments
-// E1 and E6 run identical workloads across these rungs.
+// The passive pre-AN rung has no deployment mechanism at all, so E1
+// tabulates it without running anything. The 2G rung (NodeOS
+// programmability) is the nodeos package; 3G adds hw; the full 4G
+// Wandering Network is the root viator package. Experiments E1 and E6
+// run identical workloads across these rungs.
 package baseline
 
 import (
@@ -19,46 +20,6 @@ import (
 	"viator/internal/topo"
 	"viator/internal/vm"
 )
-
-// Passive is a classic store-and-forward network: packets follow static
-// shortest-path routes, nodes perform no processing, and there is no
-// deployment mechanism of any kind.
-type Passive struct {
-	K   *sim.Kernel
-	Net *netsim.Net
-	R   *routing.Static
-
-	Delivered uint64
-	Lost      uint64
-}
-
-// NewPassive wires a passive network over g.
-func NewPassive(k *sim.Kernel, g *topo.Graph) *Passive {
-	p := &Passive{K: k, Net: netsim.New(k, g), R: routing.NewStatic(g)}
-	p.Net.OnReceive(func(at topo.NodeID, pkt *netsim.Packet) {
-		if at == pkt.Dst {
-			p.Delivered++
-			p.Net.Deliver(pkt)
-			return
-		}
-		next := p.R.NextHop(at, pkt.Dst)
-		if next == -1 || !p.Net.Send(at, next, pkt) {
-			p.Lost++
-		}
-	})
-	return p
-}
-
-// Send injects a packet at src toward dst; false when the first hop fails.
-func (p *Passive) Send(src, dst topo.NodeID, size int) bool {
-	pkt := p.Net.NewPacket(src, dst, size, "data", nil)
-	next := p.R.NextHop(src, dst)
-	if next == -1 {
-		p.Lost++
-		return false
-	}
-	return p.Net.Send(src, next, pkt)
-}
 
 // --- 1G ANTS-style capsule network ---
 

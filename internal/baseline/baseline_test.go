@@ -10,63 +10,6 @@ import (
 
 var noop = vm.MustAssemble("PUSH 1\nHALT")
 
-func TestPassiveDelivery(t *testing.T) {
-	k := sim.NewKernel(1)
-	g := topo.Grid(3, 3)
-	p := NewPassive(k, g)
-	for i := 0; i < 10; i++ {
-		if !p.Send(0, 8, 500) {
-			t.Fatal("send failed")
-		}
-	}
-	k.Run(60)
-	if p.Delivered != 10 || p.Lost != 0 {
-		t.Fatalf("delivered=%d lost=%d", p.Delivered, p.Lost)
-	}
-	if p.Net.Latency.N() != 10 {
-		t.Fatal("latency not recorded")
-	}
-}
-
-func TestPassiveLosesOnPartition(t *testing.T) {
-	k := sim.NewKernel(1)
-	g := topo.New()
-	g.AddNodes(2)
-	p := NewPassive(k, g)
-	if p.Send(0, 1, 100) {
-		t.Fatal("send across partition succeeded")
-	}
-	if p.Lost != 1 {
-		t.Fatalf("lost = %d", p.Lost)
-	}
-}
-
-func TestPassiveStaleRoutesBlackhole(t *testing.T) {
-	// The passive rung's defining weakness: after a link dies, packets are
-	// lost until someone manually recomputes.
-	k := sim.NewKernel(1)
-	g := topo.Ring(6)
-	p := NewPassive(k, g)
-	p.Send(0, 3, 100)
-	k.Run(10)
-	first := p.Delivered
-	// Kill both directions of the link the route uses.
-	path := p.R.Path(0, 3)
-	g.SetUp(g.FindLink(path[0], path[1]), false)
-	g.SetUp(g.FindLink(path[1], path[0]), false)
-	p.Send(0, 3, 100)
-	k.Run(20)
-	if p.Delivered != first {
-		t.Fatal("stale route delivered")
-	}
-	p.R.Recompute()
-	p.Send(0, 3, 100)
-	k.Run(30)
-	if p.Delivered != first+1 {
-		t.Fatal("recovery after recompute failed")
-	}
-}
-
 func TestANTSExecutesAtEveryHop(t *testing.T) {
 	k := sim.NewKernel(1)
 	g := topo.Line(4)

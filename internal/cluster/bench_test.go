@@ -49,7 +49,7 @@ func BenchmarkFormClustersSteady(b *testing.B) {
 func BenchmarkFormClustersRebuild(b *testing.B) {
 	b.ReportAllocs()
 	c := benchCommunity(b)
-	m, _ := c.Member(1)
+	m := c.members[1]
 	c.FormClusters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

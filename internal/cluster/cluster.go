@@ -18,7 +18,7 @@
 // next time it is refreshed, so steady-state rounds scan only the
 // surviving fleet and never re-filter the full enrollment history. The
 // per-round dense view of alive members is built into reusable scratch,
-// making GossipRound, FormClusters and ClustersInto allocation-free in
+// making GossipRound and FormClusters allocation-free in
 // steady state, and FormClusters is additionally gated on a fingerprint
 // of the active membership and shapes: an unchanged fleet re-clusters in
 // O(members) hashing instead of O(members × clusters) congruence tests.
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 
-	"viator/internal/kq"
 	"viator/internal/ployon"
 	"viator/internal/ship"
 	"viator/internal/shuttle"
@@ -131,15 +130,6 @@ func (c *Community) Add(s *ship.Ship) {
 	c.order = append(c.order, s.ID)
 	c.idx = append(c.idx, m)
 }
-
-// Member returns a ship's standing.
-func (c *Community) Member(id ployon.ID) (*Member, bool) {
-	m, ok := c.members[id]
-	return m, ok
-}
-
-// Size returns the number of enrolled ships (including excluded/dead).
-func (c *Community) Size() int { return len(c.members) }
 
 // refreshActive compacts terminal members out of the incremental index
 // and rebuilds the dense scratch view of alive members, both in
@@ -350,54 +340,6 @@ func (c *Community) FormClusters() int {
 	return len(seeds)
 }
 
-// ClustersInto appends the current clustering to buf[:0] and returns it:
-// index ci holds cluster ci's active member ids, sorted. Buckets are
-// built by walking the dense active view in enrollment order and sorted
-// in place, so the result is deterministic by construction (no map
-// iteration anywhere). Empty buckets (every seed member died since the
-// last FormClusters) stay present as empty slices so indices keep
-// matching cluster ids.
-//
-//viator:noalloc
-func (c *Community) ClustersInto(buf [][]ployon.ID) [][]ployon.ID {
-	act := c.refreshActive()
-	n := 0
-	for _, m := range act {
-		if m.ClusterID >= n {
-			n = m.ClusterID + 1
-		}
-	}
-	out := buf[:0]
-	for i := 0; i < n; i++ {
-		if i < cap(out) {
-			out = out[:i+1]
-			out[i] = out[i][:0]
-		} else {
-			out = append(out, nil) //viator:alloc-ok amortized scratch growth; steady state reuses capacity
-		}
-	}
-	for _, m := range act {
-		if m.ClusterID >= 0 {
-			out[m.ClusterID] = append(out[m.ClusterID], m.Ship.ID) //viator:alloc-ok amortized bucket growth; steady state reuses capacity
-		}
-	}
-	for i := range out {
-		sortIDs(out[i])
-	}
-	return out
-}
-
-// sortIDs sorts in place by insertion sort: cluster buckets are small
-// and, unlike sort.Slice, the loop never boxes the slice header, keeping
-// ClustersInto allocation-free.
-func sortIDs(s []ployon.ID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Repair resurrects a dead member by node genesis: a live fair member of
 // the same class emits its genome, a fresh ship is born with the dead
 // ship's identity slot (new id), and the genome is docked into it. This
@@ -441,49 +383,4 @@ func (c *Community) Repair(deadID ployon.ID, newID ployon.ID, now float64) (*shi
 	c.Add(reborn)
 	c.Repairs++
 	return reborn, nil
-}
-
-// CouplingScratch holds the reusable fact buffers for
-// KnowledgeCouplingInto; the zero value is ready to use.
-type CouplingScratch struct {
-	fa, fb []kq.FactID
-}
-
-// KnowledgeCouplingInto measures the structural coupling of two members
-// as the Jaccard similarity of their alive fact sets — the paper's
-// "structure-determined engagement of a given entity with another" —
-// through caller-owned scratch: both fact sets land in the scratch
-// buffers (sorted, via kq.FactsInto) and the intersection is counted by
-// a linear merge instead of a hash set.
-//
-//viator:noalloc
-func KnowledgeCouplingInto(sc *CouplingScratch, a, b *ship.Ship, now float64) float64 {
-	sc.fa = a.KB.FactsInto(sc.fa, now)
-	sc.fb = b.KB.FactsInto(sc.fb, now)
-	fa, fb := sc.fa, sc.fb
-	if len(fa) == 0 && len(fb) == 0 {
-		return 0
-	}
-	inter := 0
-	for i, j := 0, 0; i < len(fa) && j < len(fb); {
-		switch {
-		case fa[i] == fb[j]:
-			inter++
-			i++
-			j++
-		case fa[i] < fb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(fa) + len(fb) - inter
-	return float64(inter) / float64(union)
-}
-
-// KnowledgeCoupling is the scratch-free convenience form of
-// KnowledgeCouplingInto.
-func KnowledgeCoupling(a, b *ship.Ship, now float64) float64 {
-	var sc CouplingScratch
-	return KnowledgeCouplingInto(&sc, a, b, now)
 }

@@ -26,10 +26,10 @@ func TestAddAndSize(t *testing.T) {
 	s := newShip(t, 1, ployon.ClassServer, true)
 	c.Add(s)
 	c.Add(s) // duplicate ignored
-	if c.Size() != 1 {
-		t.Fatalf("size = %d", c.Size())
+	if len(c.members) != 1 {
+		t.Fatalf("size = %d", len(c.members))
 	}
-	m, ok := c.Member(1)
+	m, ok := c.members[1]
 	if !ok || m.Reputation != 1.0 || m.Excluded {
 		t.Fatalf("member = %+v", m)
 	}
@@ -52,7 +52,7 @@ func TestGossipExcludesUnfairShips(t *testing.T) {
 	}
 	// Fair ships keep high reputation.
 	for i := 2; i <= 10; i++ {
-		m, _ := c.Member(ployon.ID(i))
+		m := c.members[ployon.ID(i)]
 		if m.Reputation < 0.9 {
 			t.Fatalf("fair ship %d reputation %v", i, m.Reputation)
 		}
@@ -85,7 +85,7 @@ func TestClustersGroupByClassShape(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("clusters = %d, want 2", n)
 	}
-	cl := c.ClustersInto(nil)
+	cl := clusters(c)
 	sizes := []int{len(cl[0]), len(cl[1])}
 	if sizes[0] != 4 || sizes[1] != 4 {
 		t.Fatalf("cluster sizes = %v", sizes)
@@ -102,7 +102,7 @@ func TestExcludedShipsLeaveClusters(t *testing.T) {
 		c.GossipRound()
 	}
 	c.FormClusters()
-	for _, ids := range c.ClustersInto(nil) {
+	for _, ids := range clusters(c) {
 		for _, id := range ids {
 			if id == 1 {
 				t.Fatal("excluded ship clustered")
@@ -136,8 +136,8 @@ func TestRepairResurrectsViaGenome(t *testing.T) {
 	if !reborn.KB.Alive("hot", 1) {
 		t.Fatal("knowledge not inherited")
 	}
-	if c.Repairs != 1 || c.Size() != 3 {
-		t.Fatalf("repairs=%d size=%d", c.Repairs, c.Size())
+	if c.Repairs != 1 || len(c.members) != 3 {
+		t.Fatalf("repairs=%d size=%d", c.Repairs, len(c.members))
 	}
 }
 
@@ -166,9 +166,10 @@ func TestRepairRejectsLiveShip(t *testing.T) {
 }
 
 func TestKnowledgeCoupling(t *testing.T) {
+	var sc CouplingScratch
 	a := newShip(t, 1, ployon.ClassServer, true)
 	b := newShip(t, 2, ployon.ClassServer, true)
-	if KnowledgeCoupling(a, b, 0) != 0 {
+	if KnowledgeCouplingInto(&sc, a, b, 0) != 0 {
 		t.Fatal("empty stores coupled")
 	}
 	a.KB.Observe("x", 5, 0)
@@ -176,12 +177,12 @@ func TestKnowledgeCoupling(t *testing.T) {
 	b.KB.Observe("y", 5, 0)
 	b.KB.Observe("z", 5, 0)
 	// Jaccard {x,y} vs {y,z} = 1/3.
-	if got := KnowledgeCoupling(a, b, 0); got < 0.33 || got > 0.34 {
+	if got := KnowledgeCouplingInto(&sc, a, b, 0); got < 0.33 || got > 0.34 {
 		t.Fatalf("coupling = %v", got)
 	}
 	// Structural coupling rises when facts are exchanged.
 	b.KB.Observe("x", 5, 0)
-	if KnowledgeCoupling(a, b, 0) <= 0.34 {
+	if KnowledgeCouplingInto(&sc, a, b, 0) <= 0.34 {
 		t.Fatal("coupling did not rise after exchange")
 	}
 }

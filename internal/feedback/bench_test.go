@@ -12,7 +12,7 @@ import (
 func BenchmarkFeedbackPublishKey(b *testing.B) {
 	b.ReportAllocs()
 	var sink float64
-	bus := NewBus()
+	bus := newRouter()
 	for i := 0; i < 64; i++ {
 		bus.Subscribe(PerNode, fmt.Sprintf("node-%d", i), func(s Signal) { sink += s.Value })
 	}

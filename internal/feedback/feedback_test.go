@@ -20,7 +20,7 @@ func TestDimensionNames(t *testing.T) {
 }
 
 func TestBusRouting(t *testing.T) {
-	b := NewBus()
+	b := newRouter()
 	var gotKey []string
 	b.Subscribe(PerSession, "s1", func(s Signal) { gotKey = append(gotKey, "s1:"+s.Key) })
 	b.Subscribe(PerSession, "", func(s Signal) { gotKey = append(gotKey, "any:"+s.Key) })
@@ -43,7 +43,7 @@ func TestBusRouting(t *testing.T) {
 }
 
 func TestBusAblation(t *testing.T) {
-	b := NewBus()
+	b := newRouter()
 	fired := 0
 	b.Subscribe(PerPacket, "", func(Signal) { fired++ })
 	k := b.Key(PerPacket, "")
@@ -60,7 +60,7 @@ func TestBusAblation(t *testing.T) {
 }
 
 func TestEnableOnly(t *testing.T) {
-	b := NewBus()
+	b := newRouter()
 	b.EnableOnly(PerNode, PerSession)
 	for d := Dimension(0); d < NumDimensions; d++ {
 		want := d == PerNode || d == PerSession
@@ -135,7 +135,7 @@ func TestThresholdHysteresis(t *testing.T) {
 	if th.Update(4) {
 		t.Fatal("not reset below low")
 	}
-	if th.Tripped() {
+	if th.tripped {
 		t.Fatal("state query wrong")
 	}
 }
@@ -163,5 +163,5 @@ func TestPublishBadDimensionPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBus().PublishKey(NumDimensions, 0, 0, 0)
+	newRouter().PublishKey(NumDimensions, 0, 0, 0)
 }

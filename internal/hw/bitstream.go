@@ -21,24 +21,6 @@ var ErrBitstream = errors.New("hw: malformed bitstream")
 
 const bsMagic = 0xB5
 
-// Encode serializes the bitstream for transport inside shuttle payloads.
-func (b *Bitstream) Encode() []byte {
-	out := []byte{bsMagic}
-	out = binary.AppendUvarint(out, uint64(b.NumIn))
-	out = binary.AppendUvarint(out, uint64(len(b.Cells)))
-	for _, c := range b.Cells {
-		for _, in := range c.In {
-			out = binary.AppendUvarint(out, uint64(in))
-		}
-		out = binary.AppendUvarint(out, uint64(c.Truth))
-	}
-	out = binary.AppendUvarint(out, uint64(len(b.Outputs)))
-	for _, s := range b.Outputs {
-		out = binary.AppendUvarint(out, uint64(s))
-	}
-	return out
-}
-
 // DecodeBitstream parses an encoded bitstream.
 func DecodeBitstream(data []byte) (*Bitstream, error) {
 	if len(data) == 0 || data[0] != bsMagic {
@@ -143,42 +125,4 @@ func (b *Bitstream) ApplyAt(f *Fabric, offset int) error {
 		}
 	}
 	return f.SetOutputs(outs)
-}
-
-// Snapshot extracts the current configuration of cells [lo,hi) from f as a
-// relocatable bitstream — the hardware half of genetic transcoding (a ship
-// encoding its own structure for transport).
-func Snapshot(f *Fabric, lo, hi int) (*Bitstream, error) {
-	cells, err := f.Region(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	numIn := f.NumInputs()
-	b := &Bitstream{NumIn: numIn}
-	for _, c := range cells {
-		rel := c
-		for j, s := range c.In {
-			if int(s) >= numIn {
-				cellIdx := int(s) - numIn
-				if cellIdx < lo || cellIdx >= hi {
-					// References to cells outside the region cannot relocate.
-					return nil, fmt.Errorf("%w: region [%d,%d) reads cell %d outside region", ErrConfig, lo, hi, cellIdx)
-				}
-				rel.In[j] = int32(numIn + cellIdx - lo)
-			}
-		}
-		b.Cells = append(b.Cells, rel)
-	}
-	for _, s := range f.Outputs() {
-		if s >= numIn {
-			cellIdx := s - numIn
-			if cellIdx < lo || cellIdx >= hi {
-				continue // output owned by another region
-			}
-			b.Outputs = append(b.Outputs, numIn+(cellIdx-lo))
-		} else {
-			b.Outputs = append(b.Outputs, s)
-		}
-	}
-	return b, nil
 }

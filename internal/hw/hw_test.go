@@ -366,13 +366,13 @@ func TestNetbotDocking(t *testing.T) {
 
 func TestReconfiguredAccounting(t *testing.T) {
 	f := NewFabric(4, 16)
-	before := f.Reconfigured()
+	before := f.reconfigured
 	bs := Parity(4, 4)
 	if err := bs.ApplyAt(f, 0); err != nil {
 		t.Fatal(err)
 	}
-	if f.Reconfigured()-before != len(bs.Cells) {
-		t.Fatalf("reconfigured = %d, want %d", f.Reconfigured()-before, len(bs.Cells))
+	if f.reconfigured-before != len(bs.Cells) {
+		t.Fatalf("reconfigured = %d, want %d", f.reconfigured-before, len(bs.Cells))
 	}
 }
 

@@ -83,26 +83,6 @@ func ORTree(numIn, n int) *Bitstream { return reduce(numIn, n, TruthOR) }
 // hardware checksum/ECC element used by the booster role.
 func Parity(numIn, n int) *Bitstream { return reduce(numIn, n, TruthXOR) }
 
-// Majority3 returns a 2-of-3 majority voter over inputs 0..2 — the
-// fault-tolerance primitive (FTPDS context) for triplicated net functions.
-func Majority3(numIn int) *Bitstream {
-	if numIn < 3 {
-		panic("hw: majority needs 3 inputs")
-	}
-	var t uint16
-	for idx := 0; idx < 16; idx++ {
-		n := idx&1 + idx>>1&1 + idx>>2&1
-		if n >= 2 {
-			t |= 1 << idx
-		}
-	}
-	return &Bitstream{
-		NumIn:   numIn,
-		Cells:   []Cell{{In: [LUTInputs]int32{0, 1, 2, 0}, Truth: t}},
-		Outputs: []int{numIn},
-	}
-}
-
 // Comparator returns a circuit that tests whether the first n inputs equal
 // the given constant pattern — the hardware classifier for ship classes
 // embedded in shuttle destination addresses (DCP morphing support).

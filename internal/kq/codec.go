@@ -135,26 +135,6 @@ func decodeQuantum(d *decoder) (Quantum, error) {
 	return q, nil
 }
 
-// EncodeQuantum serializes a single quantum for shuttle transport.
-func EncodeQuantum(q *Quantum) []byte {
-	e := &encoder{}
-	encodeQuantum(e, q)
-	return e.buf
-}
-
-// DecodeQuantum parses a single encoded quantum.
-func DecodeQuantum(b []byte) (Quantum, error) {
-	d := &decoder{buf: b}
-	q, err := decodeQuantum(d)
-	if err != nil {
-		return q, err
-	}
-	if len(d.buf) != 0 {
-		return q, fmt.Errorf("%w: trailing bytes", ErrGenome)
-	}
-	return q, nil
-}
-
 // Encode serializes the genome.
 func (g *Genome) Encode() []byte {
 	e := &encoder{buf: []byte{genomeMagic, g.ShipClass}}

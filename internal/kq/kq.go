@@ -169,9 +169,6 @@ func sortFactIDs(s []FactID) {
 	}
 }
 
-// Len returns the number of stored facts (alive or decaying).
-func (s *Store) Len() int { return len(s.facts) }
-
 // Lifetime predicts how long the fact stays above threshold with no
 // further observations: t = halfLife * log2(activation/threshold).
 func (s *Store) Lifetime(id FactID, now float64) float64 {

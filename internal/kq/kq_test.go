@@ -44,7 +44,7 @@ func TestAliveAndSweep(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != "cold" {
 		t.Fatalf("evicted = %v", evicted)
 	}
-	if s.Len() != 1 || !s.Alive("hot", 2) {
+	if len(s.facts) != 1 || !s.Alive("hot", 2) {
 		t.Fatal("hot fact lost")
 	}
 	if s.Evicted != 1 {
@@ -57,8 +57,8 @@ func TestCapacityEvictsWeakest(t *testing.T) {
 	s.Observe("a", 1, 0)
 	s.Observe("b", 5, 0)
 	s.Observe("c", 3, 0) // evicts a (weakest)
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.facts) != 2 {
+		t.Fatalf("len = %d", len(s.facts))
 	}
 	if s.Activation("a", 0) != 0 {
 		t.Fatal("weakest not evicted")
@@ -160,7 +160,9 @@ func TestQuantumCodecRoundTrip(t *testing.T) {
 		Function: NetFunction{Name: "transcode", Requires: []FactID{"x", "y"}, MinAlive: 1},
 		Facts:    []FactRecord{{ID: "x", Weight: 1.5}, {ID: "y", Weight: 0.25}},
 	}
-	got, err := DecodeQuantum(EncodeQuantum(q))
+	e := &encoder{}
+	encodeQuantum(e, q)
+	got, err := decodeQuantum(&decoder{buf: e.buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,8 @@ func TestGenomeRejectsGarbage(t *testing.T) {
 
 func TestGenomeRejectsNegativeWeight(t *testing.T) {
 	q := &Quantum{Function: NetFunction{Name: "f"}, Facts: []FactRecord{{ID: "a", Weight: -1}}}
-	if _, err := DecodeQuantum(EncodeQuantum(q)); err == nil {
+	g := &Genome{Quanta: []Quantum{*q}}
+	if _, err := DecodeGenome(g.Encode()); err == nil {
 		t.Fatal("negative weight decoded")
 	}
 }

@@ -16,12 +16,15 @@ import (
 // and takes no reason. An annotation governs the source line it sits
 // on, or — when it is the only thing on its line — the line directly
 // below it, which lets it sit either above a statement or trailing it.
+// The function directives (noalloc, api) sit in the function's doc
+// comment or on the line directly above its declaration.
 const (
 	DirNoAlloc      = "noalloc"       // func contract: 0 heap allocation sites
 	DirAllocOK      = "alloc-ok"      // line inside a noalloc func allowed to allocate
 	DirMapOrderSafe = "maporder-safe" // range-over-map suppression
 	DirWallTimeOK   = "walltime-ok"   // wall-clock/env/global-rand suppression
 	DirTieBreakSafe = "tiebreak-safe" // float-comparator suppression
+	DirAPI          = "api"           // exported func kept with no non-test caller in the module
 )
 
 // suppressions are the directives that require a reason.
@@ -30,6 +33,7 @@ var suppressions = map[string]bool{
 	DirMapOrderSafe: true,
 	DirWallTimeOK:   true,
 	DirTieBreakSafe: true,
+	DirAPI:          true,
 }
 
 // knownDirectives is every directive the suite understands.
@@ -39,6 +43,7 @@ var knownDirectives = map[string]bool{
 	DirMapOrderSafe: true,
 	DirWallTimeOK:   true,
 	DirTieBreakSafe: true,
+	DirAPI:          true,
 }
 
 const annotPrefix = "//viator:"
@@ -117,25 +122,21 @@ func (p *Pass) suppressed(dir string, pos token.Pos) bool {
 	return false
 }
 
-// funcNoAlloc reports whether fn carries the //viator:noalloc marker:
-// in its doc comment, or on the line directly above its declaration
-// (i.e. between the doc comment and the func keyword).
-func funcNoAlloc(fset *token.FileSet, anns lineAnnotations, fn *ast.FuncDecl) bool {
+// funcAnnotation returns fn's dir annotation, found in its doc comment
+// or on the line directly above its declaration (between the doc
+// comment and the func keyword).
+func funcAnnotation(fset *token.FileSet, anns lineAnnotations, fn *ast.FuncDecl, dir string) (Annotation, bool) {
+	decl := fset.Position(fn.Pos()).Line
+	first := decl - 1
 	if fn.Doc != nil {
-		for _, c := range fn.Doc.List {
-			if strings.HasPrefix(c.Text, annotPrefix+DirNoAlloc) {
-				rest := c.Text[len(annotPrefix+DirNoAlloc):]
-				if rest == "" || strings.HasPrefix(rest, " ") {
-					return true
-				}
+		first = min(first, fset.Position(fn.Doc.Pos()).Line)
+	}
+	for l := first; l < decl; l++ {
+		for _, a := range anns[l] {
+			if a.Directive == dir {
+				return a, true
 			}
 		}
 	}
-	line := fset.Position(fn.Pos()).Line
-	for _, a := range anns[line-1] {
-		if a.Directive == DirNoAlloc {
-			return true
-		}
-	}
-	return false
+	return Annotation{}, false
 }

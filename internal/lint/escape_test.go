@@ -93,3 +93,52 @@ func unannotated(n int) []int {
 		t.Errorf("expected no diagnostics, got %v", diags)
 	}
 }
+
+// TestDeadAPICheckReadsWholeModule pins the standalone pass's scope:
+// linting one internal package still collects references from every
+// non-test file of the module, so a function only another package calls
+// is not reported, while one only a test calls is.
+func TestDeadAPICheckReadsWholeModule(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module scratch\n\ngo 1.22\n",
+		"main.go": `package main
+
+import "scratch/internal/a"
+
+func main() { println(a.Used()) }
+`,
+		"internal/a/a.go": `package a
+
+func Used() int { return 1 }
+
+func TestOnly() int { return 2 }
+`,
+		"internal/a/a_test.go": `package a
+
+import "testing"
+
+func TestA(t *testing.T) { _ = TestOnly() }
+`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, targets, err := lint.Load(dir, []string{"./internal/a"})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	diags, err := lint.DeadAPICheck(targets)
+	if err != nil {
+		t.Fatalf("DeadAPICheck: %v", err)
+	}
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "TestOnly is exported but") {
+		t.Fatalf("want one finding for TestOnly, got %v", diags)
+	}
+}

@@ -3,7 +3,8 @@
 // prose: the byte-identical determinism contract (no map-iteration
 // order, wall clock, global RNG or environment may leak into simulation
 // behavior; every float comparator needs a total-order tie-break) and
-// the zero-allocation contract on pinned hot paths.
+// the zero-allocation contract on pinned hot paths. It also keeps the
+// exported surface of internal/ packages equal to what something runs.
 //
 // The suite is deliberately self-contained: it is built on the standard
 // library's go/ast + go/types only (no golang.org/x/tools dependency),
@@ -15,9 +16,10 @@
 //     — including test variants — with build-system caching;
 //   - a standalone loader (load.go) used by `viatorlint ./...`, which
 //     shells out to `go list -export` for package metadata and export
-//     data, and which additionally runs the escape-analysis-backed
-//     //viator:noalloc verification (escape.go) that a modular vet unit
-//     cannot (it needs to invoke the compiler).
+//     data, and which additionally runs two checks a modular vet unit
+//     cannot: the escape-analysis-backed //viator:noalloc verification
+//     (escape.go; it needs to invoke the compiler) and the deadapi pass
+//     (deadapi.go; it needs every package of the module).
 //
 // Analyzers (see DeterministicPackages for scope):
 //
@@ -28,12 +30,20 @@
 //	tiebreak  float-only sort comparators need a secondary key
 //	noalloc   //viator:noalloc functions must survive escape analysis
 //	          with no heap allocation sites (plus annotation grammar)
+//	deadapi   standalone only, not in Analyzers: every exported function
+//	          or method of an internal/ package needs a reference from a
+//	          non-test file of the module, counted over the whole module
+//	          whatever the patterns; methods that satisfy an interface
+//	          count as referenced
 //
 // Annotation grammar (annot.go): //viator:<directive> [reason]. The
 // suppression forms (maporder-safe, walltime-ok, tiebreak-safe,
-// alloc-ok) require a non-empty reason; a bare suppression is itself a
-// lint error, which is how "zero unreasoned suppressions" is enforced
-// mechanically rather than by review.
+// alloc-ok, api) require a non-empty reason; a bare suppression is
+// itself a lint error, which is how "zero unreasoned suppressions" is
+// enforced mechanically rather than by review. //viator:api <reason>
+// sits in a function's doc comment or on the line above it and exempts
+// it from deadapi: its caller is outside the module or the package
+// exists for tests.
 package lint
 
 import (

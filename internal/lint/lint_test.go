@@ -26,6 +26,10 @@ func TestTieBreak(t *testing.T) { run(t, "dettiebreak", lint.TieBreak) }
 
 func TestAnnotationGrammar(t *testing.T) { run(t, "detannot", lint.NoAlloc) }
 
+// TestDeadAPI runs the exported-surface pass over one fixture package,
+// with the annotation grammar check beside it for the bare //viator:api.
+func TestDeadAPI(t *testing.T) { run(t, "deadapi", lint.DeadAPI, lint.NoAlloc) }
+
 // TestOutOfScopePackageExempt runs the determinism-scoped analyzers
 // over a fixture whose import path is outside the contract; every
 // construct in it would be a finding in a det package, and none may be

@@ -36,6 +36,8 @@ import (
 // Run loads the fixture directory as a package named importPath and
 // checks the analyzers' diagnostics against the fixture's // want
 // expectations.
+//
+//viator:api test-support package: only _test.go files call it
 func Run(t *testing.T, dir, importPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	fset := token.NewFileSet()

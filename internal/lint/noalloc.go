@@ -18,8 +18,9 @@ import (
 //
 //   - unknown directives;
 //   - suppressions (maporder-safe, walltime-ok, tiebreak-safe,
-//     alloc-ok) with an empty reason — a suppression must say why;
-//   - //viator:noalloc not attached to a function declaration;
+//     alloc-ok, api) with an empty reason — a suppression must say why;
+//   - //viator:noalloc or //viator:api not attached to a function
+//     declaration;
 //   - //viator:noalloc carrying trailing text (it is a marker, not a
 //     suppression; contract rationale belongs in the doc comment);
 //   - //viator:alloc-ok outside the body of a noalloc function;
@@ -63,7 +64,7 @@ func validateAnnotations(pass *Pass, f *ast.File) {
 	for _, list := range anns {
 		for _, a := range list {
 			if !knownDirectives[a.Directive] {
-				pass.Reportf(a.Pos, "unknown annotation //viator:%s (known: noalloc, alloc-ok, maporder-safe, walltime-ok, tiebreak-safe)", a.Directive)
+				pass.Reportf(a.Pos, "unknown annotation //viator:%s (known: noalloc, alloc-ok, maporder-safe, walltime-ok, tiebreak-safe, api)", a.Directive)
 				continue
 			}
 			if suppressions[a.Directive] && a.Reason == "" {
@@ -77,6 +78,10 @@ func validateAnnotations(pass *Pass, f *ast.File) {
 				}
 				if !annotatesFunc(pass, f, a) {
 					pass.Reportf(a.Pos, "//viator:noalloc must be attached to a function declaration")
+				}
+			case DirAPI:
+				if !annotatesFunc(pass, f, a) {
+					pass.Reportf(a.Pos, "//viator:api must be attached to a function declaration")
 				}
 			case DirAllocOK:
 				inside := false
@@ -172,7 +177,10 @@ func collectNoAllocFuncs(fset *token.FileSet, f *ast.File) []NoAllocFunc {
 	var out []NoAllocFunc
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Body == nil || !funcNoAlloc(fset, anns, fn) {
+		if !ok || fn.Body == nil {
+			continue
+		}
+		if _, marked := funcAnnotation(fset, anns, fn, DirNoAlloc); !marked {
 			continue
 		}
 		nf := NoAllocFunc{

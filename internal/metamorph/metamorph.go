@@ -1,19 +1,16 @@
 // Package metamorph implements the Pulsating Metamorphosis Principle's
-// two movement schemes (Definition 3.1): horizontal (inter-node)
-// wandering, where functions migrate between ships toward demand and the
-// ships specialize/aggregate into virtual outstanding networks
-// (Figure 3, "ex-pulsing"), and vertical (intra-node) wandering, where
-// ships under pressure spawn overlay roles inside themselves (Figure 4,
-// "in-pulsing"). Both pulses operate in parallel to realize the adaptive
-// virtual topology.
+// horizontal (inter-node) wandering (Definition 3.1): functions migrate
+// between ships toward demand and the ships specialize/aggregate into
+// virtual outstanding networks (Figure 3, "ex-pulsing"). Vertical
+// (intra-node) wandering, a ship spawning overlay roles inside itself
+// (Figure 4, "in-pulsing"), is a ship operation (ship.InstallAux).
 //
 // # Scale discipline
 //
-// Pulses reuse engine-owned scratch (aux-role snapshots, role census
-// buffers) instead of building per-ship slices, and the outstanding
-// -network census has a CSR scratch form (OutstandingInto) that groups
-// ship indices by role with two counting passes and no map. The map- and
-// slice-returning package functions remain as allocating views.
+// Pulses reuse engine-owned scratch (the role census buffer) instead of
+// building per-ship slices, and the outstanding-network census has a CSR
+// scratch form (OutstandingInto) that groups ship indices by role with
+// two counting passes and no map.
 package metamorph
 
 import (
@@ -51,11 +48,9 @@ type Engine struct {
 	cfg   Config
 	Ships []*ship.Ship
 
-	// Horizontal / Vertical count completed transitions.
+	// Horizontal counts completed role migrations.
 	Horizontal int
-	Vertical   int
 
-	auxScratch   []roles.Kind
 	countScratch []int
 }
 
@@ -110,47 +105,6 @@ func (e *Engine) HorizontalPulse(demand DemandFn) (migrations int, latency float
 	return migrations, latency
 }
 
-// PressureFn reports the load pressure at ship index i in [0,∞).
-type PressureFn func(i int) float64
-
-// VerticalPulse performs one intra-node wandering step: ships whose
-// pressure exceeds high spawn an overlay (install the auxiliary role
-// their Next-Step switch stores, defaulting to Combining), and ships
-// below low tear their overlays down. It returns (spawned, torndown).
-//
-//viator:noalloc
-func (e *Engine) VerticalPulse(pressure PressureFn, high, low float64) (spawned, torndown int) {
-	for i, s := range e.Ships {
-		if s.State() != ship.Alive {
-			continue
-		}
-		p := pressure(i)
-		if p > high {
-			k, ok := s.NextStep().Next()
-			if !ok {
-				k = roles.Combining
-			}
-			e.auxScratch = s.AuxRolesInto(e.auxScratch)
-			if len(e.auxScratch) == 0 {
-				if err := s.InstallAux(k); err == nil {
-					spawned++
-				}
-			}
-		} else if p < low {
-			// The scratch snapshot stays stable while RemoveAux mutates
-			// the ship's own aux-role list underneath it.
-			e.auxScratch = s.AuxRolesInto(e.auxScratch)
-			for _, k := range e.auxScratch {
-				if err := s.RemoveAux(k); err == nil {
-					torndown++
-				}
-			}
-		}
-	}
-	e.Vertical += spawned + torndown
-	return spawned, torndown
-}
-
 // Outstanding is the caller-owned scratch form of the outstanding
 // -network census: alive ship indices grouped by modal role in CSR
 // layout. The zero value is ready for OutstandingInto.
@@ -163,11 +117,6 @@ type Outstanding struct {
 	// Distinct counts roles with at least one alive ship — the number of
 	// virtual outstanding networks.
 	Distinct int
-}
-
-// Span returns role k's alive ship indices (shared with o.Ships).
-func (o *Outstanding) Span(k roles.Kind) []int32 {
-	return o.Ships[o.Start[k]:o.Start[k+1]]
 }
 
 // outstandingInto fills o from ships with two counting passes.
@@ -209,28 +158,6 @@ func outstandingInto(o *Outstanding, ships []*ship.Ship) {
 
 // OutstandingInto runs the census over the engine's fleet into o.
 func (e *Engine) OutstandingInto(o *Outstanding) { outstandingInto(o, e.Ships) }
-
-// OutstandingNetworks groups alive ships by modal role: each group is one
-// "virtual outstanding network" of the same physical infrastructure
-// (Figure 3). Keys with no ships are absent. This is the allocating map
-// view of OutstandingInto.
-func OutstandingNetworks(ships []*ship.Ship) map[roles.Kind][]int {
-	var o Outstanding
-	outstandingInto(&o, ships)
-	out := make(map[roles.Kind][]int)
-	for k := roles.Kind(0); k < roles.NumKinds; k++ {
-		span := o.Span(k)
-		if len(span) == 0 {
-			continue
-		}
-		idx := make([]int, len(span))
-		for i, v := range span {
-			idx[i] = int(v)
-		}
-		out[k] = idx
-	}
-	return out
-}
 
 // RoleEntropy quantifies the functional differentiation of the fleet in
 // bits — the measurable form of Figure 1's "different shapes of the

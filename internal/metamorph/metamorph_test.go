@@ -107,55 +107,6 @@ func TestHorizontalSkipsDeadShips(t *testing.T) {
 	}
 }
 
-func TestVerticalPulseSpawnsAndTearsDown(t *testing.T) {
-	ships := fleet(t, 3)
-	ships[1].NextStep().Set(roles.Transcoding)
-	e := New(DefaultConfig(), ships)
-	// Ships 0 and 1 under pressure; 2 idle.
-	spawned, torn := e.VerticalPulse(func(i int) float64 {
-		if i < 2 {
-			return 0.9
-		}
-		return 0.1
-	}, 0.8, 0.2)
-	if spawned != 2 || torn != 0 {
-		t.Fatalf("spawned=%d torn=%d", spawned, torn)
-	}
-	// Ship 1 spawned the role its Next-Step switch stored.
-	if got := ships[1].AuxRoles(); len(got) != 1 || got[0] != roles.Transcoding {
-		t.Fatalf("ship1 overlays = %v", got)
-	}
-	// Ship 0 defaulted to combining.
-	if got := ships[0].AuxRoles(); len(got) != 1 || got[0] != roles.Combining {
-		t.Fatalf("ship0 overlays = %v", got)
-	}
-	// Pressure drops: overlays torn down.
-	spawned, torn = e.VerticalPulse(func(i int) float64 { return 0.05 }, 0.8, 0.2)
-	if spawned != 0 || torn != 2 {
-		t.Fatalf("teardown: spawned=%d torn=%d", spawned, torn)
-	}
-	if len(ships[0].AuxRoles()) != 0 {
-		t.Fatal("overlay survived teardown")
-	}
-	if e.Vertical != 4 {
-		t.Fatalf("total vertical = %d", e.Vertical)
-	}
-}
-
-func TestVerticalNoDoubleSpawn(t *testing.T) {
-	ships := fleet(t, 1)
-	e := New(DefaultConfig(), ships)
-	hot := func(i int) float64 { return 1 }
-	e.VerticalPulse(hot, 0.5, 0.1)
-	s, _ := e.VerticalPulse(hot, 0.5, 0.1)
-	if s != 0 {
-		t.Fatal("spawned twice under sustained pressure")
-	}
-	if len(ships[0].AuxRoles()) != 1 {
-		t.Fatalf("overlays = %v", ships[0].AuxRoles())
-	}
-}
-
 func TestOutstandingNetworks(t *testing.T) {
 	ships := fleet(t, 4)
 	ships[0].SetModalRole(roles.Fusion)

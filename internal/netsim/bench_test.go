@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"viator/internal/sim"
@@ -26,10 +27,10 @@ func BenchmarkNetsim(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n.Send(0, 1, n.NewPacket(0, 1, 1000, "bench", nil))
 			if i%1024 == 1023 {
-				k.Drain()
+				k.Run(math.Inf(1))
 			}
 		}
-		k.Drain()
+		k.Run(math.Inf(1))
 		b.StopTimer()
 		if delivered != b.N {
 			b.Fatalf("delivered %d of %d", delivered, b.N)
@@ -52,10 +53,10 @@ func BenchmarkNetsim(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n.Send(0, 1, n.NewPacket(0, 4, 1000, "bench", nil))
 			if i%256 == 255 {
-				k.Drain()
+				k.Run(math.Inf(1))
 			}
 		}
-		k.Drain()
+		k.Run(math.Inf(1))
 	})
 	b.Run("UtilizationSweep", func(b *testing.B) {
 		// The per-refresh sweep S2 runs over every link to feed the

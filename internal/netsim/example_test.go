@@ -18,7 +18,7 @@ func ExampleNet() {
 	g.ConnectBoth(0, 1, 1)
 
 	n := netsim.New(k, g)
-	n.SetLinkProps(0, netsim.LinkProps{Bandwidth: 1000, Delay: 0.1, QueueCap: 64 << 10})
+	n.SetAllLinkProps(netsim.LinkProps{Bandwidth: 1000, Delay: 0.1, QueueCap: 64 << 10})
 	n.OnReceive(func(at topo.NodeID, p *netsim.Packet) {
 		fmt.Printf("node %d got packet %d (%d bytes) at t=%v\n", at, p.ID, p.Size, k.Now())
 		n.Deliver(p) // record end-to-end latency

@@ -31,8 +31,6 @@
 //     holds just the links that were configured or sent on, so the radio
 //     links a mobile fleet creates but never uses cost the index slot and
 //     nothing the garbage collector scans.
-//   - Drop/delivery tallies use the stats.Counter integer-keyed fast path:
-//     per-packet accounting is an array increment, not a map lookup.
 //   - End-to-end latency has two sink tiers: the default retained-sample
 //     stats.Summary (exact percentiles, what paper tables consume) and an
 //     optional telemetry.Hist (fixed memory, 0 allocs per delivery,
@@ -143,7 +141,6 @@ type Net struct {
 	topoVersion uint64 // last topo.Graph.Version the link index was synced to
 	recv        func(at topo.NodeID, p *Packet)
 	nextID      uint64
-	C           *stats.Counter
 
 	// Latency is the default end-to-end latency sink: a retained-sample
 	// Summary with exact percentiles, which is what the paper tables
@@ -161,10 +158,6 @@ type Net struct {
 	// the per-link queue-depth distribution of a run.
 	QueueHist *telemetry.Hist
 
-	// Integer keys into C for the per-packet counters (see stats.Key).
-	kNoLink, kDropTTL, kDropQueue, kDropRED, kDropLoss stats.Key
-	kDropRoute, kDelivered, kBytes                     stats.Key
-
 	// Delivered counts packets handed to the receive callback; DroppedQ and
 	// DroppedLoss count queue-overflow and random-loss drops respectively;
 	// DroppedRED counts random-early-detection drops. DroppedRoute counts
@@ -180,15 +173,7 @@ type Net struct {
 
 // New creates a transport over g with every link at DefaultLinkProps.
 func New(k *sim.Kernel, g *topo.Graph) *Net {
-	n := &Net{K: k, G: g, C: stats.NewCounter(), Latency: stats.NewSummary()}
-	n.kNoLink = n.C.Key("send.nolink")
-	n.kDropTTL = n.C.Key("drop.ttl")
-	n.kDropQueue = n.C.Key("drop.queue")
-	n.kDropRED = n.C.Key("drop.red")
-	n.kDropLoss = n.C.Key("drop.loss")
-	n.kDropRoute = n.C.Key("drop.noroute")
-	n.kDelivered = n.C.Key("e2e.delivered")
-	n.kBytes = n.C.Key("e2e.bytes")
+	n := &Net{K: k, G: g, Latency: stats.NewSummary()}
 	n.syncLinks()
 	return n
 }
@@ -240,13 +225,6 @@ func (n *Net) lookup(li int) *linkState {
 	return nil
 }
 
-// SetLinkProps overrides the properties of link li. Reconfiguring
-// Bandwidth or Delay affects only packets transmitted afterwards; packets
-// already on the wire keep the timing they were launched with.
-func (n *Net) SetLinkProps(li int, p LinkProps) {
-	n.state(li).props = p
-}
-
 // SetAllLinkProps overrides every current link's properties. Links the
 // graph gains afterwards start at DefaultLinkProps.
 func (n *Net) SetAllLinkProps(p LinkProps) {
@@ -257,14 +235,6 @@ func (n *Net) SetAllLinkProps(p LinkProps) {
 	for li := range n.linkIdx {
 		n.state(li).props = p
 	}
-}
-
-// LinkProps returns the properties of link li.
-func (n *Net) LinkProps(li int) LinkProps {
-	if ls := n.lookup(li); ls != nil {
-		return ls.props
-	}
-	return DefaultLinkProps()
 }
 
 // OnReceive installs the upper-layer delivery callback.
@@ -286,7 +256,6 @@ func (n *Net) NewPacket(src, dst topo.NodeID, size int, class string, payload an
 func (n *Net) Send(from, to topo.NodeID, p *Packet) bool {
 	li := n.G.FindLink(from, to)
 	if li == -1 {
-		n.C.Add(n.kNoLink, 1)
 		return false
 	}
 	return n.SendOnLink(li, p)
@@ -308,14 +277,12 @@ func (n *Net) Send(from, to topo.NodeID, p *Packet) bool {
 func (n *Net) SendOnLink(li int, p *Packet) bool {
 	if p.TTL <= 0 {
 		n.DroppedTTL++
-		n.C.Add(n.kDropTTL, 1)
 		return false
 	}
 	ls := n.state(li)
 	if ls.qBytes+p.Size > ls.props.QueueCap && (ls.busy || ls.queued() > 0) {
 		ls.dropped++
 		n.DroppedQ++
-		n.C.Add(n.kDropQueue, 1)
 		return false
 	}
 	if ls.props.REDMin > 0 && ls.qBytes > ls.props.REDMin {
@@ -326,7 +293,6 @@ func (n *Net) SendOnLink(li int, p *Packet) bool {
 		if n.K.Rand.Bool(frac * ls.props.REDMaxP) {
 			ls.dropped++
 			n.DroppedRED++
-			n.C.Add(n.kDropRED, 1)
 			return false
 		}
 	}
@@ -431,7 +397,6 @@ func (n *Net) arriveOn(li int) {
 	}
 	if rec.lost {
 		n.DroppedLoss++
-		n.C.Add(n.kDropLoss, 1)
 		return
 	}
 	ls.sent++
@@ -447,8 +412,8 @@ func (n *Net) arriveOn(li int) {
 // Deliver records the end-to-end latency of a packet that reached its
 // final destination. Upper layers call it once per completed journey.
 // With LatencyHist installed the steady state is allocation-free: a
-// histogram observe plus two slice increments, instead of growing the
-// Summary's retained sample by one float per delivered packet.
+// histogram observe instead of growing the Summary's retained sample by
+// one float per delivered packet.
 //
 //viator:noalloc
 func (n *Net) Deliver(p *Packet) {
@@ -457,39 +422,19 @@ func (n *Net) Deliver(p *Packet) {
 	} else {
 		n.Latency.Add(n.K.Now() - p.Created)
 	}
-	n.C.Add(n.kDelivered, 1)
-	n.C.Add(n.kBytes, float64(p.Size))
 }
 
 // Drop finalizes a packet the upper layer cannot forward because routing
-// produced no next hop. Transport-level failures (no link, queue
-// overflow, RED, loss, TTL) are recorded by Send/arrival themselves; this
-// is the one failure only the routing layer can see, and recording it
-// keeps the end-to-end invariant that every injected packet lands in
-// exactly one of Deliver or a drop counter.
+// produced no next hop. Transport-level failures (queue overflow, RED,
+// loss, TTL) are recorded by Send/arrival themselves, and Send reports a
+// missing link by returning false; this is the one failure only the
+// routing layer can see, and recording it keeps the end-to-end invariant
+// that every injected packet lands in exactly one of Deliver, a drop
+// counter or a refused Send.
 //
 //viator:noalloc
 func (n *Net) Drop(p *Packet) {
 	n.DroppedRoute++
-	n.C.Add(n.kDropRoute, 1)
-}
-
-// LinkStats summarizes one link's activity.
-type LinkStats struct {
-	Sent     uint64
-	Dropped  uint64
-	Bytes    uint64
-	BusyTime float64
-	Queued   int
-}
-
-// Stats returns activity counters for link li.
-func (n *Net) Stats(li int) LinkStats {
-	ls := n.lookup(li)
-	if ls == nil {
-		return LinkStats{}
-	}
-	return LinkStats{Sent: ls.sent, Dropped: ls.dropped, Bytes: ls.bytes, BusyTime: ls.busyTime, Queued: ls.qBytes}
 }
 
 // Utilization returns link li's busy fraction over elapsed simulated time.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"viator/internal/allocpin"
@@ -128,14 +129,14 @@ func TestTrunkSteadyStateAllocFree(t *testing.T) {
 	for _, p := range pkts {
 		tr.Send(p)
 	}
-	k.Drain()
+	k.Run(math.Inf(1))
 	i := 0
 	allocpin.Zero(t, 2000, func() {
 		p := pkts[i&63]
 		p.TTL = 64
 		i++
 		tr.Send(p)
-		k.Drain()
+		k.Run(math.Inf(1))
 	}, "(*Trunk).Send", "(*Trunk).startTx", "(*Trunk).finishTx")
 	if sunk == 0 {
 		t.Fatal("no packets egressed")

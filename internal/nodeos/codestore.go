@@ -1,10 +1,6 @@
 package nodeos
 
-import (
-	"sort"
-
-	"viator/internal/vm"
-)
+import "viator/internal/vm"
 
 // CodeStore is the per-node program repository behind the paper's "code
 // distribution mechanism [that] ensures that shuttle processing routines
@@ -71,26 +67,4 @@ func (s *CodeStore) Get(id string) (vm.Program, bool) {
 func (s *CodeStore) Has(id string) bool {
 	_, ok := s.progs[id]
 	return ok
-}
-
-// Len returns the number of stored programs.
-func (s *CodeStore) Len() int { return len(s.progs) }
-
-// IDs returns stored identifiers, sorted.
-func (s *CodeStore) IDs() []string {
-	out := make([]string, 0, len(s.progs))
-	for id := range s.progs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HitRate returns hits/(hits+misses), 0 before any lookup.
-func (s *CodeStore) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }

@@ -43,7 +43,6 @@ func (r Resources) Fits(s Resources) bool {
 var (
 	ErrAdmission = errors.New("nodeos: resource admission denied")
 	ErrDupEE     = errors.New("nodeos: execution environment already registered")
-	ErrNoEE      = errors.New("nodeos: no such execution environment")
 )
 
 // NodeOS is one node's operating system: it owns the resource envelope,
@@ -61,12 +60,6 @@ type NodeOS struct {
 func New(total Resources, codeCapacity int) *NodeOS {
 	return &NodeOS{total: total, ees: make(map[string]*EE), Store: NewCodeStore(codeCapacity)}
 }
-
-// Total returns the node's resource envelope.
-func (n *NodeOS) Total() Resources { return n.total }
-
-// Used returns the resources currently reserved by registered EEs.
-func (n *NodeOS) Used() Resources { return n.used }
 
 // Free returns the unreserved resources.
 func (n *NodeOS) Free() Resources { return n.total.Sub(n.used) }
@@ -87,23 +80,6 @@ func (n *NodeOS) RegisterEE(name string, quota Resources, gasLimit int64) (*EE, 
 	n.order = append(n.order, name)
 	n.used = n.used.Add(quota)
 	return ee, nil
-}
-
-// RemoveEE tears down an EE and releases its quota.
-func (n *NodeOS) RemoveEE(name string) error {
-	ee, ok := n.ees[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoEE, name)
-	}
-	delete(n.ees, name)
-	for i, o := range n.order {
-		if o == name {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			break
-		}
-	}
-	n.used = n.used.Sub(ee.Quota)
-	return nil
 }
 
 // EE returns a registered environment.
@@ -141,13 +117,6 @@ func (e *EE) Bind(id int64, fn vm.HostFunc) {
 		e.ids = append(e.ids, id)
 	}
 	e.hosts[id] = fn
-}
-
-// HostIDs returns the bound primitive ids, sorted.
-func (e *EE) HostIDs() []int64 {
-	out := append([]int64(nil), e.ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Execute runs a capsule program in this EE with the EE's gas limit and

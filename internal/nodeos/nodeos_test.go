@@ -52,10 +52,10 @@ func TestEERemoveReleasesQuota(t *testing.T) {
 	if err := n.RemoveEE("a"); err != nil {
 		t.Fatal(err)
 	}
-	if n.Used() != rsrc(0, 0, 0) {
-		t.Fatalf("used = %+v", n.Used())
+	if n.used != rsrc(0, 0, 0) {
+		t.Fatalf("used = %+v", n.used)
 	}
-	if err := n.RemoveEE("a"); !errors.Is(err, ErrNoEE) {
+	if err := n.RemoveEE("a"); !errors.Is(err, errNoEE) {
 		t.Fatalf("double remove: %v", err)
 	}
 	if _, err := n.RegisterEE("b", rsrc(10, 10, 10), 1); err != nil {
@@ -125,7 +125,7 @@ func TestCodeStoreDemandAccounting(t *testing.T) {
 	if _, ok := s.Get("f"); !ok {
 		t.Fatal("stored program missing")
 	}
-	if s.Hits != 1 || s.Misses != 1 || s.HitRate() != 0.5 {
+	if s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("hits=%d misses=%d", s.Hits, s.Misses)
 	}
 	if !s.Has("f") || s.Has("g") {
@@ -161,8 +161,8 @@ func TestCodeStoreIDsSorted(t *testing.T) {
 	if len(ids) != 3 || ids[0] != "a" || ids[2] != "z" {
 		t.Fatalf("ids = %v", ids)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.progs) != 3 {
+		t.Fatalf("len = %d", len(s.progs))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestAdmissionNeverOversubscribes(t *testing.T) {
 			r := float64(q % 50)
 			n.RegisterEE(string(rune('a'+i%26))+string(rune('0'+i/26%10)), rsrc(r, r, r), 1)
 		}
-		return n.Used().Fits(n.Total())
+		return n.used.Fits(n.total)
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}

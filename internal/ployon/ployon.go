@@ -35,16 +35,6 @@ const (
 // Shape is a structure descriptor with features normalized to [0,1].
 type Shape [ShapeDims]float64
 
-// Valid reports whether every feature is inside [0,1].
-func (s Shape) Valid() bool {
-	for _, v := range s {
-		if v < 0 || v > 1 || math.IsNaN(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // Congruence returns the structural match between two shapes in [0,1]:
 // 1 − (mean absolute feature distance). Identical shapes score 1.
 func Congruence(a, b Shape) float64 {
@@ -135,10 +125,4 @@ type Ployon struct {
 	ID    ID
 	Class Class
 	Shape Shape
-}
-
-// Congruent reports whether the two ployons' interfaces match at or above
-// the threshold — the docking acceptance test of the DCP.
-func (p *Ployon) Congruent(q *Ployon, threshold float64) bool {
-	return Congruence(p.Shape, q.Shape) >= threshold
 }

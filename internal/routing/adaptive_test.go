@@ -438,3 +438,21 @@ func TestLazyBuildsCountSparseTraffic(t *testing.T) {
 		}
 	})
 }
+
+// TeardownOverlay removes a virtual overlay. The default "" overlay is
+// the fallback for every unknown overlay name and cannot be torn down —
+// removing it is a no-op. (It used to be removable, which left NextHop
+// indexing a nil fallback table and panicking on the next unknown-overlay
+// route.)
+func (a *Adaptive) TeardownOverlay(name string) {
+	if name == DefaultOverlay {
+		return
+	}
+	delete(a.overlays, name)
+	for i, o := range a.order {
+		if o == name {
+			a.order = append(a.order[:i], a.order[i+1:]...)
+			break
+		}
+	}
+}

@@ -1,11 +1,86 @@
 package routing
 
 import (
+	"sort"
 	"testing"
 
 	"viator/internal/sim"
 	"viator/internal/topo"
 )
+
+// Multicast support for the per-multicast-branch feedback dimension:
+// "user-specific multicast services within the network reduce the load
+// on the sensors and the network backbone" — a shortest-path multicast
+// tree carries one copy per tree link instead of one per receiver.
+
+// MulticastTree is a source-rooted distribution tree.
+type MulticastTree struct {
+	Source    topo.NodeID
+	Receivers []topo.NodeID
+	// Children maps a node to its downstream tree neighbors.
+	Children map[topo.NodeID][]topo.NodeID
+	// Links is the number of tree links (copies transmitted per packet).
+	Links int
+}
+
+// BuildMulticastTree unions the shortest paths from src to every
+// reachable receiver into a tree. Unreachable receivers are dropped from
+// the Receivers list.
+func BuildMulticastTree(g *topo.Graph, src topo.NodeID, receivers []topo.NodeID) *MulticastTree {
+	spt := g.ComputeInto(nil, nil, src)
+	tree := &MulticastTree{Source: src, Children: make(map[topo.NodeID][]topo.NodeID)}
+	edge := make(map[[2]topo.NodeID]bool)
+	for _, r := range receivers {
+		path := spt.PathTo(r)
+		if path == nil {
+			continue
+		}
+		tree.Receivers = append(tree.Receivers, r)
+		for i := 0; i+1 < len(path); i++ {
+			e := [2]topo.NodeID{path[i], path[i+1]}
+			if !edge[e] {
+				edge[e] = true
+				tree.Children[path[i]] = append(tree.Children[path[i]], path[i+1])
+				tree.Links++
+			}
+		}
+	}
+	for _, kids := range tree.Children {
+		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+	}
+	return tree
+}
+
+// UnicastCopies returns the total link transmissions needed to reach the
+// tree's receivers with per-receiver unicast — the baseline the tree is
+// measured against.
+func (t *MulticastTree) UnicastCopies(g *topo.Graph) int {
+	spt := g.ComputeInto(nil, nil, t.Source)
+	total := 0
+	for _, r := range t.Receivers {
+		if p := spt.PathTo(r); p != nil {
+			total += len(p) - 1
+		}
+	}
+	return total
+}
+
+// Savings returns 1 - tree/unicast link transmissions, the per-branch
+// dimension's bandwidth effect.
+func (t *MulticastTree) Savings(g *topo.Graph) float64 {
+	uni := t.UnicastCopies(g)
+	if uni == 0 {
+		return 0
+	}
+	return 1 - float64(t.Links)/float64(uni)
+}
+
+// FanOut walks the tree from a node, returning the next hops a packet
+// copy must be sent to when it arrives there (the fission role's branch
+// list at that node).
+func (t *MulticastTree) FanOut(at topo.NodeID) []topo.NodeID {
+	return append([]topo.NodeID(nil), t.Children[at]...)
+}
 
 func TestMulticastTreeOnStar(t *testing.T) {
 	g := topo.Star(6) // hub 0, leaves 1..5

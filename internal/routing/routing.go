@@ -114,11 +114,6 @@ func (s *Static) Path(src, dst topo.NodeID) []topo.NodeID {
 	return s.tables[src].PathTo(dst)
 }
 
-// Cost returns the path cost src→dst (+Inf when unreachable).
-func (s *Static) Cost(src, dst topo.NodeID) float64 {
-	return s.tables[src].Dist[dst]
-}
-
 // AODV is an on-demand ad-hoc routing protocol in the AODV style: routes
 // are discovered by flooding route requests, cached, and invalidated on
 // link failure. Control cost is counted per discovery — the metric the
@@ -358,24 +353,6 @@ func (a *Adaptive) SpawnOverlay(name string, bias float64) {
 	}
 	o.bias = bias
 	a.invalidate(o)
-}
-
-// TeardownOverlay removes a virtual overlay. The default "" overlay is
-// the fallback for every unknown overlay name and cannot be torn down —
-// removing it is a no-op. (It used to be removable, which left NextHop
-// indexing a nil fallback table and panicking on the next unknown-overlay
-// route.)
-func (a *Adaptive) TeardownOverlay(name string) {
-	if name == DefaultOverlay {
-		return
-	}
-	delete(a.overlays, name)
-	for i, o := range a.order {
-		if o == name {
-			a.order = append(a.order[:i], a.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // Overlays returns overlay names in creation order.

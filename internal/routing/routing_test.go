@@ -11,9 +11,9 @@ func TestStaticAgreesWithDijkstra(t *testing.T) {
 	g := topo.PaperFigure()
 	r := NewStatic(g)
 	for src := 0; src < g.N(); src++ {
-		spt := g.Dijkstra(topo.NodeID(src))
+		spt := g.ComputeInto(nil, nil, topo.NodeID(src))
 		for dst := 0; dst < g.N(); dst++ {
-			if r.Cost(topo.NodeID(src), topo.NodeID(dst)) != spt.Dist[dst] {
+			if r.tables[src].Dist[dst] != spt.Dist[dst] {
 				t.Fatalf("cost mismatch %d->%d", src, dst)
 			}
 		}

@@ -346,6 +346,8 @@ func Parse(data []byte) (*Spec, error) {
 
 // Marshal renders the spec as indented JSON. Parse(Marshal(sp)) is
 // identical to sp for any valid spec (the fuzz-pinned round-trip law).
+//
+//viator:api called by the bench module (bench/perf), outside this module
 func (sp *Spec) Marshal() ([]byte, error) {
 	b, err := json.MarshalIndent(sp, "", "  ")
 	if err != nil {

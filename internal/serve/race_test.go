@@ -71,7 +71,7 @@ func TestServerObservationDoesNotPerturbS1(t *testing.T) {
 	if !ok {
 		t.Fatal("run not registered")
 	}
-	r.Wait()
+	r.wait()
 	close(stop)
 	wg.Wait()
 	cancel()

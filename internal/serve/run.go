@@ -112,8 +112,16 @@ func (r *Run) Status() RunStatus { return r.snap.Load().status }
 // Result returns the sealed result, nil until the run is done.
 func (r *Run) Result() *RunResult { return r.snap.Load().result }
 
-// Wait blocks until the driver goroutine has exited.
-func (r *Run) Wait() { <-r.done }
+// exited reports whether the driver goroutine has exited: the run is
+// done, stopped or failed.
+func (r *Run) exited() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // control enqueues a driver operation; false if the run already exited.
 // done is checked before the (buffered) enqueue so a finished run
@@ -340,6 +348,32 @@ func (s *Server) fail(r *Run, em *emitter, msg string) {
 	s.broker.publish(r.id, buf.Bytes())
 }
 
+// maxFinishedRuns bounds the runs the server keeps resident once they
+// finish. Each holds its last snapshot (tens of KB), so without a bound
+// the server's memory would grow with every run it has ever finished.
+const maxFinishedRuns = 64
+
+// evictFinished forgets the oldest finished runs while more than
+// maxFinishedRuns runs are resident; an evicted ID answers like an
+// unknown one. Running runs are never evicted. The caller holds s.mu.
+func (s *Server) evictFinished() {
+	over := len(s.order) - maxFinishedRuns
+	if over <= 0 {
+		return
+	}
+	keep := s.order[:0]
+	for _, id := range s.order {
+		if over > 0 && s.runs[id].exited() {
+			delete(s.runs, id)
+			over--
+			continue
+		}
+		keep = append(keep, id)
+	}
+	clear(s.order[len(keep):])
+	s.order = keep
+}
+
 // start registers and launches a run for a compiled scenario.
 func (s *Server) start(name string, sc *viator.Scenario, seed uint64) *Run {
 	h := viator.StartScenario(sc, seed)
@@ -355,6 +389,7 @@ func (s *Server) start(name string, sc *viator.Scenario, seed uint64) *Run {
 	}
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
+	s.evictFinished()
 	s.mu.Unlock()
 	// Publish the t=0 view before the driver starts so the run is never
 	// observable without a snapshot.

@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -46,6 +48,9 @@ const smokeSpec = `{
 type sleepPacer struct{ d time.Duration }
 
 func (p sleepPacer) Pace(float64) { time.Sleep(p.d) }
+
+// wait blocks until the run's driver goroutine has exited.
+func (r *Run) wait() { <-r.done }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -102,7 +107,7 @@ func TestRunLifecycleAndResult(t *testing.T) {
 	if !ok {
 		t.Fatal("run not registered")
 	}
-	r.Wait()
+	r.wait()
 
 	var done RunStatus
 	if code := getJSON(t, ts.URL+"/api/v1/runs/"+st.ID, &done); code != 200 {
@@ -260,7 +265,7 @@ func TestPauseResumeStop(t *testing.T) {
 
 	post("stop", http.StatusAccepted)
 	r, _ := s.Get(id)
-	r.Wait()
+	r.wait()
 	stopped := waitState(t, ts, id, StateStopped)
 	if stopped.Pass != nil {
 		t.Fatalf("stopped run has a verdict: %+v", stopped)
@@ -356,7 +361,7 @@ func TestDriverPanicFailsOnlyItsRun(t *testing.T) {
 	failed, done := 0, 0
 	for id, seed := range seeds {
 		r, _ := s.Get(id)
-		r.Wait()
+		r.wait()
 		var st RunStatus
 		getJSON(t, ts.URL+"/api/v1/runs/"+id, &st)
 		switch st.State {
@@ -398,7 +403,7 @@ func TestMetricsValidPrometheus(t *testing.T) {
 	st2 := postRun(t, ts.URL, specBody(22))
 	for _, id := range []string{st1.ID, st2.ID} {
 		r, _ := s.Get(id)
-		r.Wait()
+		r.wait()
 	}
 	// Scrape twice: both snapshots must be complete, valid documents.
 	for i := 0; i < 2; i++ {
@@ -574,7 +579,7 @@ func TestStreamRunFilter(t *testing.T) {
 	cancel()
 	for _, id := range []string{st1.ID, st2.ID} {
 		r, _ := s.Get(id)
-		r.Wait()
+		r.wait()
 	}
 	for _, r := range recs {
 		if run, _ := r["run"].(string); run != "r2" {
@@ -603,5 +608,96 @@ func TestHealthzAndBuildAndPprof(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("pprof cmdline status %d", resp.StatusCode)
+	}
+}
+
+// Finished runs are retained up to maxFinishedRuns: starting a run
+// evicts the oldest finished ones while more runs are resident than
+// that, an evicted ID answers 404
+// like an unknown one, /metrics counts the resident runs, and no driver
+// goroutine outlives its run.
+func TestFinishedRunRetentionBounded(t *testing.T) {
+	tiny, err := viator.ParseScenario([]byte(strings.NewReplacer(`"horizon": 4.0`, `"horizon": 0.5`, `"row_every": 1.0`, `"row_every": 0.5`).Replace(smokeSpec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	s, ts := newTestServer(t, Config{Resolve: func(string) (*viator.Scenario, bool) { return tiny, true }})
+	const runs = maxFinishedRuns + 8
+	ids := make([]string, runs)
+	for i := range ids {
+		r, err := s.Start("tiny", uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.wait()
+		ids[i] = r.ID()
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < len(ids)-maxFinishedRuns {
+			want = http.StatusNotFound
+		}
+		if code := getJSON(t, ts.URL+"/api/v1/runs/"+id, nil); code != want {
+			t.Errorf("run %s: status %d, want %d", id, code, want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("viator_server_runs %d\n", maxFinishedRuns); !strings.Contains(string(body), want) {
+		t.Errorf("/metrics does not report %q", want)
+	}
+	ts.Close()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("goroutines: %d after the runs, %d before", n, goroutines)
+	}
+}
+
+// A running run is never evicted, however many runs are resident: only
+// finished runs make room.
+func TestRunningRunsNeverEvicted(t *testing.T) {
+	tiny, err := viator.ParseScenario([]byte(strings.NewReplacer(`"horizon": 4.0`, `"horizon": 0.5`, `"row_every": 1.0`, `"row_every": 0.5`).Replace(smokeSpec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Resolve: func(string) (*viator.Scenario, bool) { return tiny, true }})
+	// Runs whose drivers never exit stand in for running runs.
+	s.mu.Lock()
+	for i := 0; i < maxFinishedRuns; i++ {
+		r := &Run{id: fmt.Sprintf("running%d", i), done: make(chan struct{})}
+		r.snap.Store(&snapshot{status: RunStatus{ID: r.id, State: StateRunning}})
+		s.runs[r.id] = r
+		s.order = append(s.order, r.id)
+	}
+	s.mu.Unlock()
+	first, err := s.Start("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.wait()
+	second, err := s.Start("tiny", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.wait()
+	if code := getJSON(t, ts.URL+"/api/v1/runs/"+first.ID(), nil); code != http.StatusNotFound {
+		t.Errorf("finished run %s: status %d, want 404", first.ID(), code)
+	}
+	for _, id := range []string{"running0", fmt.Sprintf("running%d", maxFinishedRuns-1), second.ID()} {
+		if code := getJSON(t, ts.URL+"/api/v1/runs/"+id, nil); code != http.StatusOK {
+			t.Errorf("run %s: status %d, want 200", id, code)
+		}
 	}
 }

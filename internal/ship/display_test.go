@@ -38,7 +38,7 @@ func TestDisplayedModalRoleMatchesDescribe(t *testing.T) {
 }
 
 // TestAuxRolesIntoMatchesAuxRoles pins the scratch view against the
-// allocating one across install/remove churn.
+// allocating one across installs.
 func TestAuxRolesIntoMatchesAuxRoles(t *testing.T) {
 	s := newAlive(t, 1, ployon.ClassServer)
 	var buf []roles.Kind
@@ -61,10 +61,6 @@ func TestAuxRolesIntoMatchesAuxRoles(t *testing.T) {
 		}
 		check()
 	}
-	if err := s.RemoveAux(roles.Combining); err != nil {
-		t.Fatal(err)
-	}
-	check()
 }
 
 // TestDisplayPathsAllocFree pins the probe-path accessors the gossip
@@ -74,14 +70,9 @@ func TestDisplayPathsAllocFree(t *testing.T) {
 	if err := s.InstallAux(roles.Combining); err != nil {
 		t.Fatal(err)
 	}
-	var buf []roles.Kind
-	buf = s.AuxRolesInto(buf)
 	var sink roles.Kind
 	allocpin.Zero(t, 100, func() {
 		sink = s.DisplayedModalRole()
 	}, "(*Ship).DisplayedModalRole")
-	allocpin.Zero(t, 100, func() {
-		buf = s.AuxRolesInto(buf)
-	}, "(*Ship).AuxRolesInto")
 	_ = sink
 }

@@ -196,9 +196,6 @@ func (s *Ship) State() State { return s.state }
 // Config returns the ship's configuration.
 func (s *Ship) Config() Config { return s.cfg }
 
-// Generation returns the ship's WN generation.
-func (s *Ship) Generation() int { return s.cfg.Generation }
-
 // Fair reports whether the ship cooperates in self-description.
 func (s *Ship) Fair() bool { return s.cfg.Fair }
 
@@ -218,10 +215,6 @@ func (s *Ship) DisplayedModalRole() roles.Kind {
 	}
 	return s.modal
 }
-
-// RoleSwitches returns how many modal role changes occurred — the "role
-// change" statistic of the wandering-function experiments.
-func (s *Ship) RoleSwitches() int { return s.roleSwitches }
 
 // SetModalRole switches the ship's single resident function ("each active
 // node can be assigned exactly one single function at a time") and
@@ -266,9 +259,6 @@ func roleCircuit(k roles.Kind, numIn int) *hw.Bitstream {
 	}
 }
 
-// ModalProcessor returns the resident function's processor.
-func (s *Ship) ModalProcessor() roles.Processor { return s.modalProc }
-
 // InstallAux installs an auxiliary role ("transported, installed and
 // enabled via capsules/shuttles") with its own EE, per Figure 2.
 func (s *Ship) InstallAux(k roles.Kind) error {
@@ -291,77 +281,6 @@ func (s *Ship) InstallAux(k roles.Kind) error {
 	return nil
 }
 
-// RemoveAux uninstalls an auxiliary role and frees its EE.
-func (s *Ship) RemoveAux(k roles.Kind) error {
-	if _, ok := s.aux[k]; !ok {
-		return nil
-	}
-	delete(s.aux, k)
-	for i, o := range s.auxOrder {
-		if o == k {
-			s.auxOrder = append(s.auxOrder[:i], s.auxOrder[i+1:]...)
-			break
-		}
-	}
-	return s.OS.RemoveEE("aux:" + k.String())
-}
-
-// AuxRoles returns installed auxiliary roles in installation order.
-func (s *Ship) AuxRoles() []roles.Kind {
-	out := make([]roles.Kind, len(s.auxOrder))
-	copy(out, s.auxOrder)
-	return out
-}
-
-// AuxRolesInto appends the installed auxiliary roles to buf[:0] in
-// installation order — the caller-owned-scratch form of AuxRoles. The
-// returned snapshot stays valid across InstallAux/RemoveAux, which is
-// what lets the metamorph vertical pulse tear down overlays while
-// iterating without a per-ship copy.
-//
-//viator:noalloc
-func (s *Ship) AuxRolesInto(buf []roles.Kind) []roles.Kind {
-	out := buf[:0]
-	for _, k := range s.auxOrder {
-		out = append(out, k) //viator:alloc-ok amortized scratch growth; steady state reuses buf's capacity
-	}
-	return out
-}
-
-// Processor returns the processor serving the given role: the modal one
-// if it matches, otherwise an installed auxiliary. ok is false when the
-// ship does not currently host the role.
-func (s *Ship) Processor(k roles.Kind) (roles.Processor, bool) {
-	if k == s.modal {
-		return s.modalProc, true
-	}
-	p, ok := s.aux[k]
-	return p, ok
-}
-
 // NextStep exposes the ship's built-in Next-Step switch ("a standard
 // module for each node/ship").
 func (s *Ship) NextStep() *roles.NextStepSwitch { return &s.next }
-
-// DockNetbot installs an autonomous mobile hardware component: its
-// bitstream partially reconfigures the fabric at the given cell offset
-// and its driver routine is stored in the code store under the netbot's
-// name — "netbots take care for delivering their own 'driver' routines
-// (mobile code) at docking time on the ship." It returns the simulated
-// reconfiguration latency.
-func (s *Ship) DockNetbot(bot *hw.Netbot, offset int) (float64, error) {
-	if s.state != Alive {
-		return 0, ErrNotBorn
-	}
-	if s.Fabric == nil {
-		return 0, fmt.Errorf("%w: netbots need generation 3+ hardware", ErrGeneration)
-	}
-	latency, err := bot.Dock(s.Fabric, offset)
-	if err != nil {
-		return 0, err
-	}
-	if len(bot.Driver) > 0 {
-		s.OS.Store.Put("driver:"+bot.Name, bot.Driver)
-	}
-	return latency + codeInstallLatency, nil
-}

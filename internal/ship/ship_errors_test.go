@@ -2,6 +2,7 @@ package ship
 
 import (
 	"testing"
+	"viator/internal/nodeos"
 
 	"viator/internal/kq"
 	"viator/internal/ployon"
@@ -157,13 +158,6 @@ func TestSetModalRoleOnDeadShip(t *testing.T) {
 	}
 }
 
-func TestRemoveAbsentAuxIsNoop(t *testing.T) {
-	s := newAlive(t, 1, ployon.ClassServer)
-	if err := s.RemoveAux(roles.Boosting); err != nil {
-		t.Fatalf("removing absent aux: %v", err)
-	}
-}
-
 func TestAuxInstallExhaustsResources(t *testing.T) {
 	// Each aux takes 1/8 of free resources; installs shrink the pool but
 	// never fail outright within the catalog size. Install everything.
@@ -180,7 +174,7 @@ func TestAuxInstallExhaustsResources(t *testing.T) {
 		t.Fatalf("aux count = %d", len(s.AuxRoles()))
 	}
 	// All EEs fit inside the envelope.
-	if !s.OS.Used().Fits(s.OS.Total()) {
+	if !(nodeos.Resources{}).Fits(s.OS.Free()) {
 		t.Fatal("oversubscribed")
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"viator/internal/allocpin"
@@ -144,13 +145,13 @@ func TestArenaStaleHandleCannotTouchReusedSlot(t *testing.T) {
 	k := NewKernel(1)
 	stale := k.At(1, func() {})
 	k.Run(2) // fires; slot returns to the free list
-	if stale.Cancelled() {
+	if stale.cancelled() {
 		t.Fatal("fired event reports cancelled")
 	}
 	reusedFired := false
 	reused := k.At(3, func() { reusedFired = true })
 	stale.Cancel() // stale generation: must be a no-op
-	if reused.Cancelled() {
+	if reused.cancelled() {
 		t.Fatal("stale Cancel leaked onto the recycled slot")
 	}
 	k.Run(4)
@@ -163,7 +164,7 @@ func TestArenaStaleHandleCannotTouchReusedSlot(t *testing.T) {
 func TestArenaZeroEventInert(t *testing.T) {
 	var e Event
 	e.Cancel()
-	if e.Cancelled() {
+	if e.cancelled() {
 		t.Fatal("zero event reports cancelled")
 	}
 }
@@ -177,7 +178,7 @@ func TestArenaSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < 2048; i++ {
 		k.After(1, fn)
 	}
-	k.Drain()
+	k.Run(math.Inf(1))
 	allocpin.Zero(t, 1000, func() {
 		k.After(1, fn)
 		k.Run(k.Now() + 2)
@@ -190,14 +191,14 @@ func TestArenaPendingCountsCancelled(t *testing.T) {
 	k := NewKernel(1)
 	e := k.At(5, func() {})
 	e.Cancel()
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (cancelled events count until expiry)", k.Pending())
+	if len(k.heap) != 1 {
+		t.Fatalf("pending = %d, want 1 (cancelled events count until expiry)", len(k.heap))
 	}
 	k.Run(10)
-	if k.Pending() != 0 {
-		t.Fatalf("pending = %d after run", k.Pending())
+	if len(k.heap) != 0 {
+		t.Fatalf("pending = %d after run", len(k.heap))
 	}
-	if k.Fired() != 0 {
+	if k.fired != 0 {
 		t.Fatalf("cancelled event counted as fired")
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -16,11 +17,11 @@ func BenchmarkKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k.After(1, func() {})
-			if k.Pending() > 1024 {
+			if len(k.heap) > 1024 {
 				k.Run(k.Now() + 0.5)
 			}
 		}
-		k.Drain()
+		k.Run(math.Inf(1))
 	})
 	b.Run("ScheduleCancel", func(b *testing.B) {
 		b.ReportAllocs()
@@ -28,11 +29,11 @@ func BenchmarkKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k.After(1, func() {}).Cancel()
-			if k.Pending() > 1024 {
+			if len(k.heap) > 1024 {
 				k.Run(k.Now() + 0.5)
 			}
 		}
-		k.Drain()
+		k.Run(math.Inf(1))
 	})
 	b.Run("Ticker", func(b *testing.B) {
 		b.ReportAllocs()
@@ -99,11 +100,11 @@ func shardGroupWindowed(b *testing.B, k, nPer int) {
 	until := Time(0)
 	// One warm horizon grows every arena to steady state.
 	until += shardBenchHorizon
-	g.Run(until)
+	g.run(until)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		until += shardBenchHorizon
-		g.Run(until)
+		g.run(until)
 	}
 	b.StopTimer()
 	fired := 0
@@ -117,21 +118,21 @@ func shardGroupWindowed(b *testing.B, k, nPer int) {
 
 // BenchmarkShardMailbox measures the raw cross-kernel mail cycle: one
 // Post, one barrier exchange (outbox drain + inbox heap push + commit
-// scheduling), one StepNext that pops and delivers the entry.
+// scheduling), one Run that pops and delivers the entry.
 // 0 allocs/op.
 func BenchmarkShardMailbox(b *testing.B) {
 	b.ReportAllocs()
-	g := NewShardGroup(2, 1, 0)
-	g.SetWorkers(1)
+	g := NewShardGroup(2, 1, 0.001)
 	delivered := 0
 	g.OnMail(1, func(payload any) { delivered++ })
 	dst := g.Shard(1)
 	payload := new(int)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Post(0, 1, dst.Now()+0.001, payload)
+		at := dst.Now() + 0.001
+		g.Post(0, 1, at, payload)
 		g.exchange()
-		dst.StepNext(dst.Now() + 1)
+		dst.Run(at)
 	}
 	b.StopTimer()
 	if delivered != b.N {

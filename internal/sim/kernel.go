@@ -51,17 +51,6 @@ func (e Event) Cancel() {
 	s.fn = nil
 }
 
-// Cancelled reports whether the event is currently cancelled and unfired.
-// Once the event's slot is recycled (after firing or after a cancelled
-// event's timestamp passes) it reports false.
-func (e Event) Cancelled() bool {
-	if e.k == nil || e.id < 0 || int(e.id) >= len(e.k.slots) {
-		return false
-	}
-	s := &e.k.slots[e.id]
-	return s.gen == e.gen && s.dead
-}
-
 // slot is one arena entry. Slots are recycled through a free list; gen
 // increments on every release so stale Event handles cannot touch a reused
 // slot.
@@ -94,13 +83,6 @@ func NewKernel(seed uint64) *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Fired returns how many events have executed so far.
-func (k *Kernel) Fired() uint64 { return k.fired }
-
-// Pending returns the number of events still queued (cancelled events
-// count until their timestamp passes).
-func (k *Kernel) Pending() int { return len(k.heap) }
 
 // At schedules fn at absolute time t. Scheduling in the past panics: it is
 // always a model bug and silently clamping would hide it.
@@ -237,12 +219,6 @@ func (k *Kernel) siftDown(i int) {
 	}
 }
 
-// Drain runs until the event queue is empty (or Stop). Use only for models
-// that are known to quiesce; unbounded event chains will spin forever.
-func (k *Kernel) Drain() uint64 {
-	return k.Run(math.Inf(1))
-}
-
 // NextEventTime returns the timestamp of the earliest queued event and
 // whether one exists. Cancelled-but-unexpired events count: their slot
 // still occupies the queue until its timestamp passes, and a conservative
@@ -286,35 +262,6 @@ func (k *Kernel) RunBefore(horizon Time) uint64 {
 		fn()
 	}
 	return k.fired - start
-}
-
-// StepNext fires exactly the earliest live event if its timestamp is at
-// or before until, reporting whether one fired. Cancelled slots at or
-// before until are consumed silently on the way. Like RunBefore it never
-// advances the clock on its own: it is the single-step primitive behind
-// the sharded executor's zero-lookahead sequential merge, where the
-// global (time, shard) order must be re-evaluated after every event.
-//
-//viator:noalloc
-func (k *Kernel) StepNext(until Time) bool {
-	for len(k.heap) > 0 {
-		id := k.heap[0]
-		s := &k.slots[id]
-		if s.at > until {
-			return false
-		}
-		at, fn, dead := s.at, s.fn, s.dead
-		k.popRoot()
-		k.release(id)
-		if dead {
-			continue
-		}
-		k.now = at
-		k.fired++
-		fn()
-		return true
-	}
-	return false
 }
 
 // Every schedules fn to run now+period, then every period thereafter, until

@@ -54,16 +54,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Norm returns a normally distributed value via the Box-Muller transform.
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
@@ -85,57 +75,4 @@ func (r *RNG) ShuffleInts(s []int) {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-// Pick returns a uniformly chosen index weighted by w; w must contain at
-// least one positive weight. Zero-weight entries are never chosen.
-func (r *RNG) Pick(w []float64) int {
-	var total float64
-	for _, x := range w {
-		if x > 0 {
-			total += x
-		}
-	}
-	if total <= 0 {
-		panic("sim: Pick with no positive weight")
-	}
-	t := r.Float64() * total
-	for i, x := range w {
-		if x <= 0 {
-			continue
-		}
-		t -= x
-		if t < 0 {
-			return i
-		}
-	}
-	// Floating point slack: return the last positive-weight index.
-	for i := len(w) - 1; i >= 0; i-- {
-		if w[i] > 0 {
-			return i
-		}
-	}
-	return 0
-}
-
-// Zipf returns a value in [0,n) following a Zipf distribution with exponent
-// s; low indices are the popular ones. Used for realistic content and
-// destination popularity in workloads.
-func (r *RNG) Zipf(n int, s float64) int {
-	// Inverse-CDF over precomputed harmonic weights would be faster for
-	// repeated draws, but workload generators draw at most a few million
-	// values, so the direct rejection-free scan is fine and allocation-free
-	// callers can keep their own table.
-	var h float64
-	for i := 1; i <= n; i++ {
-		h += 1 / math.Pow(float64(i), s)
-	}
-	t := r.Float64() * h
-	for i := 1; i <= n; i++ {
-		t -= 1 / math.Pow(float64(i), s)
-		if t < 0 {
-			return i - 1
-		}
-	}
-	return n - 1
 }

@@ -35,16 +35,8 @@ import (
 // kernel-seq FIFO puts same-timestamp local events before same-timestamp
 // mail, and mail from different sources in (seq, shard) order — a total
 // order depending only on (specs, seeds, K), never on goroutine timing.
-// Fixed K therefore replays byte-identical, for any worker count.
-//
-// # Zero-lookahead fallback
-//
-// L <= 0 means the shards are effectively fully connected in time — no
-// window wider than a single event is safe — so Run degrades to a
-// sequential global merge: repeatedly fire the single earliest event
-// across all shards (lowest shard index breaking timestamp ties) and
-// exchange mail immediately. Same commit order, no parallelism; the
-// structure that makes sharding profitable is the lookahead.
+// Fixed K therefore replays byte-identical, however the goroutines are
+// scheduled.
 //
 // # Zero-allocation steady state
 //
@@ -89,12 +81,12 @@ type shardState struct {
 
 // ShardGroup coordinates K shard kernels under conservative windowed
 // synchronization. Construct with NewShardGroup, wire each shard's model
-// onto Shard(i), register cross-shard delivery with OnMail, then Run.
-// Not safe for concurrent use; the group owns its shards' goroutines.
+// onto Shard(i), register cross-shard delivery with OnMail, then loop
+// StepWindow. Not safe for concurrent use; the group owns its shards'
+// goroutines.
 type ShardGroup struct {
 	shards    []shardState
 	lookahead Time
-	workers   int
 
 	// Windows counts synchronization rounds executed (windowed mode).
 	Windows uint64
@@ -103,9 +95,8 @@ type ShardGroup struct {
 	// loop itself stays allocation-free.
 	counts []uint64
 	// pool holds the persistent window workers (one channel per worker
-	// goroutine, started lazily at the first parallel window and kept
-	// across Run calls so the window loop never spawns). Close releases
-	// them.
+	// goroutine for shards 1..K-1, started lazily at the first window
+	// and kept so the window loop never spawns). Close releases them.
 	pool []chan Time
 	wg   sync.WaitGroup
 }
@@ -114,16 +105,18 @@ type ShardGroup struct {
 // by the RunParallel stream discipline (shard i's seed is the i-th draw
 // of a splitmix64 stream rooted at seed). lookahead is the minimum
 // cross-shard latency L: every Post must carry a timestamp at least L
-// beyond the posting shard's clock. lookahead <= 0 selects the
-// sequential zero-lookahead merge.
+// beyond the posting shard's clock, and must be positive: a window is
+// only safe when no event inside it can reach another shard inside it.
 func NewShardGroup(k int, seed uint64, lookahead Time) *ShardGroup {
 	if k < 1 {
 		panic("sim: ShardGroup needs at least 1 shard")
 	}
+	if !(lookahead > 0) {
+		panic("sim: ShardGroup needs a positive lookahead")
+	}
 	g := &ShardGroup{
 		shards:    make([]shardState, k),
 		lookahead: lookahead,
-		workers:   k,
 		counts:    make([]uint64, k),
 	}
 	root := NewRNG(seed)
@@ -142,16 +135,6 @@ func (g *ShardGroup) NumShards() int { return len(g.shards) }
 // Shard returns shard i's kernel. During Run the kernel must only be
 // touched from events executing on it (one kernel, one goroutine).
 func (g *ShardGroup) Shard(i int) *Kernel { return g.shards[i].k }
-
-// SetWorkers bounds the goroutines running shard windows concurrently
-// (default K; values outside [1, K] are clamped). Purely an execution
-// knob — it never affects results.
-func (g *ShardGroup) SetWorkers(w int) {
-	if w < 1 || w > len(g.shards) {
-		w = len(g.shards)
-	}
-	g.workers = w
-}
 
 // OnMail installs shard i's cross-shard delivery handler. The handler
 // runs on shard i's kernel at the posted timestamp (read it via
@@ -277,29 +260,9 @@ func (g *ShardGroup) next() (Time, bool) {
 	return best, ok
 }
 
-// Run advances every shard to time until under the conservative
-// synchronization protocol, then sets every shard clock to until.
-// Returns the total number of events fired across shards.
-func (g *ShardGroup) Run(until Time) uint64 {
-	var fired uint64
-	for {
-		n, more := g.StepWindow(until)
-		fired += n
-		if !more {
-			break
-		}
-	}
-	// All events at or before until have fired; advance every clock to
-	// the horizon exactly as a single kernel's Run(until) would.
-	for i := range g.shards {
-		fired += g.shards[i].k.Run(until)
-	}
-	return fired
-}
-
 // StepWindow executes exactly one synchronization round toward until —
-// one conservative window (or one merged event in the zero-lookahead
-// fallback) followed by the barrier mail exchange — and reports whether
+// one conservative window followed by the barrier mail exchange — and
+// reports whether
 // any work remains at or before until. The group is quiescent between
 // calls: no worker goroutine touches shard state, so the caller may
 // read any shard read-only before stepping again. That is the seam the
@@ -309,137 +272,85 @@ func (g *ShardGroup) Run(until Time) uint64 {
 // the horizon, so a caller looping StepWindow(H) to exhaustion — however
 // its calls are spaced in wall time — reproduces the exact window
 // partition, and therefore the exact mail commit order and destination
-// event sequence, of a single Run(H). Always pass the same horizon for
-// the whole drain; varying it between calls changes the final window
-// clamp and with it the partition. After StepWindow returns false the
-// caller must advance each shard clock to the horizon (Shard(i).Run(H))
-// to match Run's post-drain contract.
+// event sequence. Always pass the same horizon for the whole drain;
+// varying it between calls changes the final window clamp and with it
+// the partition. After StepWindow returns false the caller advances
+// each shard clock to the horizon (Shard(i).Run(H)), as a single
+// kernel's Run(H) would.
 func (g *ShardGroup) StepWindow(until Time) (uint64, bool) {
-	if g.lookahead > 0 {
-		t, ok := g.next()
-		if !ok || t > until {
-			return 0, false
-		}
-		// Events exactly at the horizon must fire (Run is inclusive), so
-		// the final windows run strictly before the next float after until.
-		end := math.Nextafter(until, math.Inf(1))
-		h := t + g.lookahead
-		if !(h < end) {
-			h = end
-		}
-		g.Windows++
-		fired := g.runWindow(h)
-		g.exchange()
-		return fired, true
+	t, ok := g.next()
+	if !ok || t > until {
+		return 0, false
 	}
-	return g.stepLockstep(until)
+	// Events exactly at the horizon must fire (Run is inclusive), so the
+	// final windows run strictly before the next float after until.
+	end := math.Nextafter(until, math.Inf(1))
+	h := t + g.lookahead
+	if !(h < end) {
+		h = end
+	}
+	g.Windows++
+	fired := g.runWindow(h)
+	g.exchange()
+	return fired, true
 }
 
-// runSlice advances worker n's static shard set (indices n, n+w, n+2w …)
-// to the window horizon. The fixed partition keeps workers write-disjoint
-// on counts and shard state without any per-window coordination beyond
+// runShard advances shard i to the window horizon. Each shard writes
+// only its own count and state, so workers need no coordination beyond
 // the start signal and the completion barrier.
 //
 //viator:noalloc
-func (g *ShardGroup) runSlice(n, w int, h Time) {
-	for i := n; i < len(g.shards); i += w {
-		g.counts[i] = g.shards[i].k.RunBefore(h)
-	}
+func (g *ShardGroup) runShard(i int, h Time) {
+	g.counts[i] = g.shards[i].k.RunBefore(h)
 }
 
-// startPool launches the persistent window workers: w-1 goroutines, each
-// blocking on its own horizon channel (the calling goroutine runs slice
-// 0 inline). The pool survives across Run calls — window dispatch is a
-// channel send per worker, no spawning, no allocation — until Close or a
-// SetWorkers resize.
-func (g *ShardGroup) startPool(w int) {
-	g.stopPool()
-	g.pool = make([]chan Time, w-1)
-	for n := 1; n < w; n++ {
+// startPool launches the persistent window workers: one goroutine for
+// each shard but the first, blocking on its own horizon channel (the
+// calling goroutine runs shard 0 inline). The pool lives until Close —
+// window dispatch is a channel send per worker, no spawning, no
+// allocation.
+func (g *ShardGroup) startPool() {
+	g.pool = make([]chan Time, len(g.shards)-1)
+	for i := range g.pool {
 		ch := make(chan Time)
-		g.pool[n-1] = ch
-		go func(n int, ch chan Time) {
+		g.pool[i] = ch
+		go func(shard int, ch chan Time) {
 			for h := range ch {
-				g.runSlice(n, w, h)
+				g.runShard(shard, h)
 				g.wg.Done()
 			}
-		}(n, ch)
+		}(i+1, ch)
 	}
 }
 
-// stopPool releases the persistent workers, if any.
-func (g *ShardGroup) stopPool() {
+// Close releases the group's worker goroutines. Call it when done with a
+// group that ran parallel windows; the group remains usable afterwards
+// (the pool restarts lazily on the next window).
+func (g *ShardGroup) Close() {
 	for _, ch := range g.pool {
 		close(ch)
 	}
 	g.pool = nil
 }
 
-// Close releases the group's worker goroutines. Call it when done with a
-// group that ran parallel windows; the group remains usable afterwards
-// (the pool restarts lazily on the next parallel window).
-func (g *ShardGroup) Close() { g.stopPool() }
-
-// runWindow runs every shard over [.., h) concurrently on the worker
-// budget and returns the events fired. Shards are state-disjoint inside
+// runWindow runs every shard over [.., h) concurrently, one goroutine a
+// shard, and returns the events fired. Shards are state-disjoint inside
 // a window, so scheduling cannot influence results.
 //
 //viator:noalloc
 func (g *ShardGroup) runWindow(h Time) uint64 {
-	k := len(g.shards)
-	w := g.workers
-	if w > k {
-		w = k
+	if len(g.shards) > 1 && g.pool == nil {
+		g.startPool() //viator:alloc-ok one-time pool build on the first window
 	}
-	if w <= 1 || k == 1 {
-		for i := range g.shards {
-			g.counts[i] = g.shards[i].k.RunBefore(h)
-		}
-	} else {
-		if len(g.pool) != w-1 {
-			g.startPool(w) //viator:alloc-ok one-time pool (re)build on first window or worker resize
-		}
-		g.wg.Add(w - 1)
-		for _, ch := range g.pool {
-			ch <- h
-		}
-		g.runSlice(0, w, h)
-		g.wg.Wait()
+	g.wg.Add(len(g.pool))
+	for _, ch := range g.pool {
+		ch <- h
 	}
+	g.runShard(0, h)
+	g.wg.Wait()
 	var total uint64
 	for _, c := range g.counts {
 		total += c
-	}
-	return total
-}
-
-// stepLockstep is one round of the zero-lookahead sequential merge:
-// fire the globally earliest event (lowest shard index breaks timestamp
-// ties), exchange mail immediately. One event at a time, deterministic
-// by construction, no parallelism.
-func (g *ShardGroup) stepLockstep(until Time) (uint64, bool) {
-	best, bt := -1, Time(0)
-	for i := range g.shards {
-		if t, ok := g.shards[i].k.NextEventTime(); ok && t <= until && (best < 0 || t < bt) {
-			best, bt = i, t
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	var fired uint64
-	if g.shards[best].k.StepNext(until) {
-		fired = 1
-	}
-	g.exchange()
-	return fired, true
-}
-
-// Fired returns the total events fired across all shards.
-func (g *ShardGroup) Fired() uint64 {
-	var total uint64
-	for i := range g.shards {
-		total += g.shards[i].k.Fired()
 	}
 	return total
 }

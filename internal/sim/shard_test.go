@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func toyModel(t *testing.T, group *ShardGroup, k int, seed uint64, la Time, hori
 		kernelOf(s).At(0.001*float64(e+1), func() { step(s, e, x) })
 	}
 	if group != nil {
-		group.Run(horizon)
+		group.run(horizon)
 	} else {
 		oracle.Run(horizon)
 	}
@@ -171,39 +172,23 @@ func TestShardGroupMatchesOracle(t *testing.T) {
 	}
 }
 
-// Shard-straddling mobility handoff: walkers crossing strip boundaries
-// are handed off through the mailbox; the zero-lookahead fallback (la=0,
-// a fully connected shard set) must also match the oracle.
-func TestShardGroupZeroLookaheadFallbackMatchesOracle(t *testing.T) {
-	const k, horizon = 4, 4.0
-	seed := uint64(7)
-	g := NewShardGroup(k, seed, 0)
-	defer g.Close()
-	got := logString(toyModel(t, g, k, seed, 0, horizon))
-	want := logString(toyModel(t, nil, k, seed, 0, horizon))
-	if got != want {
-		t.Fatalf("zero-lookahead log diverged from oracle\nsharded:\n%.400s\noracle:\n%.400s", got, want)
-	}
-	if g.Windows != 0 {
-		t.Fatalf("lockstep path counted %d windows, want 0", g.Windows)
-	}
-}
-
-// Fixed K must replay byte-identical across runs and across worker
-// counts — the sharded analogue of the replicate-level determinism gate.
+// Fixed K must replay byte-identical across runs and however many OS
+// threads run the window workers — the sharded analogue of the
+// replicate-level determinism gate.
 func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
 	const k, la, horizon = 4, 0.05, 6.0
 	seed := uint64(1234)
 	base := ""
-	for _, w := range []int{1, 2, 4, 8} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
 		g := NewShardGroup(k, seed, la)
 		defer g.Close()
-		g.SetWorkers(w)
 		log := logString(toyModel(t, g, k, seed, la, horizon))
 		if base == "" {
 			base = log
 		} else if log != base {
-			t.Fatalf("workers=%d diverged from workers=1", w)
+			t.Fatalf("GOMAXPROCS=%d diverged from GOMAXPROCS=1", procs)
 		}
 	}
 }
@@ -223,7 +208,7 @@ func TestShardGroupEmptyShardsIdle(t *testing.T) {
 		}
 	}
 	g.Shard(0).After(1.0, tick)
-	total := g.Run(10)
+	total := g.run(10)
 	if fired != 5 || total != 5 {
 		t.Fatalf("fired = %d / total %d, want 5", fired, total)
 	}
@@ -231,8 +216,8 @@ func TestShardGroupEmptyShardsIdle(t *testing.T) {
 		if now := g.Shard(i).Now(); now != 10 {
 			t.Fatalf("shard %d clock = %v, want 10", i, now)
 		}
-		if i > 0 && g.Shard(i).Fired() != 0 {
-			t.Fatalf("idle shard %d fired %d events", i, g.Shard(i).Fired())
+		if i > 0 && g.Shard(i).fired != 0 {
+			t.Fatalf("idle shard %d fired %d events", i, g.Shard(i).fired)
 		}
 	}
 }
@@ -245,7 +230,7 @@ func TestShardGroupInfiniteLookaheadSingleWindow(t *testing.T) {
 	var n [2]int // per-shard counters: both shards run concurrently in one window
 	g.Shard(0).At(1, func() { n[0]++ })
 	g.Shard(1).At(2, func() { n[1]++ })
-	g.Run(3)
+	g.run(3)
 	if n[0]+n[1] != 2 {
 		t.Fatalf("fired %d, want 2", n[0]+n[1])
 	}
@@ -254,11 +239,30 @@ func TestShardGroupInfiniteLookaheadSingleWindow(t *testing.T) {
 	}
 }
 
+// A group needs at least one shard and a positive lookahead: with no
+// lookahead no window is safe to run in parallel.
+func TestNewShardGroupRejectsBadShape(t *testing.T) {
+	for _, c := range []struct {
+		k  int
+		la Time
+	}{{0, 1}, {2, 0}, {2, -1}, {2, Time(math.NaN())}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewShardGroup(%d, _, %v) did not panic", c.k, c.la)
+				}
+			}()
+			NewShardGroup(c.k, 1, c.la)
+		}()
+	}
+}
+
 // Posting below the lookahead bound is a model bug and must panic.
 func TestShardGroupLookaheadViolationPanics(t *testing.T) {
 	g := NewShardGroup(2, 3, 0.5)
 	defer g.Close()
-	g.SetWorkers(1) // run windows on this goroutine so recover sees the panic
+	// Shard 0 runs its windows on this goroutine, so recover sees the
+	// panic of a post from shard 0.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on lookahead violation")
@@ -267,7 +271,7 @@ func TestShardGroupLookaheadViolationPanics(t *testing.T) {
 	g.Shard(0).At(1, func() {
 		g.Post(0, 1, g.Shard(0).Now()+0.1, nil) // 0.1 < lookahead 0.5
 	})
-	g.Run(2)
+	g.run(2)
 }
 
 // Commit order at a barrier: entries with equal arrival times commit in
@@ -291,7 +295,7 @@ func TestShardGroupCommitOrder(t *testing.T) {
 	g.Shard(1).At(1, func() {
 		g.Post(1, 2, 5, mk(3)) // seq 0, shard 1
 	})
-	g.Run(6)
+	g.run(6)
 	want := "local@5,e1,e3,e2"
 	if got := strings.Join(order, ","); got != want {
 		t.Fatalf("commit order = %s, want %s", got, want)
@@ -321,10 +325,10 @@ func TestShardMailboxSteadyStateAllocFree(t *testing.T) {
 		at += 1.0
 		g.Post(0, 1, at, msg)
 		g.exchange()
-		g.Shard(1).StepNext(at)
+		g.Shard(1).Run(at)
 	}, "(*ShardGroup).Post", "(*ShardGroup).exchange",
 		"(*shardState).pushInbox", "(*shardState).popInbox", "(*shardState).commit",
-		"(*Kernel).StepNext", "(*Kernel).RunBefore", "(*Kernel).NextEventTime")
+		"(*Kernel).RunBefore", "(*Kernel).NextEventTime")
 	if delivered == 0 {
 		t.Fatal("no mail delivered")
 	}
@@ -367,28 +371,5 @@ func TestKernelRunBeforeIsStrictAndKeepsClock(t *testing.T) {
 	}
 	if len(fired) != 3 {
 		t.Fatalf("fired = %v", fired)
-	}
-}
-
-func TestKernelStepNext(t *testing.T) {
-	k := NewKernel(1)
-	var fired []float64
-	ev := k.At(1, func() { fired = append(fired, 1) })
-	k.At(2, func() { fired = append(fired, 2) })
-	k.At(9, func() { fired = append(fired, 9) })
-	ev.Cancel()
-	// First step consumes the cancelled slot silently and fires t=2.
-	if !k.StepNext(5) {
-		t.Fatal("StepNext found nothing <= 5")
-	}
-	if k.Now() != 2 || len(fired) != 1 || fired[0] != 2 {
-		t.Fatalf("after step: now=%v fired=%v", k.Now(), fired)
-	}
-	// Next event (t=9) is beyond until: no fire, no clock movement.
-	if k.StepNext(5) {
-		t.Fatal("StepNext fired beyond until")
-	}
-	if k.Now() != 2 {
-		t.Fatalf("clock moved to %v", k.Now())
 	}
 }

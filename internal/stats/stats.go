@@ -1,10 +1,6 @@
 // Package stats provides the exact measurement substrate used by every
-// Viator experiment: streaming counters and summaries, histograms, time
-// series and plain-text table rendering for the benchmark harness output.
-//
-// Counter is integer-keyed: a name is resolved once to a Key, and Add
-// turns per-packet accounting into a bare slice increment — what the
-// packet substrate does on its hot path. Get reads a tally back by name.
+// Viator experiment: streaming summaries, smoothing, entropy and
+// plain-text table rendering for the benchmark harness output.
 //
 // Summary retains every observation, which is what makes its percentiles
 // exact — the property the paper tables depend on — at O(n) memory. For
@@ -23,7 +19,8 @@ import (
 
 // Summary accumulates a stream of float64 observations and answers the
 // usual moment and order-statistic questions. Observations are retained so
-// exact percentiles are available; use Counter for unbounded streams.
+// exact percentiles are available; use telemetry.Hist for unbounded
+// streams.
 type Summary struct {
 	vals   []float64
 	sum    float64
@@ -60,29 +57,12 @@ func (s *Summary) Add(v float64) {
 // N returns the number of observations.
 func (s *Summary) N() int { return len(s.vals) }
 
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.sum }
-
 // Mean returns the arithmetic mean, or 0 for an empty summary.
 func (s *Summary) Mean() float64 {
 	if len(s.vals) == 0 {
 		return 0
 	}
 	return s.sum / float64(len(s.vals))
-}
-
-// Var returns the population variance.
-func (s *Summary) Var() float64 {
-	n := float64(len(s.vals))
-	if n == 0 {
-		return 0
-	}
-	m := s.sum / n
-	v := s.sumSq/n - m*m
-	if v < 0 { // floating point guard
-		return 0
-	}
-	return v
 }
 
 // SampleVar returns the unbiased (n-1 denominator) sample variance, the
@@ -175,193 +155,10 @@ func (s *Summary) Percentile(p float64) float64 {
 	return s.vals[lo]*(1-frac) + s.vals[hi]*frac
 }
 
-// Median is Percentile(50).
-func (s *Summary) Median() float64 { return s.Percentile(50) }
-
 // String renders a one-line digest.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p95=%.4g min=%.4g max=%.4g",
 		s.N(), s.Mean(), s.Percentile(50), s.Percentile(95), s.Min(), s.Max())
-}
-
-// Counter is a cheap monotonically adjustable tally keyed by name, used
-// for event accounting across a simulation. A name is resolved to a Key
-// once and bumped through Add, which costs one bounds-checked slice
-// increment instead of a map lookup per event.
-type Counter struct {
-	idx  map[string]Key
-	vals []float64
-}
-
-// Key is a stable integer handle to one named counter, resolved once via
-// Counter.Key and then usable with Add on the per-event path.
-type Key int
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{idx: make(map[string]Key)}
-}
-
-// Key resolves name to its integer handle, registering the counter at zero
-// on first use.
-func (c *Counter) Key(name string) Key {
-	if k, ok := c.idx[name]; ok {
-		return k
-	}
-	k := Key(len(c.vals))
-	c.idx[name] = k
-	c.vals = append(c.vals, 0)
-	return k
-}
-
-// Add adds delta to the counter behind k — the allocation-free, map-free
-// fast path for per-packet accounting.
-//
-//viator:noalloc
-func (c *Counter) Add(k Key, delta float64) { c.vals[k] += delta }
-
-// Get returns the value of the named counter (0 if never incremented).
-func (c *Counter) Get(name string) float64 {
-	if k, ok := c.idx[name]; ok {
-		return c.vals[k]
-	}
-	return 0
-}
-
-// Histogram buckets observations into fixed-width bins over [lo,hi); values
-// outside the range land in the under/overflow bins.
-type Histogram struct {
-	lo, hi float64
-	width  float64
-	bins   []uint64
-	under  uint64
-	over   uint64
-	total  uint64
-	sum    float64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo,hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), bins: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	h.sum += v
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		i := int((v - h.lo) / h.width)
-		if i >= len(h.bins) { // right-edge float slack
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Count returns total observations including under/overflow.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// Mean returns the mean of all added values (exact, not bin-centered).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Mode returns the midpoint of the fullest in-range bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.bins {
-		if c > h.bins[best] {
-			best = i
-		}
-	}
-	return h.lo + (float64(best)+0.5)*h.width
-}
-
-// Sparkline renders the histogram as a compact unicode bar string, handy
-// for harness output that mirrors a paper figure's distribution shape.
-func (h *Histogram) Sparkline() string {
-	glyphs := []rune(" ▁▂▃▄▅▆▇█")
-	var max uint64
-	for _, c := range h.bins {
-		if c > max {
-			max = c
-		}
-	}
-	if max == 0 {
-		return ""
-	}
-	out := make([]rune, len(h.bins))
-	for i, c := range h.bins {
-		g := int(float64(c) / float64(max) * float64(len(glyphs)-1))
-		out[i] = glyphs[g]
-	}
-	return string(out)
-}
-
-// Series is an append-only (time, value) sequence for tracking a metric's
-// trajectory over simulation time — the raw material of every "figure".
-type Series struct {
-	T []float64
-	V []float64
-}
-
-// Append records a point. Times must be non-decreasing.
-func (s *Series) Append(t, v float64) {
-	if n := len(s.T); n > 0 && t < s.T[n-1] {
-		panic("stats: series time went backwards")
-	}
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.T) }
-
-// Last returns the final value, or 0 when empty.
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
-// At returns the value in effect at time t (step interpolation, i.e. the
-// last point with T <= t); 0 before the first point.
-func (s *Series) At(t float64) float64 {
-	i := sort.SearchFloat64s(s.T, t)
-	if i < len(s.T) && s.T[i] == t {
-		return s.V[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return s.V[i-1]
-}
-
-// Mean returns the unweighted mean of the values.
-func (s *Series) Mean() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.V {
-		sum += v
-	}
-	return sum / float64(len(s.V))
 }
 
 // EWMA is an exponentially weighted moving average, the smoothing element

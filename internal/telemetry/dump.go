@@ -194,17 +194,12 @@ func promName(s string) string {
 	return b.String()
 }
 
-// LabeledDump pairs a dump with the pre-formatted Prometheus label
-// fragment (e.g. `exp="S1"`) applied to every one of its samples.
-type LabeledDump struct {
-	Labels string
-	D      *Dump
-}
-
-// WriteProm emits a Prometheus text-format snapshot of one dump; see
-// WriteProms, which it delegates to.
+// WriteProm emits a Prometheus text-format snapshot of one dump, every
+// family under its `# TYPE` line.
+//
+//viator:api called by the bench module (bench/perf), outside this module
 func (d *Dump) WriteProm(w io.Writer, labels string) error {
-	return WriteProms(w, []LabeledDump{{Labels: labels, D: d}})
+	return WritePromFamilies(w, PromFamilies(d, labels))
 }
 
 // promLabel joins a dump's label fragment with a sample's own labels
@@ -221,132 +216,6 @@ func promLabel(labels, extra string) string {
 	return "{" + labels + "," + extra + "}"
 }
 
-// WriteProms emits one valid Prometheus text-format snapshot covering
-// every dump: histograms as cumulative bucket series (non-empty buckets
-// only, so the line count stays bounded), flows as counters plus
-// quantile gauges, and each recorder's latest sample per series. All
-// samples of one metric family are emitted consecutively under a single
-// TYPE line — the exposition-format grouping rule — with each dump's
-// label fragment telling its samples apart, which is what lets one file
-// snapshot several experiments at once.
-func WriteProms(w io.Writer, dumps []LabeledDump) error {
-	// Histogram families, keyed by hist name in first-seen order.
-	var histNames []string
-	seen := make(map[string]bool)
-	for _, ld := range dumps {
-		for _, nh := range ld.D.Hists {
-			if !seen[nh.Name] {
-				seen[nh.Name] = true
-				histNames = append(histNames, nh.Name)
-			}
-		}
-	}
-	for _, hn := range histNames {
-		name := "viator_" + promName(hn)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
-		for _, ld := range dumps {
-			for _, nh := range ld.D.Hists {
-				if nh.Name != hn {
-					continue
-				}
-				h := nh.H
-				cum := uint64(0)
-				var err error
-				h.EachBucket(func(upper float64, count uint64) {
-					cum += count
-					if err == nil {
-						_, err = fmt.Fprintf(w, "%s_bucket%s %d\n",
-							name, promLabel(ld.Labels, `le="`+fnum(upper)+`"`), cum)
-					}
-				})
-				if err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %s\n%s_count%s %d\n",
-					name, promLabel(ld.Labels, `le="+Inf"`), h.Count(),
-					name, promLabel(ld.Labels, ""), fnum(h.Sum()),
-					name, promLabel(ld.Labels, ""), h.Count()); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	// Flow families: one pass over all dumps per family so each metric's
-	// samples stay consecutive.
-	flowInt := func(metric string, get func(FlowReport) uint64) error {
-		for _, ld := range dumps {
-			if ld.D.QoS == nil {
-				continue
-			}
-			for _, r := range ld.D.QoS.Reports() {
-				fl := `flow="` + promName(r.Name) + `"`
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", metric, promLabel(ld.Labels, fl), get(r)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := flowInt("viator_flow_sent_total", func(r FlowReport) uint64 { return r.Sent }); err != nil {
-		return err
-	}
-	if err := flowInt("viator_flow_delivered_total", func(r FlowReport) uint64 { return r.Delivered }); err != nil {
-		return err
-	}
-	for _, ld := range dumps {
-		if ld.D.QoS == nil {
-			continue
-		}
-		for _, r := range ld.D.QoS.Reports() {
-			fl := `flow="` + promName(r.Name) + `"`
-			if _, err := fmt.Fprintf(w, "viator_flow_delivery_ratio%s %s\n",
-				promLabel(ld.Labels, fl), fnum(r.DeliveryRatio)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, ld := range dumps {
-		if ld.D.QoS == nil {
-			continue
-		}
-		for _, r := range ld.D.QoS.Reports() {
-			fl := `flow="` + promName(r.Name) + `"`
-			for _, qv := range [...]struct {
-				q string
-				v float64
-			}{{"0.5", r.P50}, {"0.95", r.P95}, {"0.99", r.P99}} {
-				if _, err := fmt.Fprintf(w, "viator_flow_latency_seconds%s %s\n",
-					promLabel(ld.Labels, fl+`,quantile="`+qv.q+`"`), fnum(qv.v)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := flowInt("viator_flow_slo_pass", func(r FlowReport) uint64 {
-		if r.SLOPass {
-			return 1
-		}
-		return 0
-	}); err != nil {
-		return err
-	}
-	for _, ld := range dumps {
-		if ld.D.Rec == nil {
-			continue
-		}
-		for si := 0; si < ld.D.Rec.NumSeries(); si++ {
-			if _, err := fmt.Fprintf(w, "viator_series_last%s %s\n",
-				promLabel(ld.Labels, `name="`+promName(ld.D.Rec.SeriesName(si))+`",type="`+ld.D.Rec.SeriesKind(si).String()+`"`),
-				fnum(ld.D.Rec.Last(si))); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // PromFamily is one metric family's pre-rendered contribution from a
 // single dump: the family name, its `# TYPE` header line (empty for
 // untyped families) and its sample lines. Families are the unit the
@@ -360,13 +229,13 @@ type PromFamily struct {
 	Samples []byte
 }
 
-// PromFamilies renders one dump into per-family chunks, in the same
-// family order WriteProms uses (histograms, flow counters and gauges,
-// then recorder last-values). Families that would emit no samples are
-// omitted. labels is the dump's Prometheus label fragment (e.g.
+// PromFamilies renders one dump into per-family chunks: histograms as
+// cumulative bucket series (non-empty buckets only, so the line count
+// stays bounded), flows as counters plus quantile gauges, then each
+// recorder series' latest sample. Families that would emit no samples
+// are omitted. labels is the dump's Prometheus label fragment (e.g.
 // `run="r1"`), applied to every sample. Every family carries a `# TYPE`
-// header, the flow and recorder families included, which WriteProms
-// leaves untyped (the batch snapshots are pinned byte for byte).
+// header.
 func PromFamilies(d *Dump, labels string) []PromFamily {
 	var fams []PromFamily
 	add := func(name, typ string, render func(w io.Writer)) {
@@ -454,9 +323,8 @@ func PromFamilies(d *Dump, labels string) []PromFamily {
 // sources (one group per run, say) into a single valid exposition-format
 // snapshot: families are merged by name in first-seen order, each
 // family's header is written once, and every group's samples for that
-// family follow consecutively. When all groups share a family set this
-// reproduces WriteProms' samples line for line, with a `# TYPE` header
-// on every family PromFamilies typed.
+// family follow consecutively, so the groups' label fragments tell their
+// samples apart and one file can snapshot several runs or experiments.
 func WritePromFamilies(w io.Writer, groups ...[]PromFamily) error {
 	var order []string
 	byName := make(map[string][]*PromFamily)

@@ -127,9 +127,6 @@ func (h *Hist) Observe(v float64) {
 // Count returns the number of recorded observations (excluding dropped).
 func (h *Hist) Count() uint64 { return h.count }
 
-// Dropped returns the number of NaN/negative observations rejected.
-func (h *Hist) Dropped() uint64 { return h.dropped }
-
 // Sum returns the exact sum of recorded observations.
 func (h *Hist) Sum() float64 { return h.sum }
 
@@ -242,15 +239,6 @@ func (h *Hist) Merge(o *Hist) {
 	if o.max > h.max {
 		h.max = o.max
 	}
-}
-
-// Reset returns h to the empty state without releasing its memory.
-func (h *Hist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count, h.zeros, h.dropped, h.sum = 0, 0, 0, 0
-	h.min, h.max = math.Inf(1), math.Inf(-1)
 }
 
 // EachBucket calls f for every non-empty bucket in ascending value order

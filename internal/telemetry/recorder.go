@@ -150,25 +150,8 @@ func (r *Recorder) Tick(now float64) {
 	r.ticks++
 }
 
-// Ticks returns the total number of ticks recorded.
-func (r *Recorder) Ticks() int { return r.ticks }
-
 // NumSeries returns the number of registered series.
 func (r *Recorder) NumSeries() int { return len(r.series) }
-
-// Reset clears all recorded samples and rollups (registrations survive),
-// reusing every ring buffer. Counter baselines re-sample on reset so the
-// first post-reset tick records a delta from "now", not from the old run.
-func (r *Recorder) Reset() {
-	r.ticks = 0
-	for i := range r.series {
-		s := &r.series[i]
-		s.rolls, s.wN, s.wSum = 0, 0, 0
-		if s.kind == Counter {
-			s.prev = s.sample()
-		}
-	}
-}
 
 // retained returns how many of `total` ring rows are still present.
 func (r *Recorder) retained(total int) int {

@@ -53,8 +53,8 @@ func TestRecorderRingWrap(t *testing.T) {
 			t.Fatalf("sample %d = (%v,%v), want (%v,%v) — oldest-first after wrap", i, ts[i], vs[i], want, want)
 		}
 	}
-	if r.Ticks() != 10 {
-		t.Fatalf("Ticks = %d", r.Ticks())
+	if r.ticks != 10 {
+		t.Fatalf("Ticks = %d", r.ticks)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestRecorderReset(t *testing.T) {
 	cum = 5
 	r.Tick(1)
 	r.Reset()
-	if r.Ticks() != 0 {
-		t.Fatalf("Ticks after reset = %d", r.Ticks())
+	if r.ticks != 0 {
+		t.Fatalf("Ticks after reset = %d", r.ticks)
 	}
 	cum = 7
 	r.Tick(1)

@@ -1,8 +1,7 @@
 package telemetry
 
 // Per-flow QoS scorecards. A ScoreSet tracks, for each registered flow
-// (a traffic class keyed by an integer FlowID on the stats.Counter
-// fast-path pattern), how many units were sent, how many were delivered,
+// (a traffic class keyed by an integer FlowID), how many units were sent, how many were delivered,
 // the delivery-latency distribution in a fixed-memory Hist, and whether
 // the flow's SLO currently holds. The per-event paths (Sent, Delivered)
 // are slice indexing plus a Hist observe — allocation-free — so

@@ -156,62 +156,6 @@ func TestDumpJSONLAndPromDeterministic(t *testing.T) {
 	}
 }
 
-// TestWritePromsGroupsFamiliesAcrossDumps pins the exposition-format
-// grouping rule for multi-experiment snapshots: one TYPE line per
-// histogram family, and every metric's samples consecutive in the file
-// even when several labeled dumps contribute to it.
-func TestWritePromsGroupsFamiliesAcrossDumps(t *testing.T) {
-	mk := func(lat float64) *Dump {
-		h := NewHist()
-		h.Observe(lat)
-		qos := NewScoreSet()
-		f := qos.Flow("data", SLO{})
-		qos.Sent(f)
-		qos.Delivered(f, lat)
-		return &Dump{Hists: []NamedHist{{Name: "latency", H: h}}, QoS: qos}
-	}
-	var buf bytes.Buffer
-	err := WriteProms(&buf, []LabeledDump{
-		{Labels: `exp="S1"`, D: mk(0.1)},
-		{Labels: `exp="S2"`, D: mk(0.2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if n := strings.Count(out, "# TYPE viator_latency histogram"); n != 1 {
-		t.Fatalf("TYPE line emitted %d times, want exactly 1:\n%s", n, out)
-	}
-	// Each metric's lines must be consecutive: once a new metric name
-	// starts, an earlier one may not reappear.
-	var order []string
-	seen := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		name := line
-		if i := strings.IndexAny(line, "{ "); i > 0 {
-			name = line[:i]
-		}
-		// _bucket/_sum/_count are samples of one histogram family.
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			name = strings.TrimSuffix(name, suf)
-		}
-		if !seen[name] {
-			seen[name] = true
-			order = append(order, name)
-		} else if order[len(order)-1] != name {
-			t.Fatalf("metric %s reappears after %s — family samples not grouped:\n%s", name, order[len(order)-1], out)
-		}
-	}
-	for _, want := range []string{`exp="S1"`, `exp="S2"`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("snapshot missing %s samples", want)
-		}
-	}
-}
-
 func TestMergeDumpsPoolsHistsAndFlows(t *testing.T) {
 	mk := func(lat float64) *Dump {
 		h := NewHist()

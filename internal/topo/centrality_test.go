@@ -1,5 +1,18 @@
 package topo
 
+// MostCentral returns the node with the highest betweenness (ties break
+// toward the lower id) — the default wandering target.
+func (g *Graph) MostCentral() NodeID {
+	cb := g.Betweenness()
+	best := 0
+	for i := 1; i < len(cb); i++ {
+		if cb[i] > cb[best] {
+			best = i
+		}
+	}
+	return NodeID(best)
+}
+
 // Betweenness computes unweighted betweenness centrality (Brandes'
 // algorithm over up links): the fraction of shortest paths crossing each
 // node. Horizontal wandering uses it to pick principled interior
@@ -53,17 +66,4 @@ func (g *Graph) Betweenness() []float64 {
 		}
 	}
 	return cb
-}
-
-// MostCentral returns the node with the highest betweenness (ties break
-// toward the lower id) — the default wandering target.
-func (g *Graph) MostCentral() NodeID {
-	cb := g.Betweenness()
-	best := 0
-	for i := 1; i < len(cb); i++ {
-		if cb[i] > cb[best] {
-			best = i
-		}
-	}
-	return NodeID(best)
 }

@@ -268,7 +268,7 @@ func TestDijkstraMatchesReferenceUnderChurn(t *testing.T) {
 			for s := 0; s < g.N(); s += 5 {
 				expectEqualSPT(t, nil, g.ComputeInto(sc, spt, NodeID(s)), referenceDijkstra(g, NodeID(s)))
 				// The one-shot wrapper must agree too.
-				expectEqualSPT(t, nil, g.Dijkstra(NodeID(s)), referenceDijkstra(g, NodeID(s)))
+				expectEqualSPT(t, nil, g.ComputeInto(nil, nil, NodeID(s)), referenceDijkstra(g, NodeID(s)))
 			}
 		}
 	}
@@ -589,7 +589,7 @@ func TestFrontierEntryTakesTiedPredecessor(t *testing.T) {
 // path, and still walks a static tree.
 func TestPathToRefusesOverlayTree(t *testing.T) {
 	g := Line(3)
-	if p := g.Dijkstra(0).PathTo(2); !slices.Equal(p, []NodeID{0, 1, 2}) {
+	if p := g.ComputeInto(nil, nil, 0).PathTo(2); !slices.Equal(p, []NodeID{0, 1, 2}) {
 		t.Fatalf("static path = %v, want [0 1 2]", p)
 	}
 	var ov CostOverlay
@@ -684,7 +684,7 @@ func TestComputeIntoAllocationFree(t *testing.T) {
 // once per hop per packet.
 func TestNextHopAllocationFree(t *testing.T) {
 	g := ConnectedWaxman(64, 0.4, 0.3, sim.NewRNG(6))
-	spt := g.Dijkstra(0)
+	spt := g.ComputeInto(nil, nil, 0)
 	dst := NodeID(g.N() - 1)
 	if spt.NextHop(dst) == -1 {
 		t.Fatal("expected a route in a connected graph")

@@ -323,7 +323,7 @@ func b2i(b bool) int {
 
 // SPT holds a shortest-path tree of one of two kinds:
 //
-//   - a source tree (Dijkstra, ComputeInto, CostOverlay.StartInto): the
+//   - a source tree (ComputeInto, CostOverlay.StartInto): the
 //     shortest paths from Source to every node, and at each settled node
 //     v the first hop of the path Source→v (NextHop);
 //   - a sink tree (CostOverlay.StartSinkInto): the shortest paths from
@@ -345,8 +345,7 @@ func b2i(b bool) int {
 type SPT struct {
 	Source NodeID
 	// Dist is each node's distance, +Inf when unreachable. Only trees
-	// built by Dijkstra and ComputeInto fill it; it is empty in overlay
-	// trees.
+	// built by ComputeInto fill it; it is empty in overlay trees.
 	Dist []float64
 	// Prev is each node's predecessor; -1 at the source and unreachable
 	// nodes. Like next it is int32, half a NodeID table. Like Dist, only
@@ -403,16 +402,10 @@ func regrow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Dijkstra computes shortest paths from src over up links using Cost as
-// the metric. Negative costs panic. It allocates a fresh tree; hot
-// callers retain an SPTScratch and an SPT and use ComputeInto instead.
-func (g *Graph) Dijkstra(src NodeID) *SPT {
-	return g.computeInto(nil, nil, src)
-}
-
-// ComputeInto is Dijkstra with caller-owned memory: the tree is built
-// into t reusing its slices, and sc's buffers hold the working state.
-// Once both have grown to the graph size, repeated computations are
+// ComputeInto computes shortest paths from src over up links using Cost
+// as the metric (Dijkstra); negative costs panic. The tree is built into
+// t reusing its slices, and sc's buffers hold the working state. Once
+// both have grown to the graph size, repeated computations are
 // allocation-free. Either may be nil, in which case it is allocated.
 // It returns t for convenience.
 //
@@ -848,9 +841,9 @@ func (o *CostOverlay) settleSink(sc *SPTScratch, t *SPT, at int32) {
 }
 
 // Settled reports whether v's entries are final in t: v is the source,
-// or its next hop has been set. Trees built by Dijkstra or ComputeInto,
-// and overlay trees settled with v = -1, are complete, so every
-// reachable node is settled there.
+// or its next hop has been set. Trees built by ComputeInto, and overlay
+// trees settled with v = -1, are complete, so every reachable node is
+// settled there.
 func (t *SPT) Settled(v NodeID) bool { return v == t.Source || t.next[v] >= 0 }
 
 // SinkHop reads a sink tree at a settled node at: the next hop from at
@@ -937,7 +930,7 @@ func (g *Graph) computeInto(sc *SPTScratch, t *SPT, src NodeID) *SPT {
 }
 
 // PathTo reconstructs the node sequence src..dst of a static tree
-// (Dijkstra, ComputeInto), or nil when dst is unreachable. It panics on
+// (ComputeInto), or nil when dst is unreachable. It panics on
 // an overlay tree, which keeps no predecessors to walk.
 func (t *SPT) PathTo(dst NodeID) []NodeID {
 	if len(t.Prev) != len(t.next) {

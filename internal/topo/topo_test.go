@@ -59,7 +59,7 @@ func TestLinkDownHidesNeighbor(t *testing.T) {
 
 func TestDijkstraRing(t *testing.T) {
 	g := Ring(8)
-	spt := g.Dijkstra(0)
+	spt := g.ComputeInto(nil, nil, 0)
 	if spt.Dist[4] != 4 {
 		t.Fatalf("antipode dist = %v", spt.Dist[4])
 	}
@@ -79,7 +79,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g := New()
 	g.AddNodes(3)
 	g.Connect(0, 1, 1)
-	spt := g.Dijkstra(0)
+	spt := g.ComputeInto(nil, nil, 0)
 	if !math.IsInf(spt.Dist[2], 1) {
 		t.Fatal("unreachable node has finite dist")
 	}
@@ -97,7 +97,7 @@ func TestDijkstraPicksCheaperLongerPath(t *testing.T) {
 	g.Connect(0, 2, 10)
 	g.Connect(0, 1, 1)
 	g.Connect(1, 2, 1)
-	spt := g.Dijkstra(0)
+	spt := g.ComputeInto(nil, nil, 0)
 	if spt.Dist[2] != 2 {
 		t.Fatalf("dist = %v", spt.Dist[2])
 	}
@@ -112,7 +112,7 @@ func TestDijkstraRespectsDownLinks(t *testing.T) {
 	g.Connect(0, 1, 1)
 	li := g.Connect(1, 2, 1)
 	g.SetUp(li, false)
-	spt := g.Dijkstra(0)
+	spt := g.ComputeInto(nil, nil, 0)
 	if !math.IsInf(spt.Dist[2], 1) {
 		t.Fatal("routed over down link")
 	}
@@ -250,12 +250,12 @@ func TestDijkstraTriangleInequality(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		g := RandomGeometric(15, 5, 2.5, rng)
-		sptA := g.Dijkstra(0)
+		sptA := g.ComputeInto(nil, nil, 0)
 		for b := 1; b < g.N(); b++ {
 			if math.IsInf(sptA.Dist[b], 1) {
 				continue
 			}
-			sptB := g.Dijkstra(NodeID(b))
+			sptB := g.ComputeInto(nil, nil, NodeID(b))
 			for c := 0; c < g.N(); c++ {
 				if math.IsInf(sptB.Dist[c], 1) || math.IsInf(sptA.Dist[c], 1) {
 					continue

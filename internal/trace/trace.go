@@ -1,12 +1,9 @@
 // Package trace is a bounded structured event log for simulations: a
-// ring buffer of timestamped events with category filtering and text
-// dump, cheap enough to leave enabled in experiments.
+// ring buffer of timestamped events, read by subscribers through
+// EachSince, cheap enough to leave enabled in experiments.
 package trace
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Event is one recorded occurrence.
 type Event struct {
@@ -47,29 +44,13 @@ func (l *Log) Add(t float64, category, format string, args ...any) {
 	l.count++
 }
 
-// Total returns how many events were ever recorded (including evicted).
-func (l *Log) Total() uint64 { return l.count }
-
-// Events returns retained events oldest-first.
-func (l *Log) Events() []Event {
-	if len(l.buf) < cap(l.buf) {
-		out := make([]Event, len(l.buf))
-		copy(out, l.buf)
-		return out
-	}
-	out := make([]Event, 0, cap(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	out = append(out, l.buf[:l.next]...)
-	return out
-}
-
 // EachSince is the ring's subscriber hook: it calls f for every retained
 // event whose ordinal (0-based position in the full recorded stream) is
 // at least `from`, oldest-first, and returns the new stream total to pass
 // as `from` next time. A subscriber that polls at a bounded lag sees
 // every event exactly once; one that falls more than the ring capacity
-// behind silently loses the evicted prefix — Total() minus the previous
-// cursor minus the number of callbacks tells it how many. The log is not
+// behind silently loses the evicted prefix — the returned total minus
+// the previous cursor minus the number of callbacks tells it how many. The log is not
 // safe for concurrent use: call EachSince from the goroutine that Adds
 // (the simulation driver polls at barrier boundaries).
 func (l *Log) EachSince(from uint64, f func(Event)) uint64 {
@@ -89,24 +70,4 @@ func (l *Log) EachSince(from uint64, f func(Event)) uint64 {
 		f(l.buf[idx])
 	}
 	return total
-}
-
-// Filter returns retained events of one category, oldest-first.
-func (l *Log) Filter(category string) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Category == category {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump renders retained events as text.
-func (l *Log) Dump() string {
-	var b strings.Builder
-	for _, e := range l.Events() {
-		fmt.Fprintf(&b, "%10.4f [%s] %s\n", e.Time, e.Category, e.Message)
-	}
-	return b.String()
 }

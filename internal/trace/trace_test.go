@@ -13,8 +13,8 @@ func TestAddAndEvents(t *testing.T) {
 	if len(ev) != 2 || ev[0].Message != "ship 7" || ev[1].Category != "role" {
 		t.Fatalf("events = %v", ev)
 	}
-	if l.Total() != 2 {
-		t.Fatalf("total = %d", l.Total())
+	if l.count != 2 {
+		t.Fatalf("total = %d", l.count)
 	}
 }
 
@@ -30,8 +30,8 @@ func TestRingEviction(t *testing.T) {
 	if ev[0].Message != "e2" || ev[2].Message != "e4" {
 		t.Fatalf("wrong retention order: %v", ev)
 	}
-	if l.Total() != 5 {
-		t.Fatalf("total = %d", l.Total())
+	if l.count != 5 {
+		t.Fatalf("total = %d", l.count)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestEachSinceAcrossEviction(t *testing.T) {
 	if len(msgs) != 3 || msgs[0] != "e3" || msgs[2] != "e5" {
 		t.Fatalf("evicted drain: %v", msgs)
 	}
-	if next != l.Total() {
-		t.Fatalf("cursor %d != total %d", next, l.Total())
+	if next != l.count {
+		t.Fatalf("cursor %d != total %d", next, l.count)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestDisabled(t *testing.T) {
 	l := New(4)
 	l.Enabled = false
 	l.Add(1, "c", "dropped")
-	if l.Total() != 0 || len(l.Events()) != 0 {
+	if l.count != 0 || len(l.Events()) != 0 {
 		t.Fatal("disabled log recorded")
 	}
 }

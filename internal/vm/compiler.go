@@ -23,7 +23,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -37,12 +36,6 @@ type CompileError struct {
 // Error renders the failure.
 func (e *CompileError) Error() string {
 	return fmt.Sprintf("vm: compile error at %d: %s", e.Pos, e.Msg)
-}
-
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
 }
 
 type token struct {
@@ -257,33 +250,4 @@ func Compile(expr string, vars map[string]int) (Program, error) {
 	}
 	p.emit(HALT, 0)
 	return p.prog, nil
-}
-
-// Eval compiles and immediately runs an expression with variable values —
-// a convenience for tests and workload generators.
-func Eval(expr string, values map[string]int64, gas int64) (int64, error) {
-	vars := make(map[string]int, len(values))
-	reg := 0
-	// Deterministic register assignment by insertion over sorted names.
-	names := make([]string, 0, len(values))
-	for n := range values {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if reg >= NumRegisters {
-			return 0, &CompileError{Pos: 0, Msg: "too many variables"}
-		}
-		vars[n] = reg
-		reg++
-	}
-	prog, err := Compile(expr, vars)
-	if err != nil {
-		return 0, err
-	}
-	m := NewMachine(prog, gas)
-	for _, n := range names {
-		m.SetReg(vars[n], values[n])
-	}
-	return m.Run()
 }

@@ -142,9 +142,6 @@ func (m *Machine) SetReg(i int, v int64) {
 	m.regs[i] = v
 }
 
-// Reg reads a register after execution (result passing).
-func (m *Machine) Reg(i int) int64 { return m.regs[i] }
-
 // GasUsed returns the gas consumed so far.
 func (m *Machine) GasUsed() int64 { return m.used }
 

@@ -130,8 +130,8 @@ func TestRegisters(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Reg(4) != 42 {
-		t.Fatalf("reg4 = %d", m.Reg(4))
+	if m.regs[4] != 42 {
+		t.Fatalf("reg4 = %d", m.regs[4])
 	}
 }
 

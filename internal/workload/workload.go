@@ -1,17 +1,15 @@
 // Package workload provides the traffic generators the experiments and
 // example applications drive their networks with: constant-bit-rate
-// media streams, Poisson packet arrivals, Zipf-popular content requests,
-// bursty on/off sources and geometric sensor fields. Generators schedule
-// themselves on a sim.Kernel and are deterministic per RNG.
+// media streams, Poisson packet arrivals, Zipf popularity sampling and
+// bursty on/off sources. Generators schedule themselves on a sim.Kernel
+// and are deterministic per RNG.
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"viator/internal/roles"
 	"viator/internal/sim"
-	"viator/internal/topo"
 )
 
 // CBR schedules a constant-bit-rate stream: chunkBytes every
@@ -93,19 +91,6 @@ func (z *Zipf) Draw(rng *sim.RNG) int {
 	return lo
 }
 
-// ZipfRequests generates content requests over a catalog of n objects
-// with Zipf(s) popularity at the given rate. Keys are "obj-<i>" with
-// low i the popular objects — the cache-role workload.
-func ZipfRequests(k *sim.Kernel, rng *sim.RNG, n int, s, rate float64, emit func(roles.Chunk)) (stop func()) {
-	z := NewZipf(n, s)
-	seq := 0
-	return Poisson(k, rng, rate, func(int) {
-		obj := z.Draw(rng)
-		emit(roles.Chunk{Stream: "req", Seq: seq, Key: fmt.Sprintf("obj-%d", obj), Meta: "request"})
-		seq++
-	})
-}
-
 // OnOff schedules a bursty source: exponentially distributed ON periods
 // (mean onMean) emitting at rateBps, separated by OFF periods (mean
 // offMean) of silence — the adversarial load for feedback controllers.
@@ -141,34 +126,4 @@ func OnOff(k *sim.Kernel, rng *sim.RNG, stream string, rateBps, onMean, offMean 
 	// Start in an ON burst.
 	k.After(0, func() { onPhase(k.Now() + rng.Exp(onMean)) })
 	return func() { stopped = true }
-}
-
-// SensorReading is one observation from a sensor field.
-type SensorReading struct {
-	Sensor topo.NodeID
-	Seq    int
-	Bytes  int
-}
-
-// SensorField schedules periodic readings from every listed sensor with
-// per-sensor phase jitter (so readings don't synchronize). Stop the
-// returned tickers to silence the field.
-func SensorField(k *sim.Kernel, rng *sim.RNG, sensors []topo.NodeID, period float64, bytes int, emit func(SensorReading)) []*sim.Ticker {
-	var out []*sim.Ticker
-	for _, s := range sensors {
-		s := s
-		seq := 0
-		jitter := rng.Float64() * period
-		// Phase-shift the first tick, then run periodically.
-		k.After(jitter, func() {
-			emit(SensorReading{Sensor: s, Seq: seq, Bytes: bytes})
-			seq++
-		})
-		t := k.Every(period, func() {
-			emit(SensorReading{Sensor: s, Seq: seq, Bytes: bytes})
-			seq++
-		})
-		out = append(out, t)
-	}
-	return out
 }

@@ -3,13 +3,9 @@ package viator
 import (
 	"testing"
 
-	"viator/internal/hw"
 	"viator/internal/mobility"
-	"viator/internal/ployon"
-	"viator/internal/ship"
 	"viator/internal/shuttle"
 	"viator/internal/topo"
-	"viator/internal/vm"
 )
 
 func TestMobileWanderingNetworkDelivers(t *testing.T) {
@@ -64,38 +60,5 @@ func TestMobilityDetectsPartitions(t *testing.T) {
 	n.Run(20)
 	if m.Partitions == 0 {
 		t.Fatal("no partitions detected in a sparse arena")
-	}
-}
-
-func TestShipDockNetbot(t *testing.T) {
-	s := ship.New(ship.DefaultConfig(1, ployon.ClassServer))
-	s.Birth()
-	bot := &hw.Netbot{
-		Name:      "parity",
-		Bitstream: hw.Parity(8, 8),
-		Driver:    vm.MustAssemble("PUSH 7\nHALT"),
-	}
-	lat, err := s.DockNetbot(bot, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Fatal("netbot docked for free")
-	}
-	if !s.OS.Store.Has("driver:parity") {
-		t.Fatal("driver not delivered")
-	}
-	// The hardware is live: parity of 3 ones is 1.
-	out, err := s.Fabric.Eval([]bool{true, true, true, false, false, false, false, false})
-	if err != nil || !out[0] {
-		t.Fatalf("netbot circuit inert: %v %v", out, err)
-	}
-	// A 2G ship (no fabric) refuses netbots.
-	cfg := ship.DefaultConfig(2, ployon.ClassServer)
-	cfg.Generation = 2
-	s2 := ship.New(cfg)
-	s2.Birth()
-	if _, err := s2.DockNetbot(bot, 0); err == nil {
-		t.Fatal("2G ship accepted hardware")
 	}
 }

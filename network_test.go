@@ -140,14 +140,12 @@ func TestPulsesDriveGossipAndSweep(t *testing.T) {
 		t.Fatal("gossip did not exclude the unfair ship")
 	}
 	// Weak facts were swept.
-	if n.Ships[5].KB.Len() != 0 {
-		t.Fatalf("facts not swept: %d", n.Ships[5].KB.Len())
+	if kb := n.Ships[5].KB; kb.Evicted == 0 || len(kb.Facts(n.K.Now())) != 0 {
+		t.Fatalf("facts not swept: %d evicted, %v alive", kb.Evicted, kb.Facts(n.K.Now()))
 	}
 	n.StopPulses()
-	fired := n.K.Fired()
-	n.Run(60)
-	if n.K.Fired() != fired {
-		t.Fatal("pulses still firing after stop")
+	if fired := n.K.Run(60); fired != 0 {
+		t.Fatalf("pulses still firing after stop: %d events", fired)
 	}
 }
 
@@ -193,11 +191,11 @@ func TestFailedForwardAccounting(t *testing.T) {
 	}
 	// Shuttle-level and packet-level accounting reconcile: the single
 	// injected packet was finalized in exactly one bucket.
-	finalized := n.Net.C.Get("e2e.delivered") + n.Net.C.Get("drop.noroute") +
-		n.Net.C.Get("drop.queue") + n.Net.C.Get("drop.red") +
-		n.Net.C.Get("drop.loss") + n.Net.C.Get("drop.ttl") + n.Net.C.Get("send.nolink")
+	// Deliver records each end-to-end delivery in the latency sample.
+	finalized := uint64(n.Net.Latency.N()) + n.Net.DroppedRoute + n.Net.DroppedQ +
+		n.Net.DroppedRED + n.Net.DroppedLoss + n.Net.DroppedTTL
 	if finalized != 1 {
-		t.Fatalf("finalized packets = %v, want 1", finalized)
+		t.Fatalf("finalized packets = %d, want 1", finalized)
 	}
 }
 

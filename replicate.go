@@ -324,11 +324,11 @@ func (tr *TelemetryResult) WriteJSONL(w io.Writer) error {
 // metric family with all experiments' samples (told apart by their exp
 // label) grouped under it.
 func WritePromSnapshot(w io.Writer, results []*TelemetryResult) error {
-	dumps := make([]telemetry.LabeledDump, len(results))
+	groups := make([][]telemetry.PromFamily, len(results))
 	for i, tr := range results {
-		dumps[i] = telemetry.LabeledDump{Labels: fmt.Sprintf("exp=%q", tr.ID), D: tr.Merged}
+		groups[i] = telemetry.PromFamilies(tr.Merged, fmt.Sprintf("exp=%q", tr.ID))
 	}
-	return telemetry.WriteProms(w, dumps)
+	return telemetry.WritePromFamilies(w, groups...)
 }
 
 // seedList renders the replicate seeds compactly.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"viator/internal/roles"
@@ -47,7 +48,11 @@ func TestEnableTelemetrySinksAndScorecard(t *testing.T) {
 	if tel.QueueDepth.Count() == 0 {
 		t.Fatal("queue-depth hist saw no enqueues")
 	}
-	if tel.Rec.Ticks() == 0 {
+	samples := 0
+	if tel.Rec.NumSeries() > 0 {
+		tel.Rec.EachSample(0, func(float64, float64) { samples++ })
+	}
+	if samples == 0 {
 		t.Fatal("recorder never ticked")
 	}
 	rep := tel.Report("")
@@ -231,5 +236,63 @@ func TestCollectTelemetryMergePoolsReplicates(t *testing.T) {
 	}
 	if got := tr.Merged.Hists[0].H.Count(); got != want {
 		t.Fatalf("merged hist count %d, per-replicate sum %d", got, want)
+	}
+}
+
+// TestWritePromSnapshotTypesEveryFamily pins the exposition-format rules
+// for a multi-experiment snapshot: every family, flow families included,
+// has exactly one # TYPE line, written before its samples, and each
+// family's samples from both experiments are consecutive.
+func TestWritePromSnapshotTypesEveryFamily(t *testing.T) {
+	mk := func(id string, lat float64) *TelemetryResult {
+		h := telemetry.NewHist()
+		h.Observe(lat)
+		qos := telemetry.NewScoreSet()
+		f := qos.Flow("data", telemetry.SLO{})
+		qos.Sent(f)
+		qos.Delivered(f, lat)
+		return &TelemetryResult{ID: id, Merged: &telemetry.Dump{
+			Hists: []telemetry.NamedHist{{Name: "latency", H: h}}, QoS: qos}}
+	}
+	var buf bytes.Buffer
+	if err := WritePromSnapshot(&buf, []*TelemetryResult{mk("S1", 0.1), mk("S2", 0.2)}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	types := map[string]int{}
+	closed := map[string]bool{}
+	current := ""
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types[strings.Fields(rest)[0]]++
+			continue
+		}
+		fam := line[:strings.IndexAny(line, "{ ")]
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(fam, suf); types[base] > 0 {
+				fam = base
+			}
+		}
+		if types[fam] == 0 {
+			t.Fatalf("family %s has no # TYPE before its samples:\n%s", fam, out)
+		}
+		if fam != current {
+			if closed[fam] {
+				t.Fatalf("family %s samples not consecutive:\n%s", fam, out)
+			}
+			closed[current] = true
+			current = fam
+		}
+	}
+	for _, fam := range []string{"viator_latency", "viator_flow_sent_total", "viator_flow_delivered_total",
+		"viator_flow_delivery_ratio", "viator_flow_latency_seconds", "viator_flow_slo_pass"} {
+		if types[fam] != 1 {
+			t.Errorf("family %s has %d # TYPE lines, want 1", fam, types[fam])
+		}
+	}
+	for _, want := range []string{`exp="S1"`, `exp="S2"`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("snapshot missing %s samples", want)
+		}
 	}
 }
