@@ -96,7 +96,7 @@ func runLadderGen(gen int, seed uint64) E6Row {
 			alive++
 			if s.ModalRole() == roles.Caching {
 				count++
-				if s.Fabric != nil {
+				if s.Config().Generation >= 3 {
 					hwCount++
 				}
 			}

@@ -10,15 +10,14 @@ import (
 // Genetic transcoding (Definition 3.5): "network elements can encode and
 // decode their state in knowledge quanta". Genome is the transportable
 // state of a ship — its class, active roles, knowledge quanta, and
-// optionally a hardware bitstream and a driver program — carried in
-// shuttle payloads and used for node genesis ("N-geneering").
+// optionally a driver program — carried in shuttle payloads and used for
+// node genesis ("N-geneering").
 
 // Genome is an encoded ship state.
 type Genome struct {
 	ShipClass uint8
 	Roles     []string
 	Quanta    []Quantum
-	Bitstream []byte // opaque hw bitstream (hw.Bitstream encoding)
 	Program   []byte // opaque driver code (vm.Encode output)
 }
 
@@ -146,7 +145,6 @@ func (g *Genome) Encode() []byte {
 	for i := range g.Quanta {
 		encodeQuantum(e, &g.Quanta[i])
 	}
-	e.b(g.Bitstream)
 	e.b(g.Program)
 	return e.buf
 }
@@ -186,17 +184,11 @@ func DecodeGenome(b []byte) (*Genome, error) {
 		}
 		g.Quanta = append(g.Quanta, q)
 	}
-	if g.Bitstream, err = d.b(1 << 20); err != nil {
-		return nil, err
-	}
 	if g.Program, err = d.b(1 << 20); err != nil {
 		return nil, err
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrGenome)
-	}
-	if len(g.Bitstream) == 0 {
-		g.Bitstream = nil
 	}
 	if len(g.Program) == 0 {
 		g.Program = nil

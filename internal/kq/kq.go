@@ -3,7 +3,7 @@
 // thresholds, per-ship knowledge bases with activation decay and eviction,
 // net functions whose lifetime is determined by their facts, and genetic
 // transcoding — the binary encoding of a ship's state (roles, facts,
-// hardware configuration, driver code) for transport inside shuttles.
+// driver code) for transport inside shuttles.
 package kq
 
 import (

@@ -183,8 +183,7 @@ func TestGenomeRoundTrip(t *testing.T) {
 			Function: NetFunction{Name: "f", Requires: []FactID{"a"}},
 			Facts:    []FactRecord{{ID: "a", Weight: 2}},
 		}},
-		Bitstream: []byte{1, 2, 3},
-		Program:   []byte{9, 8},
+		Program: []byte{9, 8},
 	}
 	got, err := DecodeGenome(g.Encode())
 	if err != nil {
@@ -196,8 +195,8 @@ func TestGenomeRoundTrip(t *testing.T) {
 	if len(got.Quanta) != 1 || got.Quanta[0].Function.Name != "f" {
 		t.Fatalf("quanta %+v", got.Quanta)
 	}
-	if string(got.Bitstream) != string([]byte{1, 2, 3}) || string(got.Program) != string([]byte{9, 8}) {
-		t.Fatalf("payloads %v %v", got.Bitstream, got.Program)
+	if string(got.Program) != string([]byte{9, 8}) {
+		t.Fatalf("program %v", got.Program)
 	}
 }
 
@@ -207,7 +206,7 @@ func TestGenomeEmptyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ShipClass != 0 || got.Roles != nil || got.Quanta != nil || got.Bitstream != nil || got.Program != nil {
+	if got.ShipClass != 0 || got.Roles != nil || got.Quanta != nil || got.Program != nil {
 		t.Fatalf("decoded %+v", got)
 	}
 }

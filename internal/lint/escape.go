@@ -36,12 +36,8 @@ import (
 // resolved against dir.
 func EscapeCheck(dir string, pkgs []*Package) ([]Diagnostic, error) {
 	fset := token.NewFileSet()
-	type annotated struct {
-		pkg *Package
-		fns []NoAllocFunc
-	}
 	var (
-		targets  []annotated
+		targets  []NoAllocFunc
 		patterns []string
 	)
 	for _, p := range pkgs {
@@ -55,7 +51,7 @@ func EscapeCheck(dir string, pkgs []*Package) ([]Diagnostic, error) {
 			fns = append(fns, collectNoAllocFuncs(fset, f)...)
 		}
 		if len(fns) > 0 {
-			targets = append(targets, annotated{p, fns})
+			targets = append(targets, fns...)
 			patterns = append(patterns, p.ImportPath)
 		}
 	}
@@ -70,11 +66,9 @@ func EscapeCheck(dir string, pkgs []*Package) ([]Diagnostic, error) {
 
 	// Index annotated functions by absolute file path.
 	byFile := map[string][]NoAllocFunc{}
-	for _, t := range targets {
-		for _, fn := range t.fns {
-			abs, _ := filepath.Abs(fn.File)
-			byFile[abs] = append(byFile[abs], fn)
-		}
+	for _, fn := range targets {
+		abs, _ := filepath.Abs(fn.File)
+		byFile[abs] = append(byFile[abs], fn)
 	}
 
 	var diags []Diagnostic

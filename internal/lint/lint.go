@@ -122,7 +122,6 @@ var DeterministicPackages = map[string]bool{
 	"viator/internal/nodeos":   true,
 	"viator/internal/stats":    true,
 	"viator/internal/workload": true,
-	"viator/internal/hw":       true,
 	"viator/internal/baseline": true,
 	"viator/internal/spec":     true,
 	"viator/internal/trace":    true,

@@ -5,13 +5,6 @@ import "viator/internal/roles"
 // Generation returns the ship's WN generation.
 func (s *Ship) Generation() int { return s.cfg.Generation }
 
-// RoleSwitches returns how many modal role changes occurred — the "role
-// change" statistic of the wandering-function experiments.
-func (s *Ship) RoleSwitches() int { return s.roleSwitches }
-
-// ModalProcessor returns the resident function's processor.
-func (s *Ship) ModalProcessor() roles.Processor { return s.modalProc }
-
 // AuxRoles returns installed auxiliary roles in installation order.
 func (s *Ship) AuxRoles() []roles.Kind {
 	out := make([]roles.Kind, len(s.auxOrder))
@@ -28,15 +21,4 @@ func (s *Ship) AuxRolesInto(buf []roles.Kind) []roles.Kind {
 		out = append(out, k)
 	}
 	return out
-}
-
-// Processor returns the processor serving the given role: the modal one
-// if it matches, otherwise an installed auxiliary. ok is false when the
-// ship does not currently host the role.
-func (s *Ship) Processor(k roles.Kind) (roles.Processor, bool) {
-	if k == s.modal {
-		return s.modalProc, true
-	}
-	p, ok := s.aux[k]
-	return p, ok
 }

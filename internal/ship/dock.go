@@ -3,7 +3,6 @@ package ship
 import (
 	"fmt"
 
-	"viator/internal/hw"
 	"viator/internal/kq"
 	"viator/internal/nodeos"
 	"viator/internal/ployon"
@@ -49,10 +48,9 @@ func (s *Ship) Dock(sh *shuttle.Shuttle, now float64) (*DockResult, error) {
 	// structure at the previous step.
 	s.Shape = s.Shape.MorphToward(sh.Shape, s.cfg.AdaptRate)
 
+	// A data shuttle ends here: the congruence check and the adaptation
+	// above are all it does to the ship.
 	switch sh.Kind {
-	case shuttle.Data:
-		// Data shuttles flow through the modal function.
-		s.modalProc.Process(roles.Chunk{Stream: fmt.Sprint(sh.Src), Seq: int(sh.ID), Bytes: sh.WireSize()})
 	case shuttle.Code:
 		if err := s.installCode(sh, res); err != nil {
 			return res, err
@@ -88,7 +86,7 @@ func (s *Ship) installCode(sh *shuttle.Shuttle, res *DockResult) error {
 }
 
 // applyGenome performs node genesis: the genome reconfigures the ship's
-// roles, hardware and knowledge base — "encoding and embedding the
+// roles, knowledge base and installed code — "encoding and embedding the
 // structural information about a mobile node into the executable part of
 // the active packets".
 func (s *Ship) applyGenome(sh *shuttle.Shuttle, now float64, res *DockResult) error {
@@ -118,20 +116,6 @@ func (s *Ship) applyGenome(sh *shuttle.Shuttle, now float64, res *DockResult) er
 		} else if err := s.InstallAux(k); err != nil {
 			return err
 		}
-	}
-	// Hardware: a carried bitstream reconfigures the fabric (3G+).
-	if len(g.Bitstream) > 0 {
-		if s.Fabric == nil {
-			return fmt.Errorf("%w: bitstream needs generation 3+", ErrGeneration)
-		}
-		bs, err := hw.DecodeBitstream(g.Bitstream)
-		if err != nil {
-			return fmt.Errorf("ship: bad genome bitstream: %w", err)
-		}
-		if err := bs.ApplyAt(s.Fabric, 0); err != nil {
-			return err
-		}
-		res.Latency += hw.ReconfigTime(len(bs.Cells))
 	}
 	// Driver code installs under a genome-derived id.
 	if len(g.Program) > 0 {
@@ -298,9 +282,9 @@ func (s *Ship) Describe() *kq.Genome {
 	return g
 }
 
-// EmitGenome encodes the ship's full transportable state, including the
-// hardware configuration snapshot when a fabric is present — genetic
-// transcoding for node genesis at a remote ship.
+// EmitGenome encodes the ship's transportable state — its displayed
+// roles and one quantum of its alive facts — genetic transcoding for node
+// genesis at a remote ship.
 func (s *Ship) EmitGenome(now float64) (*kq.Genome, error) {
 	if s.cfg.Generation < 4 {
 		return nil, fmt.Errorf("%w: genome emission needs generation 4", ErrGeneration)

@@ -1,10 +1,12 @@
 // Package ship implements the active mobile nodes of the Wandering
 // Network. A ship is a ployon with a lifecycle (born, live, die), a
-// NodeOS with execution environments, an optional reconfigurable hardware
-// fabric, a knowledge base of facts, a modal role (exactly one resident
-// function at a time, per section D) plus installable auxiliary roles,
-// and a dock where shuttles arrive, are congruence-checked (DCP),
-// executed, and may reconfigure the ship or replicate (jets).
+// NodeOS with execution environments, a knowledge base of facts, a modal
+// role (exactly one resident function at a time, per section D) plus
+// installable auxiliary roles, and a dock where shuttles arrive, are
+// congruence-checked (DCP), executed, and may reconfigure the ship or
+// replicate (jets). A generation 3+ ship's switching hardware is
+// programmable too; the model keeps only its cost, the reconfiguration
+// time a modal role switch adds for the classifier the new role installs.
 //
 // Ships honour the Self-Reference Principle: Describe() emits the ship's
 // own architecture as a genome (genetic transcoding), and unfair ships —
@@ -15,8 +17,8 @@ package ship
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"viator/internal/hw"
 	"viator/internal/kq"
 	"viator/internal/nodeos"
 	"viator/internal/ployon"
@@ -65,8 +67,8 @@ type Config struct {
 	Class ployon.Class
 
 	// Generation is the WN generation (1–4); it gates capabilities:
-	// ≥2 NodeOS programmability, ≥3 hardware fabric, ≥4 genome emission
-	// and jet replication.
+	// ≥2 NodeOS programmability, ≥3 hardware reconfiguration, ≥4 genome
+	// emission and jet replication.
 	Generation int
 
 	// CongruenceThreshold is the minimum ship-shuttle congruence to dock.
@@ -78,10 +80,6 @@ type Config struct {
 	OS nodeos.Resources
 	// GasLimit bounds each capsule execution.
 	GasLimit int64
-
-	// FabricInputs/FabricCells size the hardware fabric (generation ≥ 3).
-	FabricInputs int
-	FabricCells  int
 
 	// Knowledge base parameters (Definition 3.3).
 	FactHalfLife  float64
@@ -100,7 +98,6 @@ func DefaultConfig(id ployon.ID, class ployon.Class) Config {
 		CongruenceThreshold: 0.7, AdaptRate: 0.25,
 		OS:           nodeos.Resources{CPU: 1e6, Memory: 16 << 20, Bandwidth: 1 << 20},
 		GasLimit:     100_000,
-		FabricInputs: 8, FabricCells: 64,
 		FactHalfLife: 30, FactThreshold: 0.5, FactCapacity: 256,
 		Fair: true,
 	}
@@ -108,12 +105,32 @@ func DefaultConfig(id ployon.ID, class ployon.Class) Config {
 
 // Latency model constants (seconds), mirroring 2002-era magnitudes: a
 // software role switch is milliseconds, installing code is dominated by
-// the store update, hardware reconfiguration by the bitstream write.
+// the store update, hardware reconfiguration by the per-cell write.
 const (
 	softRoleSwitchLatency = 2e-3
 	codeInstallLatency    = 1e-3
 	dockBaseLatency       = 1e-4
+
+	// PerCellReconfigSeconds is the simulated time to rewrite one LUT
+	// cell. A 2002 partial-reconfiguration port writes on the order of
+	// 10⁴ cells/s.
+	PerCellReconfigSeconds = 1e-4
 )
+
+// classifierCells is the LUT cell count of the hardware classifier a 3G+
+// ship writes when it takes role k, over its 8 classifier inputs.
+func classifierCells(k roles.Kind) int {
+	switch k {
+	case roles.SecurityMgmt:
+		return 5 // 3-bit constant comparator: 3 match cells, 2 AND cells
+	case roles.Boosting:
+		return 7 // 8-input parity tree
+	case roles.Fusion, roles.Combining:
+		return 2 // 3-input AND tree
+	default:
+		return 1 // 2-input OR
+	}
+}
 
 // Ship is one active mobile node.
 type Ship struct {
@@ -121,17 +138,13 @@ type Ship struct {
 	cfg   Config
 	state State
 
-	OS     *nodeos.NodeOS
-	Fabric *hw.Fabric // nil below generation 3
-	KB     *kq.Store
+	OS *nodeos.NodeOS
+	KB *kq.Store
 
-	modal        roles.Kind
-	modalProc    roles.Processor
-	aux          map[roles.Kind]roles.Processor
-	auxOrder     []roles.Kind
-	next         roles.NextStepSwitch
-	nextID       ployon.ID // allocator for replicas this ship creates
-	roleSwitches int
+	modal    roles.Kind
+	auxOrder []roles.Kind
+	next     roles.NextStepSwitch
+	nextID   ployon.ID // allocator for replicas this ship creates
 
 	// Counters the experiments read.
 	Docked       uint64
@@ -159,14 +172,9 @@ func New(cfg Config) *Ship {
 		state:  Born,
 		OS:     nodeos.New(cfg.OS, 128),
 		KB:     kq.NewStore(cfg.FactHalfLife, cfg.FactThreshold, cfg.FactCapacity),
-		aux:    make(map[roles.Kind]roles.Processor),
 		nextID: cfg.ID<<20 + 1,
 	}
-	if cfg.Generation >= 3 && cfg.FabricCells > 0 {
-		s.Fabric = hw.NewFabric(cfg.FabricInputs, cfg.FabricCells)
-	}
 	s.modal = roles.NextStep // neutral starting role
-	s.modalProc = roles.NewProcessor(s.modal)
 	// The registry EE for the modal function, per Figure 2.
 	ee, err := s.OS.RegisterEE("modal", nodeos.Resources{
 		CPU: cfg.OS.CPU / 2, Memory: cfg.OS.Memory / 2, Bandwidth: cfg.OS.Bandwidth / 2,
@@ -231,32 +239,12 @@ func (s *Ship) SetModalRole(k roles.Kind) (float64, error) {
 		return 0, nil
 	}
 	s.modal = k
-	s.modalProc = roles.NewProcessor(k)
-	s.roleSwitches++
-	latency := softRoleSwitchLatency
+	if s.cfg.Generation < 3 {
+		return softRoleSwitchLatency, nil
+	}
 	// A 3G+ ship also rewrites its hardware classifier region for the new
-	// role: hardware wandering costs bitstream time.
-	if s.Fabric != nil {
-		bs := roleCircuit(k, s.cfg.FabricInputs)
-		if err := bs.ApplyAt(s.Fabric, 0); err == nil {
-			latency += hw.ReconfigTime(len(bs.Cells))
-		}
-	}
-	return latency, nil
-}
-
-// roleCircuit maps a role to the hardware classifier installed with it.
-func roleCircuit(k roles.Kind, numIn int) *hw.Bitstream {
-	switch {
-	case k == roles.SecurityMgmt:
-		return hw.Comparator(numIn, []bool{true, false, true})
-	case k == roles.Boosting:
-		return hw.Parity(numIn, numIn)
-	case k == roles.Fusion || k == roles.Combining:
-		return hw.ANDTree(numIn, 3)
-	default:
-		return hw.ORTree(numIn, 2)
-	}
+	// role: hardware wandering costs reconfiguration time.
+	return softRoleSwitchLatency + float64(classifierCells(k))*PerCellReconfigSeconds, nil
 }
 
 // InstallAux installs an auxiliary role ("transported, installed and
@@ -265,7 +253,7 @@ func (s *Ship) InstallAux(k roles.Kind) error {
 	if s.state == Dead {
 		return ErrDead
 	}
-	if _, dup := s.aux[k]; dup {
+	if slices.Contains(s.auxOrder, k) {
 		return nil
 	}
 	name := "aux:" + k.String()
@@ -276,7 +264,6 @@ func (s *Ship) InstallAux(k roles.Kind) error {
 		return err
 	}
 	s.bindHosts(ee, nil)
-	s.aux[k] = roles.NewProcessor(k)
 	s.auxOrder = append(s.auxOrder, k)
 	return nil
 }

@@ -29,15 +29,6 @@ func TestGenomeWithGarbagePayloadRefused(t *testing.T) {
 	}
 }
 
-func TestGenomeWithBadBitstreamRefused(t *testing.T) {
-	s := newAlive(t, 1, ployon.ClassServer)
-	sh := congruentShuttle(s, 2, shuttle.Gene)
-	sh.Genome = (&kq.Genome{Bitstream: []byte{0x01, 0x02}}).Encode()
-	if _, err := s.Dock(sh, 0); err == nil {
-		t.Fatal("bad bitstream accepted")
-	}
-}
-
 func TestGenomeWithBadProgramRefused(t *testing.T) {
 	s := newAlive(t, 1, ployon.ClassServer)
 	sh := congruentShuttle(s, 2, shuttle.Gene)

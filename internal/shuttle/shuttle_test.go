@@ -2,9 +2,7 @@ package shuttle
 
 import (
 	"errors"
-	"math"
 	"testing"
-	"testing/quick"
 
 	"viator/internal/ployon"
 )
@@ -56,15 +54,6 @@ func TestMorphIncreasesCongruence(t *testing.T) {
 	}
 }
 
-func TestMorphForClassUsesDstClass(t *testing.T) {
-	s := New(1, Data, 0, 1, ployon.ClassRelay)
-	s.DstClass = ployon.ClassAgent
-	s.MorphForClass(1)
-	if c := ployon.Congruence(s.Shape, ployon.CanonicalShape(ployon.ClassAgent)); c < 0.999 {
-		t.Fatalf("congruence to dst class = %v", c)
-	}
-}
-
 func TestMorphCostMonotone(t *testing.T) {
 	// Near shapes cost less to morph than far shapes.
 	near := New(1, Data, 0, 1, ployon.ClassServer)
@@ -111,75 +100,6 @@ func TestNonJetCannotReplicate(t *testing.T) {
 	s := New(1, Data, 0, 1, ployon.ClassClient)
 	if _, err := s.Replicate(2); !errors.Is(err, ErrNotJet) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	s := New(12345, Gene, -3, 77, ployon.ClassClient)
-	s.DstClass = ployon.ClassServer
-	s.CodeID = "transcode-v2"
-	s.Code = []byte{1, 2, 3, 4}
-	s.Genome = []byte{9}
-	s.Data = []byte("hello")
-	s.TTL = 7
-	s.Generation = 2
-	s.Morph(ployon.CanonicalShape(ployon.ClassServer), 0.3)
-
-	got, err := Decode(s.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != s.ID || got.Kind != s.Kind || got.Src != s.Src || got.Dst != s.Dst ||
-		got.DstClass != s.DstClass || got.TTL != s.TTL || got.Generation != s.Generation {
-		t.Fatalf("header mismatch: %+v vs %+v", got, s)
-	}
-	if got.CodeID != s.CodeID || string(got.Code) != string(s.Code) ||
-		string(got.Genome) != string(s.Genome) || string(got.Data) != string(s.Data) {
-		t.Fatal("payload mismatch")
-	}
-	// Shape survives within quantization error.
-	for i := range s.Shape {
-		if math.Abs(got.Shape[i]-s.Shape[i]) > 1.0/65535+1e-9 {
-			t.Fatalf("shape dim %d: %v vs %v", i, got.Shape[i], s.Shape[i])
-		}
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 2, 3},
-		{wireMagic, 200, 0, 0, 1, 0, 0}, // bad kind
-		{wireMagic, 0, 0, 0, 1, 0},      // truncated
-	}
-	for i, b := range cases {
-		if _, err := Decode(b); err == nil {
-			t.Fatalf("case %d decoded", i)
-		}
-	}
-	good := New(1, Data, 0, 1, ployon.ClassRelay).Encode()
-	if _, err := Decode(append(good, 1)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
-}
-
-func TestCodecPropertyRoundTrip(t *testing.T) {
-	if err := quick.Check(func(id uint32, kind uint8, src, dst int16, ttl, gen uint8, data []byte) bool {
-		s := New(ployon.ID(id), Kind(kind%uint8(NumKinds)), int32(src), int32(dst), ployon.ClassAgent)
-		s.TTL = ttl
-		s.Generation = gen
-		if len(data) > 0 {
-			s.Data = data
-		}
-		got, err := Decode(s.Encode())
-		if err != nil {
-			return false
-		}
-		return got.ID == s.ID && got.Kind == s.Kind && got.Src == s.Src &&
-			got.Dst == s.Dst && got.TTL == ttl && got.Generation == gen &&
-			string(got.Data) == string(s.Data)
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -23,9 +23,6 @@ import (
 // comparability); practical exhaustive checking uses N in 3..5.
 const MaxN = 5
 
-// maxPairs is C(MaxN,2).
-const maxPairs = MaxN * (MaxN - 1) / 2
-
 // State is one protocol configuration. The zero node is the destination
 // and always valid with hop count 0. Route[n] is the next hop toward 0,
 // -1 when n has no route. Budget bounds remaining topology changes so

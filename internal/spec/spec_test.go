@@ -5,6 +5,7 @@ import (
 )
 
 func TestPairIndexBijective(t *testing.T) {
+	const maxPairs = MaxN * (MaxN - 1) / 2 // C(MaxN,2)
 	seen := map[int]bool{}
 	for i := 0; i < MaxN; i++ {
 		for j := i + 1; j < MaxN; j++ {

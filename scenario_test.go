@@ -54,6 +54,22 @@ func TestScenarioGoldenTables(t *testing.T) {
 	diffBytes(t, "S2 table seed 42", []byte(s2.Run(42).String()), readGolden(t, "S2_table_seed42.txt"))
 }
 
+// TestCatalogGoldenTables pins E3 and E6 at the paper seed byte for
+// byte: they are where a role switch's latency and a ship's generation
+// reach the catalog.
+func TestCatalogGoldenTables(t *testing.T) {
+	for name, got := range map[string]*Table{
+		"E3_table_seed42.txt": RunE3(42).Table(),
+		"E6_table_seed42.txt": RunE6(42).Table(),
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", "catalog", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffBytes(t, name, []byte(got.String()), want)
+	}
+}
+
 // TestScenarioRoutingWork pins the adaptive router's work in S1 and S2
 // at seed 42: the sink trees built (one per overlay, epoch and queried
 // destination), the source trees built, and the queries a source tree
