@@ -165,28 +165,6 @@ func TestRepairRejectsLiveShip(t *testing.T) {
 	}
 }
 
-func TestKnowledgeCoupling(t *testing.T) {
-	var sc CouplingScratch
-	a := newShip(t, 1, ployon.ClassServer, true)
-	b := newShip(t, 2, ployon.ClassServer, true)
-	if KnowledgeCouplingInto(&sc, a, b, 0) != 0 {
-		t.Fatal("empty stores coupled")
-	}
-	a.KB.Observe("x", 5, 0)
-	a.KB.Observe("y", 5, 0)
-	b.KB.Observe("y", 5, 0)
-	b.KB.Observe("z", 5, 0)
-	// Jaccard {x,y} vs {y,z} = 1/3.
-	if got := KnowledgeCouplingInto(&sc, a, b, 0); got < 0.33 || got > 0.34 {
-		t.Fatalf("coupling = %v", got)
-	}
-	// Structural coupling rises when facts are exchanged.
-	b.KB.Observe("x", 5, 0)
-	if KnowledgeCouplingInto(&sc, a, b, 0) <= 0.34 {
-		t.Fatal("coupling did not rise after exchange")
-	}
-}
-
 func TestDeadShipsNotActive(t *testing.T) {
 	c := New(DefaultConfig(), sim.NewRNG(9))
 	s := newShip(t, 1, ployon.ClassServer, true)

@@ -320,49 +320,7 @@ func TestCommunityMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKnowledgeCouplingMatchesReference pins the sorted-merge Jaccard
-// against the original map-based computation on random fact sets.
-func TestKnowledgeCouplingMatchesReference(t *testing.T) {
-	rng := sim.NewRNG(31)
-	var sc CouplingScratch
-	for trial := 0; trial < 200; trial++ {
-		a := newShip(t, 1, ployon.ClassServer, true)
-		b := newShip(t, 2, ployon.ClassServer, true)
-		for i := 0; i < rng.Intn(12); i++ {
-			a.KB.Observe(factName(rng.Intn(15)), 5, 0)
-		}
-		for i := 0; i < rng.Intn(12); i++ {
-			b.KB.Observe(factName(rng.Intn(15)), 5, 0)
-		}
-		want := refCoupling(a, b, 0)
-		if got := KnowledgeCouplingInto(&sc, a, b, 0); got != want {
-			t.Fatalf("trial %d: scratch coupling %v != %v", trial, got, want)
-		}
-	}
-}
-
 func factName(i int) kq.FactID { return kq.FactID(fmt.Sprintf("fact:%d", i)) }
-
-// refCoupling is the original map-based Jaccard, kept verbatim.
-func refCoupling(a, b *ship.Ship, now float64) float64 {
-	fa := a.KB.Facts(now)
-	fb := b.KB.Facts(now)
-	if len(fa) == 0 && len(fb) == 0 {
-		return 0
-	}
-	set := make(map[kq.FactID]bool, len(fa))
-	for _, f := range fa {
-		set[f] = true
-	}
-	inter := 0
-	for _, f := range fb {
-		if set[f] {
-			inter++
-		}
-	}
-	union := len(fa) + len(fb) - inter
-	return float64(inter) / float64(union)
-}
 
 // TestGossipSelfProbeConsumesBudget pins the draw semantics documented
 // on GossipRound: a draw that lands on the prober itself burns one of

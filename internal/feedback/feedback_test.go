@@ -19,48 +19,23 @@ func TestDimensionNames(t *testing.T) {
 	}
 }
 
-func TestBusRouting(t *testing.T) {
-	b := newRouter()
-	var gotKey []string
-	b.Subscribe(PerSession, "s1", func(s Signal) { gotKey = append(gotKey, "s1:"+s.Key) })
-	b.Subscribe(PerSession, "", func(s Signal) { gotKey = append(gotKey, "any:"+s.Key) })
-	b.Subscribe(PerNode, "", func(s Signal) { gotKey = append(gotKey, "node:"+s.Key) })
-
-	b.PublishKey(PerSession, b.Key(PerSession, "s1"), 1, 0)
-	b.PublishKey(PerSession, b.Key(PerSession, "s2"), 2, 0)
-	want := []string{"s1:s1", "any:s1", "any:s2"}
-	if len(gotKey) != len(want) {
-		t.Fatalf("got %v", gotKey)
-	}
-	for i := range want {
-		if gotKey[i] != want[i] {
-			t.Fatalf("got %v, want %v", gotKey, want)
-		}
-	}
-	if b.Published[PerSession] != 2 || b.Published[PerNode] != 0 {
-		t.Fatalf("published = %v", b.Published)
-	}
-}
-
 func TestBusAblation(t *testing.T) {
-	b := newRouter()
-	fired := 0
-	b.Subscribe(PerPacket, "", func(Signal) { fired++ })
-	k := b.Key(PerPacket, "")
+	b := NewBus()
+	if !b.Enabled(PerPacket) {
+		t.Fatal("new bus starts with a dimension disabled")
+	}
 	b.Enable(PerPacket, false)
-	b.PublishKey(PerPacket, k, 0, 0)
-	if fired != 0 || b.Suppressed != 1 {
-		t.Fatalf("fired=%d suppressed=%d", fired, b.Suppressed)
+	if b.Enabled(PerPacket) || !b.Enabled(PerNode) {
+		t.Fatal("disabling one dimension did not switch exactly that one off")
 	}
 	b.Enable(PerPacket, true)
-	b.PublishKey(PerPacket, k, 0, 0)
-	if fired != 1 {
+	if !b.Enabled(PerPacket) {
 		t.Fatal("re-enabled dimension dead")
 	}
 }
 
 func TestEnableOnly(t *testing.T) {
-	b := newRouter()
+	b := NewBus()
 	b.EnableOnly(PerNode, PerSession)
 	for d := Dimension(0); d < NumDimensions; d++ {
 		want := d == PerNode || d == PerSession
@@ -155,13 +130,4 @@ func TestThresholdSmoothing(t *testing.T) {
 	if !tripped {
 		t.Fatal("sustained load did not trip")
 	}
-}
-
-func TestPublishBadDimensionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	newRouter().PublishKey(NumDimensions, 0, 0, 0)
 }

@@ -46,23 +46,6 @@ func TestEEAdmissionControl(t *testing.T) {
 	}
 }
 
-func TestEERemoveReleasesQuota(t *testing.T) {
-	n := New(rsrc(10, 10, 10), 0)
-	n.RegisterEE("a", rsrc(10, 10, 10), 1)
-	if err := n.RemoveEE("a"); err != nil {
-		t.Fatal(err)
-	}
-	if n.used != rsrc(0, 0, 0) {
-		t.Fatalf("used = %+v", n.used)
-	}
-	if err := n.RemoveEE("a"); !errors.Is(err, errNoEE) {
-		t.Fatalf("double remove: %v", err)
-	}
-	if _, err := n.RegisterEE("b", rsrc(10, 10, 10), 1); err != nil {
-		t.Fatal("released quota not reusable")
-	}
-}
-
 func TestEEOrderStable(t *testing.T) {
 	n := New(rsrc(100, 100, 100), 0)
 	for _, name := range []string{"z", "a", "m"} {
@@ -71,11 +54,6 @@ func TestEEOrderStable(t *testing.T) {
 	got := n.EEs()
 	if got[0] != "z" || got[1] != "a" || got[2] != "m" {
 		t.Fatalf("order = %v", got)
-	}
-	n.RemoveEE("a")
-	got = n.EEs()
-	if len(got) != 2 || got[0] != "z" || got[1] != "m" {
-		t.Fatalf("order after remove = %v", got)
 	}
 }
 
@@ -106,13 +84,12 @@ func TestEEHostBindings(t *testing.T) {
 	ee.Bind(7, func(m *vm.Machine) error { return m.PushResult(123) })
 	ee.Bind(3, func(m *vm.Machine) error { return m.PushResult(1) })
 	ee.Bind(7, func(m *vm.Machine) error { return m.PushResult(456) }) // rebind
-	ids := ee.HostIDs()
-	if len(ids) != 2 || ids[0] != 3 || ids[1] != 7 {
-		t.Fatalf("host ids = %v", ids)
-	}
 	res, _, err := ee.Execute(vm.MustAssemble("HOST 7\nHALT"), nil)
 	if err != nil || res != 456 {
 		t.Fatalf("rebind not effective: %d, %v", res, err)
+	}
+	if res, _, err := ee.Execute(vm.MustAssemble("HOST 3\nHALT"), nil); err != nil || res != 1 {
+		t.Fatalf("second binding lost: %d, %v", res, err)
 	}
 }
 
@@ -148,21 +125,6 @@ func TestCodeStoreLRU(t *testing.T) {
 	}
 	if s.Evictions != 1 {
 		t.Fatalf("evictions = %d", s.Evictions)
-	}
-}
-
-func TestCodeStoreIDsSorted(t *testing.T) {
-	s := NewCodeStore(0)
-	halt := vm.MustAssemble("HALT")
-	for _, id := range []string{"z", "a", "m"} {
-		s.Put(id, halt)
-	}
-	ids := s.IDs()
-	if len(ids) != 3 || ids[0] != "a" || ids[2] != "z" {
-		t.Fatalf("ids = %v", ids)
-	}
-	if len(s.progs) != 3 {
-		t.Fatalf("len = %d", len(s.progs))
 	}
 }
 

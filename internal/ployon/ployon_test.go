@@ -135,21 +135,6 @@ func TestClassNames(t *testing.T) {
 	}
 }
 
-func TestPloyonCongruentThreshold(t *testing.T) {
-	ship := &Ployon{ID: 1, Class: ClassServer, Shape: CanonicalShape(ClassServer)}
-	exact := &Ployon{ID: 2, Class: ClassServer, Shape: CanonicalShape(ClassServer)}
-	off := &Ployon{ID: 3, Class: ClassRelay, Shape: CanonicalShape(ClassRelay)}
-	if !ship.Congruent(exact, 0.99) {
-		t.Fatal("identical shapes fail threshold")
-	}
-	if ship.Congruent(off, 0.9) {
-		t.Fatal("distant shapes pass high threshold")
-	}
-	if !ship.Congruent(off, 0.1) {
-		t.Fatal("distant shapes fail low threshold")
-	}
-}
-
 func TestShapeValid(t *testing.T) {
 	if (Shape{0, 0, 0, 0, 0, -0.1}).Valid() {
 		t.Fatal("negative feature valid")

@@ -11,9 +11,3 @@ func (s Shape) Valid() bool {
 	}
 	return true
 }
-
-// Congruent reports whether the two ployons' interfaces match at or above
-// the threshold — the docking acceptance test of the DCP.
-func (p *Ployon) Congruent(q *Ployon, threshold float64) bool {
-	return Congruence(p.Shape, q.Shape) >= threshold
-}

@@ -9,21 +9,17 @@ import (
 	"viator/internal/topo"
 )
 
-// TestTeardownDefaultOverlayGuarded is the regression test for the
-// nil-table crash: tearing down the default "" overlay used to succeed,
-// after which any route on an unknown overlay indexed a nil fallback
-// table and panicked. The default overlay is now permanent.
-func TestTeardownDefaultOverlayGuarded(t *testing.T) {
+// TestUnknownOverlayFallsBack pins the unknown-name fallback: NextHop
+// and a hop walk on an overlay that was never spawned answer the default
+// overlay's hop, which always exists because NewAdaptive creates it.
+func TestUnknownOverlayFallsBack(t *testing.T) {
 	g := topo.Line(3)
 	a := NewAdaptive(g, 2)
 	a.SpawnOverlay("qos", 3)
-	a.TeardownOverlay(DefaultOverlay) // refused: "" is the universal fallback
 	if names := a.Overlays(); len(names) != 2 || names[0] != DefaultOverlay {
-		t.Fatalf("overlays after default teardown = %v", names)
+		t.Fatalf("overlays = %v", names)
 	}
-	a.TeardownOverlay("qos")
-	// Both of these crashed before the guard.
-	if hop := a.NextHop("qos", 0, 2); hop != 1 {
+	if hop := a.NextHop("nosuch", 0, 2); hop != 1 {
 		t.Fatalf("fallback NextHop = %d, want 1", hop)
 	}
 	if p := walk(t, a, "nosuch", 0, 2); !slices.Equal(p, []topo.NodeID{0, 1, 2}) {
@@ -437,22 +433,4 @@ func TestLazyBuildsCountSparseTraffic(t *testing.T) {
 				a.SinkBuilds, a.SourceBuilds, a.TieFallbacks)
 		}
 	})
-}
-
-// TeardownOverlay removes a virtual overlay. The default "" overlay is
-// the fallback for every unknown overlay name and cannot be torn down —
-// removing it is a no-op. (It used to be removable, which left NextHop
-// indexing a nil fallback table and panicking on the next unknown-overlay
-// route.)
-func (a *Adaptive) TeardownOverlay(name string) {
-	if name == DefaultOverlay {
-		return
-	}
-	delete(a.overlays, name)
-	for i, o := range a.order {
-		if o == name {
-			a.order = append(a.order[:i], a.order[i+1:]...)
-			break
-		}
-	}
 }

@@ -1,5 +1,5 @@
 // Package routing provides the routing substrates of the reproduction:
-// static shortest-path tables (the passive baseline), an AODV-style
+// static shortest-path tables (the ANTS baseline's routes), an AODV-style
 // on-demand ad-hoc protocol with control-message accounting, and the WLI
 // adaptive QoS router that realizes "routing control ... overlaying and
 // managing several virtual topologies on top of the same physical
@@ -407,9 +407,8 @@ func (a *Adaptive) sourceHop(o *overlay, at, dst topo.NodeID) topo.NodeID {
 	return t.NextHop(dst)
 }
 
-// lookup resolves an overlay name, falling back to the default overlay —
-// which always exists: NewAdaptive creates it and TeardownOverlay
-// refuses to remove it.
+// lookup resolves an overlay name, falling back to the default overlay,
+// which always exists: NewAdaptive creates it and nothing removes it.
 func (a *Adaptive) lookup(name string) *overlay {
 	if o, ok := a.overlays[name]; ok {
 		return o

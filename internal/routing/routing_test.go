@@ -149,14 +149,6 @@ func TestOverlayBiases(t *testing.T) {
 	if a.NextHop("qos", 0, 3) != 2 {
 		t.Fatal("qos class did not detour")
 	}
-	// Teardown falls back to default overlay.
-	a.TeardownOverlay("qos")
-	if len(a.Overlays()) != 2 {
-		t.Fatalf("overlays = %v", a.Overlays())
-	}
-	if a.NextHop("qos", 0, 3) == -1 {
-		t.Fatal("fallback to default overlay failed")
-	}
 }
 
 func TestAdaptiveTopologyOnDemand(t *testing.T) {

@@ -76,16 +76,6 @@ type Config struct {
 	// AdaptRate is the a-posteriori morph rate toward docked shuttles.
 	AdaptRate float64
 
-	// OS is the node resource envelope.
-	OS nodeos.Resources
-	// GasLimit bounds each capsule execution.
-	GasLimit int64
-
-	// Knowledge base parameters (Definition 3.3).
-	FactHalfLife  float64
-	FactThreshold float64
-	FactCapacity  int
-
 	// Fair marks a cooperative ship; unfair ships corrupt their
 	// self-description (SRP exclusion experiments).
 	Fair bool
@@ -96,9 +86,6 @@ func DefaultConfig(id ployon.ID, class ployon.Class) Config {
 	return Config{
 		ID: id, Class: class, Generation: 4,
 		CongruenceThreshold: 0.7, AdaptRate: 0.25,
-		OS:           nodeos.Resources{CPU: 1e6, Memory: 16 << 20, Bandwidth: 1 << 20},
-		GasLimit:     100_000,
-		FactHalfLife: 30, FactThreshold: 0.5, FactCapacity: 256,
 		Fair: true,
 	}
 }
@@ -115,6 +102,19 @@ const (
 	// cell. A 2002 partial-reconfiguration port writes on the order of
 	// 10⁴ cells/s.
 	PerCellReconfigSeconds = 1e-4
+)
+
+// Every ship's NodeOS resource envelope, its capsule gas bound and its
+// knowledge-base parameters (Definition 3.3).
+const (
+	osCPU       = 1e6      // gas units per second
+	osMemory    = 16 << 20 // bytes
+	osBandwidth = 1 << 20  // bytes per second
+	gasLimit    = 100_000  // per capsule execution
+
+	factHalfLife  = 30
+	factThreshold = 0.5
+	factCapacity  = 256
 )
 
 // classifierCells is the LUT cell count of the hardware classifier a 3G+
@@ -170,15 +170,15 @@ func New(cfg Config) *Ship {
 		Ployon: ployon.Ployon{ID: cfg.ID, Class: cfg.Class, Shape: ployon.CanonicalShape(cfg.Class)},
 		cfg:    cfg,
 		state:  Born,
-		OS:     nodeos.New(cfg.OS, 128),
-		KB:     kq.NewStore(cfg.FactHalfLife, cfg.FactThreshold, cfg.FactCapacity),
+		OS:     nodeos.New(nodeos.Resources{CPU: osCPU, Memory: osMemory, Bandwidth: osBandwidth}, 128),
+		KB:     kq.NewStore(factHalfLife, factThreshold, factCapacity),
 		nextID: cfg.ID<<20 + 1,
 	}
 	s.modal = roles.NextStep // neutral starting role
 	// The registry EE for the modal function, per Figure 2.
 	ee, err := s.OS.RegisterEE("modal", nodeos.Resources{
-		CPU: cfg.OS.CPU / 2, Memory: cfg.OS.Memory / 2, Bandwidth: cfg.OS.Bandwidth / 2,
-	}, cfg.GasLimit)
+		CPU: osCPU / 2, Memory: osMemory / 2, Bandwidth: osBandwidth / 2,
+	}, gasLimit)
 	if err != nil {
 		panic("ship: modal EE admission failed: " + err.Error())
 	}
@@ -259,7 +259,7 @@ func (s *Ship) InstallAux(k roles.Kind) error {
 	name := "aux:" + k.String()
 	free := s.OS.Free()
 	quota := nodeos.Resources{CPU: free.CPU / 8, Memory: free.Memory / 8, Bandwidth: free.Bandwidth / 8}
-	ee, err := s.OS.RegisterEE(name, quota, s.cfg.GasLimit)
+	ee, err := s.OS.RegisterEE(name, quota, gasLimit)
 	if err != nil {
 		return err
 	}

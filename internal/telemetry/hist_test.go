@@ -225,23 +225,6 @@ func TestHistMergeOrderInvariance(t *testing.T) {
 	}
 }
 
-func TestHistReset(t *testing.T) {
-	h := NewHist()
-	h.Observe(1)
-	h.Observe(math.NaN())
-	h.Reset()
-	if h.Count() != 0 || h.dropped != 0 || h.Sum() != 0 {
-		t.Fatalf("reset left state: count=%d dropped=%d sum=%v", h.Count(), h.dropped, h.Sum())
-	}
-	if !math.IsInf(h.Min(), 1) {
-		t.Fatalf("reset min = %v", h.Min())
-	}
-	h.Observe(2)
-	if h.Quantile(0.5) != 2 {
-		t.Fatalf("post-reset quantile = %v", h.Quantile(0.5))
-	}
-}
-
 func TestHistEachBucketCumulative(t *testing.T) {
 	h := NewHist()
 	vals := []float64{0, 0.001, 0.001, 0.5, 7}

@@ -99,29 +99,6 @@ func TestRecorderBeforeTick(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(8, 2)
-	cum := 0.0
-	r.CounterFn("c", func() float64 { return cum })
-	cum = 5
-	r.Tick(1)
-	r.Reset()
-	if r.ticks != 0 {
-		t.Fatalf("Ticks after reset = %d", r.ticks)
-	}
-	cum = 7
-	r.Tick(1)
-	// Baseline re-sampled at Reset (5), so the first post-reset delta is 2.
-	if r.Last(0) != 2 {
-		t.Fatalf("post-reset counter delta = %v, want 2", r.Last(0))
-	}
-	n := 0
-	r.EachRollup(0, func(Rollup) { n++ })
-	if n != 0 {
-		t.Fatalf("rollups survived reset")
-	}
-}
-
 func TestRecorderTickAllocFree(t *testing.T) {
 	r := NewRecorder(64, 4)
 	x := 0.0

@@ -280,62 +280,6 @@ func TestReachableIncludesSource(t *testing.T) {
 	}
 }
 
-func TestBetweennessStar(t *testing.T) {
-	g := Star(6)
-	cb := g.Betweenness()
-	// Hub carries every leaf-to-leaf shortest path.
-	if g.MostCentral() != 0 {
-		t.Fatalf("most central = %d", g.MostCentral())
-	}
-	for i := 1; i < 6; i++ {
-		if cb[i] != 0 {
-			t.Fatalf("leaf %d betweenness = %v", i, cb[i])
-		}
-	}
-	// Hub: paths between 5 leaves = 5*4 = 20 ordered pairs.
-	if cb[0] != 20 {
-		t.Fatalf("hub betweenness = %v", cb[0])
-	}
-}
-
-func TestBetweennessLine(t *testing.T) {
-	g := Line(5)
-	cb := g.Betweenness()
-	// The middle node dominates; symmetric about it.
-	if g.MostCentral() != 2 {
-		t.Fatalf("most central = %d (%v)", g.MostCentral(), cb)
-	}
-	if cb[0] != 0 || cb[4] != 0 {
-		t.Fatalf("endpoints nonzero: %v", cb)
-	}
-	if cb[1] != cb[3] {
-		t.Fatalf("asymmetric: %v", cb)
-	}
-}
-
-func TestBetweennessPaperFigure(t *testing.T) {
-	// N3 (id 2) is the articulation-rich center of the figure topology.
-	g := PaperFigure()
-	if g.MostCentral() != 2 {
-		t.Fatalf("most central = %d (%v)", g.MostCentral(), g.Betweenness())
-	}
-}
-
-func TestBetweennessIgnoresDownLinks(t *testing.T) {
-	g := Line(3)
-	cb1 := g.Betweenness()
-	if cb1[1] == 0 {
-		t.Fatal("middle node should carry paths")
-	}
-	// Cut the line: no multi-hop paths remain.
-	g.SetUp(g.FindLink(1, 2), false)
-	g.SetUp(g.FindLink(2, 1), false)
-	cb2 := g.Betweenness()
-	if cb2[1] != 0 {
-		t.Fatalf("betweenness over dead link: %v", cb2)
-	}
-}
-
 func TestLinkBetween(t *testing.T) {
 	g := New()
 	g.AddNodes(3)

@@ -1,9 +1,19 @@
 package trace
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
+
+// Events returns retained events oldest-first.
+func (l *Log) Events() []Event {
+	if len(l.buf) < cap(l.buf) {
+		out := make([]Event, len(l.buf))
+		copy(out, l.buf)
+		return out
+	}
+	out := make([]Event, 0, cap(l.buf))
+	out = append(out, l.buf[l.next:]...)
+	out = append(out, l.buf[:l.next]...)
+	return out
+}
 
 func TestAddAndEvents(t *testing.T) {
 	l := New(10)
@@ -32,17 +42,6 @@ func TestRingEviction(t *testing.T) {
 	}
 	if l.count != 5 {
 		t.Fatalf("total = %d", l.count)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	l := New(10)
-	l.Add(1, "a", "x")
-	l.Add(2, "b", "y")
-	l.Add(3, "a", "z")
-	got := l.Filter("a")
-	if len(got) != 2 || got[1].Message != "z" {
-		t.Fatalf("filter = %v", got)
 	}
 }
 
@@ -117,14 +116,5 @@ func TestDisabled(t *testing.T) {
 	l.Add(1, "c", "dropped")
 	if l.count != 0 || len(l.Events()) != 0 {
 		t.Fatal("disabled log recorded")
-	}
-}
-
-func TestDump(t *testing.T) {
-	l := New(4)
-	l.Add(1.5, "dock", "hello")
-	out := l.Dump()
-	if !strings.Contains(out, "[dock] hello") {
-		t.Fatalf("dump = %q", out)
 	}
 }

@@ -2,12 +2,10 @@ package workload
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"viator/internal/roles"
 	"viator/internal/sim"
-	"viator/internal/topo"
 )
 
 func TestCBRRate(t *testing.T) {
@@ -71,26 +69,6 @@ func TestPoissonStopHalts(t *testing.T) {
 	}
 }
 
-func TestZipfRequestsSkewAndKeys(t *testing.T) {
-	k := sim.NewKernel(4)
-	rng := sim.NewRNG(5)
-	counts := map[string]int{}
-	stop := ZipfRequests(k, rng, 20, 1.0, 200, func(c roles.Chunk) {
-		if c.Meta != "request" || !strings.HasPrefix(c.Key, "obj-") {
-			t.Fatalf("bad request chunk: %+v", c)
-		}
-		counts[c.Key]++
-	})
-	k.Run(50)
-	stop()
-	if counts["obj-0"] <= counts["obj-10"] {
-		t.Fatalf("no popularity skew: %v", counts)
-	}
-	if len(counts) < 10 {
-		t.Fatalf("catalog coverage too small: %d keys", len(counts))
-	}
-}
-
 func TestOnOffBurstiness(t *testing.T) {
 	k := sim.NewKernel(6)
 	rng := sim.NewRNG(7)
@@ -121,38 +99,6 @@ func TestOnOffBurstiness(t *testing.T) {
 	// Duty cycle well below 100%: delivered volume far under rate×time.
 	if float64(len(times)*1000) > 0.8*100000*60/1000*1000 {
 		t.Fatalf("source not gated: %d chunks", len(times))
-	}
-}
-
-func TestSensorFieldCoverageAndJitter(t *testing.T) {
-	k := sim.NewKernel(8)
-	rng := sim.NewRNG(9)
-	sensors := []topo.NodeID{3, 4, 5}
-	perSensor := map[topo.NodeID]int{}
-	var firstTimes []float64
-	seen := map[topo.NodeID]bool{}
-	ticks := SensorField(k, rng, sensors, 1.0, 500, func(r SensorReading) {
-		perSensor[r.Sensor]++
-		if !seen[r.Sensor] {
-			seen[r.Sensor] = true
-			firstTimes = append(firstTimes, k.Now())
-		}
-		if r.Bytes != 500 {
-			t.Fatalf("reading bytes = %d", r.Bytes)
-		}
-	})
-	k.Run(10)
-	for _, tk := range ticks {
-		tk.Stop()
-	}
-	for _, s := range sensors {
-		if perSensor[s] < 9 || perSensor[s] > 12 {
-			t.Fatalf("sensor %d readings = %d", s, perSensor[s])
-		}
-	}
-	// Jitter: the three first-reading times are not identical.
-	if firstTimes[0] == firstTimes[1] && firstTimes[1] == firstTimes[2] {
-		t.Fatal("sensors synchronized despite jitter")
 	}
 }
 

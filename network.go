@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"viator/internal/cluster"
-	"viator/internal/feedback"
 	"viator/internal/kq"
 	"viator/internal/metamorph"
 	"viator/internal/netsim"
@@ -60,8 +59,6 @@ type Config struct {
 	ClassOf func(i int) ployon.Class
 	// UnfairFraction marks this share of ships as misreporting (SRP).
 	UnfairFraction float64
-	// Link is applied to every link.
-	Link netsim.LinkProps
 	// MorphInFlight enables shuttle self-morphing at the last hop (DCP).
 	MorphInFlight bool
 	// CongruenceThreshold overrides the ships' docking threshold.
@@ -74,7 +71,6 @@ func DefaultConfig(n int, seed uint64) Config {
 		Seed:                seed,
 		NumShips:            n,
 		Generation:          4,
-		Link:                netsim.DefaultLinkProps(),
 		MorphInFlight:       true,
 		CongruenceThreshold: 0.7,
 	}
@@ -90,7 +86,6 @@ type Network struct {
 	Ships []*ship.Ship
 
 	Router    *routing.Adaptive
-	Bus       *feedback.Bus
 	Community *cluster.Community
 	Morph     *metamorph.Engine
 	Resonance *resonance.Engine
@@ -136,12 +131,10 @@ func NewNetwork(cfg Config) *Network {
 		cfg: cfg, K: k, G: g,
 		Net:       netsim.New(k, g),
 		Router:    routing.NewAdaptive(g, 4),
-		Bus:       feedback.NewBus(),
 		Community: cluster.New(cluster.DefaultConfig(), k.Rand.Split()),
 		Resonance: resonance.New(resonance.DefaultConfig()),
 		Trace:     trace.New(4096),
 	}
-	n.Net.SetAllLinkProps(cfg.Link)
 	classOf := cfg.ClassOf
 	if classOf == nil {
 		classOf = func(i int) ployon.Class { return ployon.Class(i % int(ployon.NumClasses)) }

@@ -48,27 +48,24 @@ type TelemetryConfig struct {
 	// Tick is the recorder sampling period in sim seconds; <= 0 disables
 	// the periodic recorder tick (sinks and scorecards still run).
 	Tick float64
-	// Capacity is the recorder ring size in samples (default 256).
-	Capacity int
-	// Window is the rollup window in ticks (default 4).
-	Window int
 	// SLO applies to every shuttle flow registered on demand.
 	SLO telemetry.SLO
 }
+
+// The recorder keeps recorderCapacity samples per series and rolls them
+// up over recorderWindow ticks.
+const (
+	recorderCapacity = 256
+	recorderWindow   = 4
+)
 
 // EnableTelemetry arms the telemetry stack. Call it after the topology
 // and routing are set up, and before traffic starts; series registered
 // on the returned Recorder (e.g. a mobility links-up gauge) must also be
 // added before the first tick fires.
 func (n *Network) EnableTelemetry(cfg TelemetryConfig) *Telemetry {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 256
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
 	t := &Telemetry{
-		Rec:        telemetry.NewRecorder(cfg.Capacity, cfg.Window),
+		Rec:        telemetry.NewRecorder(recorderCapacity, recorderWindow),
 		QoS:        telemetry.NewScoreSet(),
 		Latency:    telemetry.NewHist(),
 		QueueDepth: telemetry.NewHist(),
