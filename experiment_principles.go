@@ -64,7 +64,6 @@ func RunE7(seed uint64) *E7Result {
 				src := ployon.Class(rng.Intn(int(ployon.NumClasses)))
 				dst := rng.Intn(len(ships))
 				sh := shuttle.New(ployon.ID(1000+i), shuttle.Data, -1, int32(dst), src)
-				sh.DstClass = ships[dst].Class
 				if pol.rate > 0 {
 					morphBytes += sh.Morph(ships[dst].Shape, pol.rate)
 				}

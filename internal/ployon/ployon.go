@@ -22,16 +22,6 @@ import (
 // security scheme, QoS class, addressing mode, and media profile.
 const ShapeDims = 6
 
-// Named indexes into a Shape.
-const (
-	DimFraming = iota
-	DimEncoding
-	DimSecurity
-	DimQoS
-	DimAddressing
-	DimMedia
-)
-
 // Shape is a structure descriptor with features normalized to [0,1].
 type Shape [ShapeDims]float64
 

@@ -103,8 +103,8 @@ type Spec struct {
 	Arena Arena `json:"arena"`
 
 	// Shards partitions the fleet into this many spatial districts, each
-	// run by its own kernel under the conservative sharded executor
-	// (0 or 1 = the plain single-kernel path). Ships must divide evenly:
+	// run by its own kernel under the conservative sharded executor (0 or
+	// 1 = one district on a one-shard group). Ships must divide evenly:
 	// ship g lives in district g/(ships/shards) as local index
 	// g%(ships/shards), each district owning a full arena of its own.
 	// Districts are radio-isolated; the only inter-district paths are the

@@ -138,8 +138,7 @@ func TestDockCongruenceGate(t *testing.T) {
 		t.Fatalf("rejected = %d", s.RejectedDock)
 	}
 	// After morphing toward the ship's class it docks.
-	sh.Morph(ployon.CanonicalShape(sh.DstClass), 1)
-	sh.DstClass = ployon.ClassServer
+	sh.Morph(ployon.CanonicalShape(ployon.ClassRelay), 1)
 	sh.Morph(ployon.CanonicalShape(ployon.ClassServer), 1)
 	res, err := s.Dock(sh, 0)
 	if err != nil || !res.Accepted {

@@ -52,17 +52,14 @@ const MaxJetGeneration = 6
 type Shuttle struct {
 	ployon.Ployon
 	Kind     Kind
-	Src, Dst int32        // ship node ids
-	DstClass ployon.Class // class embedded in the destination address
+	Src, Dst int32 // ship node ids
 
 	CodeID string // identifier for demand code distribution
 	Code   []byte // encoded WanderScript (vm.Encode)
 	Genome []byte // encoded kq.Genome
 	Data   []byte // opaque content
 
-	TTL        uint8
 	Generation uint8 // jet replication generation (0 = original)
-	MorphCount int   // times this shuttle morphed in flight
 }
 
 // Shuttle errors.
@@ -76,7 +73,7 @@ var (
 func New(id ployon.ID, kind Kind, src, dst int32, class ployon.Class) *Shuttle {
 	return &Shuttle{
 		Ployon: ployon.Ployon{ID: id, Class: class, Shape: ployon.CanonicalShape(class)},
-		Kind:   kind, Src: src, Dst: dst, DstClass: class, TTL: 64,
+		Kind:   kind, Src: src, Dst: dst,
 	}
 }
 
@@ -94,7 +91,6 @@ func (s *Shuttle) WireSize() int {
 func (s *Shuttle) Morph(target ployon.Shape, rate float64) int {
 	cost := ployon.MorphCost(s.Shape, target, HeaderBytes)
 	s.Shape = s.Shape.MorphToward(target, rate)
-	s.MorphCount++
 	return cost
 }
 

@@ -70,7 +70,7 @@ func BenchmarkShardGroupWindowed(b *testing.B) {
 func shardGroupWindowed(b *testing.B, k, nPer int) {
 	b.ReportAllocs()
 	const la = 0.01
-	g := NewShardGroup(k, 1, la)
+	g := NewShardGroup(ShardSeeds(k, 1), la)
 	defer g.Close()
 	type ent struct {
 		shard int
@@ -97,22 +97,25 @@ func shardGroupWindowed(b *testing.B, k, nPer int) {
 			ents = append(ents, e)
 		}
 	}
-	until := Time(0)
 	// One warm horizon grows every arena to steady state.
-	until += shardBenchHorizon
-	g.run(until)
+	until := Time(shardBenchHorizon)
+	windows := 0
+	for g.StepWindow(until) {
+		windows++
+	}
+	g.StepTo(until, until)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		until += shardBenchHorizon
-		g.run(until)
+		g.StepTo(until, until)
 	}
 	b.StopTimer()
 	fired := 0
 	for _, e := range ents {
 		fired += e.fired
 	}
-	if fired == 0 || g.Windows == 0 {
-		b.Fatalf("workload idle: fired=%d windows=%d", fired, g.Windows)
+	if fired == 0 || windows == 0 {
+		b.Fatalf("workload idle: fired=%d windows=%d", fired, windows)
 	}
 }
 
@@ -122,7 +125,7 @@ func shardGroupWindowed(b *testing.B, k, nPer int) {
 // 0 allocs/op.
 func BenchmarkShardMailbox(b *testing.B) {
 	b.ReportAllocs()
-	g := NewShardGroup(2, 1, 0.001)
+	g := NewShardGroup(ShardSeeds(2, 1), 0.001)
 	delivered := 0
 	g.OnMail(1, func(payload any) { delivered++ })
 	dst := g.Shard(1)

@@ -81,19 +81,13 @@ type shardState struct {
 
 // ShardGroup coordinates K shard kernels under conservative windowed
 // synchronization. Construct with NewShardGroup, wire each shard's model
-// onto Shard(i), register cross-shard delivery with OnMail, then loop
-// StepWindow. Not safe for concurrent use; the group owns its shards'
+// onto Shard(i), register cross-shard delivery with OnMail, then advance
+// with StepTo. Not safe for concurrent use; the group owns its shards'
 // goroutines.
 type ShardGroup struct {
 	shards    []shardState
 	lookahead Time
 
-	// Windows counts synchronization rounds executed (windowed mode).
-	Windows uint64
-
-	// counts is the per-window fired tally, preallocated so the window
-	// loop itself stays allocation-free.
-	counts []uint64
 	// pool holds the persistent window workers (one channel per worker
 	// goroutine for shards 1..K-1, started lazily at the first window
 	// and kept so the window loop never spawns). Close releases them.
@@ -101,13 +95,26 @@ type ShardGroup struct {
 	wg   sync.WaitGroup
 }
 
-// NewShardGroup builds K kernels with per-shard seeds derived from seed
-// by the RunParallel stream discipline (shard i's seed is the i-th draw
-// of a splitmix64 stream rooted at seed). lookahead is the minimum
-// cross-shard latency L: every Post must carry a timestamp at least L
-// beyond the posting shard's clock, and must be positive: a window is
-// only safe when no event inside it can reach another shard inside it.
-func NewShardGroup(k int, seed uint64, lookahead Time) *ShardGroup {
+// ShardSeeds derives k shard-kernel seeds from seed by the RunParallel
+// stream discipline: shard i's seed is the i-th draw of a splitmix64
+// stream rooted at seed.
+func ShardSeeds(k int, seed uint64) []uint64 {
+	root := NewRNG(seed)
+	seeds := make([]uint64, k)
+	for i := range seeds {
+		seeds[i] = root.Uint64()
+	}
+	return seeds
+}
+
+// NewShardGroup builds one kernel per seed, K = len(seeds). lookahead is
+// the minimum cross-shard latency L: every Post must carry a timestamp
+// at least L beyond the posting shard's clock, and must be positive: a
+// window is only safe when no event inside it can reach another shard
+// inside it. An infinite lookahead makes a group that can hold no mail
+// (every Post panics): its shards are independent kernels.
+func NewShardGroup(seeds []uint64, lookahead Time) *ShardGroup {
+	k := len(seeds)
 	if k < 1 {
 		panic("sim: ShardGroup needs at least 1 shard")
 	}
@@ -117,12 +124,10 @@ func NewShardGroup(k int, seed uint64, lookahead Time) *ShardGroup {
 	g := &ShardGroup{
 		shards:    make([]shardState, k),
 		lookahead: lookahead,
-		counts:    make([]uint64, k),
 	}
-	root := NewRNG(seed)
 	for i := range g.shards {
 		s := &g.shards[i]
-		s.k = NewKernel(root.Uint64())
+		s.k = NewKernel(seeds[i])
 		s.out = make([][]mailEntry, k)
 		s.deliver = func() { g.commit(s) }
 	}
@@ -132,9 +137,19 @@ func NewShardGroup(k int, seed uint64, lookahead Time) *ShardGroup {
 // NumShards returns K.
 func (g *ShardGroup) NumShards() int { return len(g.shards) }
 
-// Shard returns shard i's kernel. During Run the kernel must only be
-// touched from events executing on it (one kernel, one goroutine).
+// Shard returns shard i's kernel. During a window the kernel must only
+// be touched from events executing on it (one kernel, one goroutine).
 func (g *ShardGroup) Shard(i int) *Kernel { return g.shards[i].k }
+
+// Now returns the slowest shard clock: the bound on what has definitely
+// happened across the group.
+func (g *ShardGroup) Now() Time {
+	now := g.shards[0].k.Now()
+	for i := 1; i < len(g.shards); i++ {
+		now = min(now, g.shards[i].k.Now())
+	}
+	return now
+}
 
 // OnMail installs shard i's cross-shard delivery handler. The handler
 // runs on shard i's kernel at the posted timestamp (read it via
@@ -262,25 +277,20 @@ func (g *ShardGroup) next() (Time, bool) {
 
 // StepWindow executes exactly one synchronization round toward until —
 // one conservative window followed by the barrier mail exchange — and
-// reports whether
-// any work remains at or before until. The group is quiescent between
-// calls: no worker goroutine touches shard state, so the caller may
-// read any shard read-only before stepping again. That is the seam the
-// live server observes sharded runs through.
+// reports whether any work remained at or before until. The group is quiescent between calls: no worker goroutine
+// touches shard state, so the caller may read any shard read-only
+// before stepping again.
 //
 // Determinism: the sequence of windows depends only on the model and
-// the horizon, so a caller looping StepWindow(H) to exhaustion — however
-// its calls are spaced in wall time — reproduces the exact window
+// until, so a caller looping StepWindow(H) to exhaustion — however its
+// calls are spaced in wall time — reproduces the exact window
 // partition, and therefore the exact mail commit order and destination
-// event sequence. Always pass the same horizon for the whole drain;
-// varying it between calls changes the final window clamp and with it
-// the partition. After StepWindow returns false the caller advances
-// each shard clock to the horizon (Shard(i).Run(H)), as a single
-// kernel's Run(H) would.
-func (g *ShardGroup) StepWindow(until Time) (uint64, bool) {
+// event sequence. Varying until between calls changes the final window
+// clamp and with it the partition. StepTo is the loop every run uses.
+func (g *ShardGroup) StepWindow(until Time) bool {
 	t, ok := g.next()
 	if !ok || t > until {
-		return 0, false
+		return false
 	}
 	// Events exactly at the horizon must fire (Run is inclusive), so the
 	// final windows run strictly before the next float after until.
@@ -289,19 +299,35 @@ func (g *ShardGroup) StepWindow(until Time) (uint64, bool) {
 	if !(h < end) {
 		h = end
 	}
-	g.Windows++
-	fired := g.runWindow(h)
+	g.runWindow(h)
 	g.exchange()
-	return fired, true
+	return true
 }
 
-// runShard advances shard i to the window horizon. Each shard writes
-// only its own count and state, so workers need no coordination beyond
-// the start signal and the completion barrier.
-//
-//viator:noalloc
-func (g *ShardGroup) runShard(i int, h Time) {
-	g.counts[i] = g.shards[i].k.RunBefore(h)
+// StepTo advances the group to sim time t, clamped to horizon (the same
+// on every call of one run), and reports whether it reached the horizon.
+// A finite-lookahead group runs whole windows cut against the horizon,
+// never against t, so the window partition — and with it the mail commit
+// order — is the same for any sequence of calls, until every shard clock
+// has reached t. An infinite-lookahead group holds no mail, so it runs
+// straight to t. Once no work remains before its stop, the group settles
+// every shard clock there: on an infinite-lookahead group StepTo(t, H) is
+// exactly Kernel.Run(t) on each shard.
+func (g *ShardGroup) StepTo(t, horizon Time) bool {
+	t = min(t, horizon)
+	cut := horizon
+	if math.IsInf(g.lookahead, 1) {
+		cut = t
+	}
+	for g.StepWindow(cut) {
+		if t < cut && g.Now() >= t {
+			return false
+		}
+	}
+	for i := range g.shards {
+		g.shards[i].k.Run(cut)
+	}
+	return cut >= horizon
 }
 
 // startPool launches the persistent window workers: one goroutine for
@@ -316,7 +342,7 @@ func (g *ShardGroup) startPool() {
 		g.pool[i] = ch
 		go func(shard int, ch chan Time) {
 			for h := range ch {
-				g.runShard(shard, h)
+				g.shards[shard].k.RunBefore(h)
 				g.wg.Done()
 			}
 		}(i+1, ch)
@@ -334,11 +360,13 @@ func (g *ShardGroup) Close() {
 }
 
 // runWindow runs every shard over [.., h) concurrently, one goroutine a
-// shard, and returns the events fired. Shards are state-disjoint inside
-// a window, so scheduling cannot influence results.
+// shard. Shards are state-disjoint inside a window, so scheduling cannot
+// influence results, and each worker touches only its own shard's state,
+// so workers need no coordination beyond the start signal and the
+// completion barrier.
 //
 //viator:noalloc
-func (g *ShardGroup) runWindow(h Time) uint64 {
+func (g *ShardGroup) runWindow(h Time) {
 	if len(g.shards) > 1 && g.pool == nil {
 		g.startPool() //viator:alloc-ok one-time pool build on the first window
 	}
@@ -346,11 +374,6 @@ func (g *ShardGroup) runWindow(h Time) uint64 {
 	for _, ch := range g.pool {
 		ch <- h
 	}
-	g.runShard(0, h)
+	g.shards[0].k.RunBefore(h)
 	g.wg.Wait()
-	var total uint64
-	for _, c := range g.counts {
-		total += c
-	}
-	return total
 }

@@ -34,22 +34,26 @@ type toyMsg struct {
 	x      float64
 }
 
-// toyModel runs nEntities random walkers over k logical strips of width
-// stripW for `horizon` seconds with cross-strip handoff latency >= la.
-// When group is nil the model runs on a single oracle kernel and
-// "handoff" is a plain local schedule at the same absolute time.
-func toyModel(t *testing.T, group *ShardGroup, k int, seed uint64, la Time, horizon Time) []toyEvent {
-	t.Helper()
+// toy is nEntities random walkers over k logical strips of width stripW
+// until `horizon`, with cross-strip handoff latency >= la, armed but not
+// yet run: the caller drives the group (or, when group is nil, the single
+// oracle kernel, on which "handoff" is a plain local schedule at the same
+// absolute time).
+type toy struct {
+	oracle *Kernel
+	logs   [][]toyEvent
+}
+
+func newToy(group *ShardGroup, k int, seed uint64, la Time, horizon Time) *toy {
 	const nEntities = 24
 	const stripW = 100.0
-	logs := make([][]toyEvent, k)
-	var oracle *Kernel
+	m := &toy{logs: make([][]toyEvent, k)}
 	if group == nil {
-		oracle = NewKernel(seed)
+		m.oracle = NewKernel(seed)
 	}
 	kernelOf := func(s int) *Kernel {
-		if oracle != nil {
-			return oracle
+		if m.oracle != nil {
+			return m.oracle
 		}
 		return group.Shard(s)
 	}
@@ -63,7 +67,7 @@ func toyModel(t *testing.T, group *ShardGroup, k int, seed uint64, la Time, hori
 	step = func(s, e int, x float64) {
 		k0 := kernelOf(s)
 		now := k0.Now()
-		logs[s] = append(logs[s], toyEvent{at: now, shard: s, entity: e, x: x})
+		m.logs[s] = append(m.logs[s], toyEvent{at: now, shard: s, entity: e, x: x})
 		rng := rngs[e]
 		// Random walk; strip index decides the owning shard.
 		nx := x + (rng.Float64()-0.5)*60
@@ -86,23 +90,13 @@ func toyModel(t *testing.T, group *ShardGroup, k int, seed uint64, la Time, hori
 			return
 		}
 		if ns == s || group == nil {
-			if group == nil && ns != s {
-				// Oracle: the handoff is just a future event at the new home.
-				ns := ns
-				e := e
-				nx := nx
-				k0.At(at, func() { step(ns, e, nx) })
-				return
-			}
-			ns := ns
-			e := e
-			nx := nx
+			// Oracle: the handoff is just a future event at the new home.
 			k0.At(at, func() { step(ns, e, nx) })
 			return
 		}
-		m := msgs[e]
-		m.entity, m.x = e, nx
-		group.Post(s, ns, at, m)
+		msg := msgs[e]
+		msg.entity, msg.x = e, nx
+		group.Post(s, ns, at, msg)
 	}
 	msgs = make([]*toyMsg, nEntities)
 	for e := range msgs {
@@ -110,27 +104,25 @@ func toyModel(t *testing.T, group *ShardGroup, k int, seed uint64, la Time, hori
 	}
 	if group != nil {
 		for s := 0; s < k; s++ {
-			s := s
 			group.OnMail(s, func(payload any) {
-				m := payload.(*toyMsg)
-				step(s, m.entity, m.x)
+				msg := payload.(*toyMsg)
+				step(s, msg.entity, msg.x)
 			})
 		}
 	}
 	// Seed every entity at t=0.001*(e+1) at a deterministic strip.
 	for e := 0; e < nEntities; e++ {
-		e := e
 		s := e % k
 		x := stripW*float64(s) + stripW/2
 		kernelOf(s).At(0.001*float64(e+1), func() { step(s, e, x) })
 	}
-	if group != nil {
-		group.run(horizon)
-	} else {
-		oracle.Run(horizon)
-	}
+	return m
+}
+
+// log is the chronological event log fired so far.
+func (m *toy) log() []toyEvent {
 	var all []toyEvent
-	for _, l := range logs {
+	for _, l := range m.logs {
 		all = append(all, l...)
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -146,6 +138,17 @@ func toyModel(t *testing.T, group *ShardGroup, k int, seed uint64, la Time, hori
 	return all
 }
 
+// toyModel runs the toy to horizon in one drain and returns its log.
+func toyModel(group *ShardGroup, k int, seed uint64, la Time, horizon Time) []toyEvent {
+	m := newToy(group, k, seed, la, horizon)
+	if group != nil {
+		group.StepTo(horizon, horizon)
+	} else {
+		m.oracle.Run(horizon)
+	}
+	return m.log()
+}
+
 func logString(events []toyEvent) string {
 	var b strings.Builder
 	for _, e := range events {
@@ -159,15 +162,67 @@ func logString(events []toyEvent) string {
 func TestShardGroupMatchesOracle(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 999} {
 		const k, la, horizon = 4, 0.05, 8.0
-		g := NewShardGroup(k, seed, la)
+		g := NewShardGroup(ShardSeeds(k, seed), la)
 		defer g.Close()
-		got := logString(toyModel(t, g, k, seed, la, horizon))
-		want := logString(toyModel(t, nil, k, seed, la, horizon))
+		m := newToy(g, k, seed, la, horizon)
+		windows := 0
+		for g.StepWindow(horizon) {
+			windows++
+		}
+		got := logString(m.log())
+		want := logString(toyModel(nil, k, seed, la, horizon))
 		if got != want {
 			t.Fatalf("seed %d: sharded log diverged from oracle\nsharded:\n%.400s\noracle:\n%.400s", seed, got, want)
 		}
-		if g.Windows == 0 {
+		if windows == 0 {
 			t.Fatal("windowed path never ran")
+		}
+	}
+}
+
+// StepTo is the one advance loop, and its step sequence never shows in
+// the run. Stepped at random granularities, a one-shard
+// infinite-lookahead group replays plain Kernel.Run(t) on the oracle —
+// the same events and the same clock after every step — and a K=4
+// finite-lookahead group replays its own single full drain.
+func TestShardGroupStepToAnyGranularity(t *testing.T) {
+	const la, horizon = 0.05, 8.0
+	for _, seed := range []uint64{1, 42, 999} {
+		rng := NewRNG(seed)
+		var stops []Time
+		for at := rng.Float64(); at < horizon; at += rng.Float64() * 1.5 {
+			stops = append(stops, at)
+		}
+		stops = append(stops, horizon)
+
+		one := NewShardGroup([]uint64{seed}, math.Inf(1))
+		m, oracle := newToy(one, 1, seed, la, horizon), newToy(nil, 1, seed, la, horizon)
+		for _, stop := range stops {
+			done := one.StepTo(stop, horizon)
+			oracle.oracle.Run(stop)
+			if now, want := one.Now(), oracle.oracle.Now(); now != want || done != (stop == horizon) {
+				t.Fatalf("seed %d: one-shard StepTo(%v) = clock %v done %v, Kernel.Run clock %v",
+					seed, stop, now, done, want)
+			}
+			if got, want := logString(m.log()), logString(oracle.log()); got != want {
+				t.Fatalf("seed %d: one-shard log at %v diverged from Kernel.Run", seed, stop)
+			}
+		}
+
+		const k = 4
+		g := NewShardGroup(ShardSeeds(k, seed), la)
+		defer g.Close()
+		m = newToy(g, k, seed, la, horizon)
+		for _, stop := range stops {
+			done := g.StepTo(stop, horizon)
+			if now := g.Now(); now < stop || (stop == horizon && !done) || (done && now != horizon) {
+				t.Fatalf("seed %d: K=%d StepTo(%v) = clock %v done %v", seed, k, stop, now, done)
+			}
+		}
+		drain := NewShardGroup(ShardSeeds(k, seed), la)
+		defer drain.Close()
+		if got, want := logString(m.log()), logString(toyModel(drain, k, seed, la, horizon)); got != want {
+			t.Fatalf("seed %d: K=%d stepped log diverged from its single drain", seed, k)
 		}
 	}
 }
@@ -182,9 +237,9 @@ func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
-		g := NewShardGroup(k, seed, la)
+		g := NewShardGroup(ShardSeeds(k, seed), la)
 		defer g.Close()
-		log := logString(toyModel(t, g, k, seed, la, horizon))
+		log := logString(toyModel(g, k, seed, la, horizon))
 		if base == "" {
 			base = log
 		} else if log != base {
@@ -197,7 +252,7 @@ func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
 // completes, advances every clock to the horizon, and fires nothing on
 // the idle shards.
 func TestShardGroupEmptyShardsIdle(t *testing.T) {
-	g := NewShardGroup(4, 9, 0.1)
+	g := NewShardGroup(ShardSeeds(4, 9), 0.1)
 	defer g.Close()
 	fired := 0
 	var tick func()
@@ -208,8 +263,8 @@ func TestShardGroupEmptyShardsIdle(t *testing.T) {
 		}
 	}
 	g.Shard(0).After(1.0, tick)
-	total := g.run(10)
-	if fired != 5 || total != 5 {
+	g.StepTo(10, 10)
+	if total := g.fired(); fired != 5 || total != 5 {
 		t.Fatalf("fired = %d / total %d, want 5", fired, total)
 	}
 	for i := 0; i < 4; i++ {
@@ -225,17 +280,20 @@ func TestShardGroupEmptyShardsIdle(t *testing.T) {
 // Infinite lookahead (no cross-shard links at all) runs each shard in a
 // single window to the horizon.
 func TestShardGroupInfiniteLookaheadSingleWindow(t *testing.T) {
-	g := NewShardGroup(2, 5, math.Inf(1))
+	g := NewShardGroup(ShardSeeds(2, 5), math.Inf(1))
 	defer g.Close()
 	var n [2]int // per-shard counters: both shards run concurrently in one window
 	g.Shard(0).At(1, func() { n[0]++ })
 	g.Shard(1).At(2, func() { n[1]++ })
-	g.run(3)
+	windows := 0
+	for g.StepWindow(3) {
+		windows++
+	}
 	if n[0]+n[1] != 2 {
 		t.Fatalf("fired %d, want 2", n[0]+n[1])
 	}
-	if g.Windows != 1 {
-		t.Fatalf("windows = %d, want 1", g.Windows)
+	if windows != 1 {
+		t.Fatalf("windows = %d, want 1", windows)
 	}
 }
 
@@ -252,14 +310,14 @@ func TestNewShardGroupRejectsBadShape(t *testing.T) {
 					t.Errorf("NewShardGroup(%d, _, %v) did not panic", c.k, c.la)
 				}
 			}()
-			NewShardGroup(c.k, 1, c.la)
+			NewShardGroup(make([]uint64, c.k), c.la)
 		}()
 	}
 }
 
 // Posting below the lookahead bound is a model bug and must panic.
 func TestShardGroupLookaheadViolationPanics(t *testing.T) {
-	g := NewShardGroup(2, 3, 0.5)
+	g := NewShardGroup(ShardSeeds(2, 3), 0.5)
 	defer g.Close()
 	// Shard 0 runs its windows on this goroutine, so recover sees the
 	// panic of a post from shard 0.
@@ -271,14 +329,14 @@ func TestShardGroupLookaheadViolationPanics(t *testing.T) {
 	g.Shard(0).At(1, func() {
 		g.Post(0, 1, g.Shard(0).Now()+0.1, nil) // 0.1 < lookahead 0.5
 	})
-	g.run(2)
+	g.StepTo(2, 2)
 }
 
 // Commit order at a barrier: entries with equal arrival times commit in
 // (seq, shard) order, and local events scheduled in earlier windows fire
 // before same-time mail (kernel-seq FIFO).
 func TestShardGroupCommitOrder(t *testing.T) {
-	g := NewShardGroup(3, 11, 1.0)
+	g := NewShardGroup(ShardSeeds(3, 11), 1.0)
 	defer g.Close()
 	var order []string
 	g.OnMail(2, func(payload any) {
@@ -295,7 +353,7 @@ func TestShardGroupCommitOrder(t *testing.T) {
 	g.Shard(1).At(1, func() {
 		g.Post(1, 2, 5, mk(3)) // seq 0, shard 1
 	})
-	g.run(6)
+	g.StepTo(6, 6)
 	want := "local@5,e1,e3,e2"
 	if got := strings.Join(order, ","); got != want {
 		t.Fatalf("commit order = %s, want %s", got, want)
@@ -308,7 +366,7 @@ func (m *toyMsg) String() string { return fmt.Sprintf("e%d", m.entity) }
 // zero-alloc contract in steady state: post → barrier exchange →
 // heap commit, with warmed outboxes and inbox heaps.
 func TestShardMailboxSteadyStateAllocFree(t *testing.T) {
-	g := NewShardGroup(2, 21, 0.5)
+	g := NewShardGroup(ShardSeeds(2, 21), 0.5)
 	defer g.Close()
 	delivered := 0
 	g.OnMail(1, func(payload any) { delivered++ })

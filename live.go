@@ -28,10 +28,17 @@ type RunHandle struct {
 	done bool
 }
 
-// StartScenario arms sc for one seed and returns the paused run at sim
-// time zero.
+// StartScenario arms sc for one seed, at the shard-kernel count the
+// process override resolves to (SetShardOverride), and returns the paused
+// run at sim time zero.
 func StartScenario(sc *Scenario, seed uint64) *RunHandle {
-	return &RunHandle{sc: sc, seed: seed, r: sc.start(seed)}
+	return startScenario(sc, seed, sc.shardKernels())
+}
+
+// startScenario is StartScenario at k shard kernels, a divisor of the
+// district count (1 for an unsharded spec).
+func startScenario(sc *Scenario, seed uint64, k int) *RunHandle {
+	return &RunHandle{sc: sc, seed: seed, r: sc.start(seed, k)}
 }
 
 // Scenario returns the compiled scenario the handle runs.
@@ -46,45 +53,20 @@ func (h *RunHandle) Horizon() float64 { return h.sc.Spec.Horizon }
 // Done reports whether the run has reached the horizon.
 func (h *RunHandle) Done() bool { return h.done }
 
-// Now returns the run's current sim time: the slowest district clock
-// (the conservative bound on what has definitely happened).
-func (h *RunHandle) Now() float64 {
-	now := h.Horizon()
-	for _, d := range h.r.ds {
-		now = min(now, d.n.K.Now())
-	}
-	return now
-}
+// Now returns the run's current sim time: the slowest shard clock (the
+// conservative bound on what has definitely happened).
+func (h *RunHandle) Now() float64 { return h.r.group.Now() }
 
 // StepTo advances the run to sim time t (clamped to the horizon) and
-// pauses. A one-district run advances its kernel with Kernel.Run —
-// chained Run(t1), Run(t2), … is definitionally identical to one
-// Run(horizon). Sharded runs advance whole conservative windows (always
-// cut against the final horizon, never against t, so the window
-// partition — and with it the cross-shard mail commit order — is the
-// same for any step sequence) until the slowest district passes t; at
-// the horizon they drain exactly as ShardGroup.Run does: windows until no
-// work remains, then the clock settle.
+// pauses, through ShardGroup.StepTo: a one-district run steps its
+// one-shard group straight to t, exactly as Kernel.Run(t) would; a
+// sharded run advances whole windows cut against the horizon until the
+// slowest district passes t, so the step sequence never changes the
+// window partition or the cross-shard mail commit order.
 func (h *RunHandle) StepTo(t float64) {
-	if h.done {
-		return
+	if !h.done {
+		h.done = h.r.group.StepTo(t, h.Horizon())
 	}
-	horizon := h.Horizon()
-	t = min(t, horizon)
-	if g := h.r.group; g != nil {
-		for {
-			if _, more := g.StepWindow(horizon); !more {
-				h.r.settle()
-				h.done = true
-				return
-			}
-			if t < horizon && h.Now() >= t {
-				return
-			}
-		}
-	}
-	h.r.ds[0].n.Run(t)
-	h.done = t >= horizon
 }
 
 // Finish drives the run to the horizon if needed and seals the result:
@@ -101,18 +83,19 @@ func (h *RunHandle) Finish() *ScenarioResult {
 func (h *RunHandle) Result() *ScenarioResult { return h.res }
 
 // Telemetry exposes the run's live sinks for read-only rendering while
-// the handle is paused. Nil for sharded runs (no single recorder exists;
-// Status still reports their merged scorecards).
+// the handle is paused. Nil for runs of more than one district (no single
+// recorder exists; Status still reports their merged scorecards).
 func (h *RunHandle) Telemetry() *Telemetry {
-	if h.r.group != nil {
+	if len(h.r.ds) != 1 {
 		return nil
 	}
 	return h.r.ds[0].tel
 }
 
-// Trace exposes the run's structured trace ring, nil for sharded runs.
+// Trace exposes the run's structured trace ring, nil for runs of more
+// than one district.
 func (h *RunHandle) Trace() *trace.Log {
-	if h.r.group != nil {
+	if len(h.r.ds) != 1 {
 		return nil
 	}
 	return h.r.ds[0].n.Trace

@@ -83,6 +83,9 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 		var cursor uint64
 		for next := dt; !h.Done(); next += dt {
 			h.StepTo(next)
+			if now := h.Now(); now != min(next, h.Horizon()) {
+				t.Fatalf("dt=%v: Now() = %v after StepTo(%v)", dt, now, next)
+			}
 			cursor = observe(h, cursor)
 		}
 		got := renderResult(t, h.Finish())

@@ -200,11 +200,10 @@ func (n *Network) allocShuttleID() ployon.ID {
 	return n.nextShuttleID
 }
 
-// NewShuttle builds a shuttle from ship src to ship dst carrying the
-// destination's class in its address (for morphing).
+// NewShuttle builds a shuttle from ship src to ship dst, shaped like its
+// sender.
 func (n *Network) NewShuttle(kind shuttle.Kind, src, dst int) *shuttle.Shuttle {
 	sh := shuttle.New(n.allocShuttleID(), kind, int32(src), int32(dst), n.Ships[src].Class)
-	sh.DstClass = n.Ships[dst].Class
 	sh.Shape = n.Ships[src].Shape // shuttles leave shaped like their sender
 	return sh
 }
@@ -307,7 +306,6 @@ func (n *Network) dock(i int, sh *shuttle.Shuttle) {
 		target := nbrs[n.K.Rand.Intn(len(nbrs))]
 		rep.Src = int32(i)
 		rep.Dst = int32(target)
-		rep.DstClass = n.Ships[target].Class
 		rep.Shape = s.Shape
 		n.SendShuttle(rep, "")
 	}

@@ -3,6 +3,7 @@ package viator
 import (
 	"embed"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 
@@ -33,31 +34,35 @@ import (
 // quantile columns), and the assertions evaluate once over the merged
 // view.
 //
-// An unsharded spec is one district on a plain kernel seeded from the run
-// seed. The stress scenarios S1 and S2 are such specs (scenarios/s1.json,
-// s2.json, embedded below) and reproduce the retired hand-written
-// RunS1/RunS2 byte-for-byte: the arming sequence performs the same kernel
-// registrations and RNG splits in the same order — mobility model split
-// first, then one shared churn+traffic stream split after the jets — so
-// the goldens pinned in testdata/scenario are unchanged.
+// Every run executes on a sim.ShardGroup. A spec with D > 1 districts
+// runs them on K shard kernels (shardrun.go; K divides D, default K = D,
+// overridable with SetShardOverride / viatorbench -shards) seeded from
+// the run seed's splitmix stream, each kernel advancing its districts
+// under the windowed conservative protocol. Cross-district packets leave
+// through a trunk on the source kernel and arrive as mailbox events on
+// the destination kernel, committed in (time, seq, shard) order. Traffic
+// generators, churn and jets operate per district on local ships (a fixed
+// onoff/cbr pair must be same-district, enforced by spec validation);
+// cross_traffic is the one inter-district generator.
 //
-// A spec with D > 1 districts runs them on K shard kernels of a
-// sim.ShardGroup (shardrun.go; K divides D, default K = D, overridable
-// with SetShardOverride / viatorbench -shards), each kernel advancing its
-// districts under the windowed conservative protocol. Cross-district
-// packets leave through a trunk on the source kernel and arrive as
-// mailbox events on the destination kernel, committed in (time, seq,
-// shard) order. Traffic generators, churn and jets operate per district
-// on local ships (a fixed onoff/cbr pair must be same-district, enforced
-// by spec validation); cross_traffic is the one inter-district generator.
+// An unsharded spec is one district on a one-shard group whose kernel is
+// seeded with the run seed itself and whose lookahead is infinite: with
+// no trunk it can hold no mail, so it steps straight to any time exactly
+// as a plain Kernel.Run would. The stress scenarios S1 and S2 are such
+// specs (scenarios/s1.json, s2.json, embedded below) and reproduce the
+// retired hand-written RunS1/RunS2 byte-for-byte: the arming sequence
+// performs the same kernel registrations and RNG splits in the same order
+// — mobility model split first, then one shared churn+traffic stream
+// split after the jets — so the goldens pinned in testdata/scenario are
+// unchanged.
 //
 // Execution is start → advance → finish, and Scenario.Run is a RunHandle
 // (live.go) driven straight to the horizon — the live server drives the
 // same handle with observation pauses between steps, so an observed run
-// cannot diverge from a batch run by construction. Only the advance step
-// (Kernel.Run, or ShardGroup windows plus a clock settle) and the group
-// shutdown depend on the executor; the single-recorder exports (Dump,
-// RunHandle.Telemetry/Trace) exist only for one-district runs.
+// cannot diverge from a batch run by construction. One advance loop,
+// ShardGroup.StepTo, serves every run; only the single-recorder exports
+// (Dump, RunHandle.Telemetry/Trace) depend on the district count and
+// exist only for one-district runs.
 //
 // Determinism contract: a (spec, seed) pair — plus K for sharded specs —
 // fully determines the run. Compilation is pure; everything seed-dependent
@@ -152,7 +157,8 @@ type ScenarioResult struct {
 	Title string
 	Rows  []ScenarioRow
 	// Dump is the run's exportable telemetry (recorder series, latency
-	// and queue-depth histograms, QoS scorecards); nil for sharded runs.
+	// and queue-depth histograms, QoS scorecards); nil for runs of more
+	// than one district.
 	Dump *telemetry.Dump
 	// Verdicts are the spec's assertions evaluated against the finished
 	// run, in spec order (flow assertions first, then scenario-level).
@@ -180,14 +186,13 @@ func (r *ScenarioResult) Table() *stats.Table {
 // the horizon, so batch and live runs share one advance path.
 func (sc *Scenario) Run(seed uint64) *ScenarioResult { return StartScenario(sc, seed).Finish() }
 
-// fleetRun is one armed run: its districts and, for D > 1, the shard
-// group executing them.
+// fleetRun is one armed run: its districts and the shard group
+// executing them.
 type fleetRun struct {
 	sc  *Scenario
 	ds  []*district
 	per int // ships per district
-	// group runs the districts, dpk per shard kernel; nil for a
-	// one-district run, which advances its plain kernel ds[0].n.K.
+	// group runs the districts, dpk per shard kernel.
 	group *sim.ShardGroup
 	dpk   int
 }
@@ -267,18 +272,20 @@ func (d *district) repairs() uint64 {
 	return 0
 }
 
-// start arms the scenario for one seed and returns without running:
-// every district in index order (see arm), then the faults, the trunk
-// mesh and the checkpoint schedule. Same-time events fire in scheduling
-// order, so the rows go last, in row-major district order.
-func (sc *Scenario) start(seed uint64) *fleetRun {
+// start arms the scenario for one seed on k shard kernels (a divisor of
+// the district count) and returns without running: every district in
+// index order (see arm), then the faults, the trunk mesh and the
+// checkpoint schedule. Same-time events fire in scheduling order, so the
+// rows go last, in row-major district order.
+func (sc *Scenario) start(seed uint64, k int) *fleetRun {
 	sp := sc.Spec
 	D := max(1, sp.Shards)
-	r := &fleetRun{sc: sc, ds: make([]*district, D), per: sp.Ships / D}
-	if k := sc.shardKernels(); k > 0 {
-		r.group = sim.NewShardGroup(k, seed, sp.Trunk.Delay)
-		r.dpk = D / k
+	r := &fleetRun{sc: sc, ds: make([]*district, D), per: sp.Ships / D, dpk: D / k}
+	seeds, lookahead := []uint64{seed}, math.Inf(1)
+	if D > 1 {
+		seeds, lookahead = sim.ShardSeeds(k, seed), sp.Trunk.Delay
 	}
+	r.group = sim.NewShardGroup(seeds, lookahead)
 	for i := range r.ds {
 		r.ds[i] = r.arm(i, seed)
 	}
@@ -287,9 +294,7 @@ func (sc *Scenario) start(seed uint64) *fleetRun {
 	for _, f := range sp.Faults {
 		r.ds[0].n.K.At(f.At, func() { r.ds[0].applyFault(f) })
 	}
-	if r.group != nil {
-		r.armTrunks()
-	}
+	r.armTrunks()
 	for row, t := 0, sp.RowEvery; t <= sp.Horizon; row, t = row+1, t+sp.RowEvery {
 		for _, d := range r.ds {
 			d.n.K.At(t, func() { d.capture(row) })
@@ -298,8 +303,7 @@ func (sc *Scenario) start(seed uint64) *fleetRun {
 	return r
 }
 
-// arm builds district id on its kernel — a fresh plain kernel seeded from
-// seed for a one-district run, else its shard's — in the fixed order the
+// arm builds district id on its shard's kernel in the fixed order the
 // golden byte-identity tests pin: arena, routing pulses, healer,
 // telemetry, jets, run stream, churn, traffic, cross-traffic.
 func (r *fleetRun) arm(id int, seed uint64) *district {
@@ -313,9 +317,7 @@ func (r *fleetRun) arm(id int, seed uint64) *district {
 	cfg.Graph = g
 	base := id * per // classes cycle over global ship indices
 	cfg.ClassOf = func(i int) ployon.Class { return ployon.Class((base + i) % int(ployon.NumClasses)) }
-	if r.group != nil {
-		cfg.Kernel = r.group.Shard(id / r.dpk)
-	}
+	cfg.Kernel = r.group.Shard(id / r.dpk)
 	n := NewNetwork(cfg)
 	k := n.K
 	d := &district{id: id, n: n, trunks: make([]*netsim.Trunk, len(r.ds)), checks: make([]rowCheck, sp.NumRows())}
@@ -531,15 +533,13 @@ func (d *district) capture(row int) {
 // workers, stops the tickers, packages the one-district telemetry dump,
 // merges the checkpoint rows and evaluates the assertions.
 func (r *fleetRun) finish() *ScenarioResult {
-	if r.group != nil {
-		r.group.Close()
-	}
+	r.group.Close()
 	for _, d := range r.ds {
 		d.n.StopPulses()
 		d.tel.Stop()
 	}
 	res := &ScenarioResult{Title: r.sc.Spec.Title, Rows: r.mergeRows()}
-	if r.group == nil {
+	if len(r.ds) == 1 {
 		res.Dump = r.ds[0].tel.Dump()
 	}
 	res.Verdicts = r.evaluate()
@@ -694,13 +694,19 @@ type ScenarioReplicate struct {
 // goroutines with the registry seed discipline (deterministic per-
 // replicate seeds; reps == 1 replays baseSeed verbatim), returning the
 // aggregated mean±CI table plus every replicate in replicate order —
-// byte-identical output for any worker count.
+// byte-identical output for any worker count. Every replicate runs at
+// the kernel count the process override resolves to (SetShardOverride).
 func RunScenarioReplicated(sc *Scenario, reps int, baseSeed uint64, workers int) (*Replicated, []ScenarioReplicate, error) {
+	return runScenarioReplicated(sc, reps, baseSeed, workers, sc.shardKernels())
+}
+
+// runScenarioReplicated is RunScenarioReplicated at k shard kernels.
+func runScenarioReplicated(sc *Scenario, reps int, baseSeed uint64, workers, k int) (*Replicated, []ScenarioReplicate, error) {
 	if reps < 1 {
 		return nil, nil, fmt.Errorf("viator: reps = %d, want >= 1", reps)
 	}
 	id := sc.ScenarioID()
-	if k := sc.shardKernels(); k > 1 {
+	if k > 1 {
 		// Worker-budget split: each sharded replicate already runs k shard
 		// goroutines, so the replicate fan-out gets the remaining budget
 		// (an execution decision only — seeds and results are computed
@@ -714,7 +720,7 @@ func RunScenarioReplicated(sc *Scenario, reps int, baseSeed uint64, workers int)
 		if reps == 1 {
 			seed = baseSeed
 		}
-		return ScenarioReplicate{Seed: seed, Res: sc.Run(seed)}
+		return ScenarioReplicate{Seed: seed, Res: startScenario(sc, seed, k).Finish()}
 	})
 	seeds := make([]uint64, len(runs))
 	tables := make([]*Table, len(runs))

@@ -5,13 +5,12 @@ import (
 	"sync/atomic"
 
 	"viator/internal/netsim"
-	"viator/internal/ployon"
 	"viator/internal/shuttle"
 	"viator/internal/sim"
 	"viator/internal/topo"
 )
 
-// The shard executor of the district compiler (see scenario.go): the
+// The district side of the shard executor (see scenario.go): the
 // shard-kernel count, the trunk mesh between districts and the
 // cross-district mail path.
 
@@ -24,22 +23,24 @@ import (
 var shardOverride atomic.Int64
 
 // SetShardOverride sets the global shard-kernel override (0 restores the
-// spec default). It applies only to specs that declare shards > 1;
-// unsharded specs always run one district on a plain kernel.
+// spec default). StartScenario, Scenario.Run and RunScenarioReplicated
+// read it once per call. It applies only to specs that declare
+// shards > 1; an unsharded spec always runs its one district on a
+// one-shard group seeded with the run seed.
 func SetShardOverride(k int) { shardOverride.Store(int64(k)) }
 
 // ShardOverride returns the current override (0 = spec default).
 func ShardOverride() int { return int(shardOverride.Load()) }
 
-// shardKernels resolves how many shard kernels a run of sc uses: 0 for
-// unsharded specs (plain kernel), otherwise a divisor of the district
-// count — the override when valid, else one kernel per district.
-func (sc *Scenario) shardKernels() int {
-	d := sc.Spec.Shards
-	if d <= 1 {
-		return 0
-	}
-	k := ShardOverride()
+// shardKernels resolves how many shard kernels a run of sc uses under the
+// process override.
+func (sc *Scenario) shardKernels() int { return sc.kernelsFor(ShardOverride()) }
+
+// kernelsFor resolves a requested shard-kernel count k against the spec:
+// k when it divides the district count, else (k <= 0 included) one
+// kernel per district. An unsharded spec resolves to 1 for any k.
+func (sc *Scenario) kernelsFor(k int) int {
+	d := max(1, sc.Spec.Shards)
 	if k <= 0 || k > d || d%k != 0 {
 		return d
 	}
@@ -48,15 +49,16 @@ func (sc *Scenario) shardKernels() int {
 
 // armTrunks wires the trunk mesh: one trunk per ordered district pair,
 // owned by the source district's kernel; transmit completion posts the
-// packet to the destination kernel's mailbox.
+// packet to the destination kernel's mailbox. One district has no pair,
+// so it wires no trunk (and its spec declares none).
 func (r *fleetRun) armTrunks() {
-	sp := r.sc.Spec
-	props := netsim.LinkProps{Bandwidth: sp.Trunk.Bandwidth, Delay: sp.Trunk.Delay, QueueCap: sp.Trunk.QueueCap}
+	tr := r.sc.Spec.Trunk
 	for _, d := range r.ds {
 		for dd := range r.ds {
 			if dd == d.id {
 				continue
 			}
+			props := netsim.LinkProps{Bandwidth: tr.Bandwidth, Delay: tr.Delay, QueueCap: tr.QueueCap}
 			srcK, dstK := d.id/r.dpk, dd/r.dpk
 			d.trunks[dd] = netsim.NewTrunk(d.n.K, props, func(p *netsim.Packet, at sim.Time) {
 				r.group.Post(srcK, dstK, at, p)
@@ -75,7 +77,6 @@ func (r *fleetRun) armTrunks() {
 func (r *fleetRun) sendCross(d *district, src, gdst int, overlay string) {
 	n := d.n
 	sh := shuttle.New(n.allocShuttleID(), shuttle.Data, int32(src), int32(gdst), n.Ships[src].Class)
-	sh.DstClass = ployon.Class(gdst % int(ployon.NumClasses))
 	sh.Shape = n.Ships[src].Shape
 	d.tel.QoS.Sent(d.tel.flowFor(overlay))
 	pkt := n.Net.NewPacket(topo.NodeID(src), topo.NodeID(gdst), sh.WireSize(), "xshard:"+overlay, sh)
@@ -94,13 +95,4 @@ func (r *fleetRun) deliverCross(pkt *netsim.Packet) {
 	overlay := strings.TrimPrefix(pkt.Class, "xshard:")
 	d.tel.QoS.Delivered(d.tel.flowFor(overlay), d.n.K.Now()-pkt.Created)
 	d.n.dock(int(pkt.Dst)%r.per, pkt.Payload.(*shuttle.Shuttle))
-}
-
-// settle advances every shard clock to the horizon after StepWindow has
-// drained the event queues — the trailing clock sweep ShardGroup.Run
-// performs itself.
-func (r *fleetRun) settle() {
-	for i := 0; i < r.group.NumShards(); i++ {
-		r.group.Shard(i).Run(r.sc.Spec.Horizon)
-	}
 }

@@ -70,19 +70,17 @@ func TestShardedRunDeterministicReplay(t *testing.T) {
 	if ticked.Spec.TelemetryTick != 0.25 {
 		t.Fatalf("ticked variant has telemetry_tick %v", ticked.Spec.TelemetryTick)
 	}
-	defer SetShardOverride(0)
 	for _, k := range []int{1, 2, 4} {
-		SetShardOverride(k)
-		first := fingerprint(sc.Run(11))
+		first := fingerprint(startScenario(sc, 11, k).Finish())
 		for rep := 0; rep < 2; rep++ {
-			if got := fingerprint(sc.Run(11)); got != first {
+			if got := fingerprint(startScenario(sc, 11, k).Finish()); got != first {
 				t.Fatalf("K=%d replay %d diverged:\n%s\n--- vs ---\n%s", k, rep, got, first)
 			}
 		}
 		if first == "" {
 			t.Fatalf("K=%d produced empty fingerprint", k)
 		}
-		if got := fingerprint(ticked.Run(11)); got != first {
+		if got := fingerprint(startScenario(ticked, 11, k).Finish()); got != first {
 			t.Fatalf("K=%d telemetry_tick variant diverged:\n%s\n--- vs ---\n%s", k, got, first)
 		}
 	}
@@ -92,12 +90,9 @@ func TestShardedRunDeterministicReplay(t *testing.T) {
 // run falls back to one kernel per district and must match that output.
 func TestShardedRunInvalidOverrideFallsBack(t *testing.T) {
 	sc := compileShardTestSpec(t)
-	defer SetShardOverride(0)
-	SetShardOverride(0)
-	def := fingerprint(sc.Run(5))
+	def := fingerprint(startScenario(sc, 5, sc.kernelsFor(0)).Finish())
 	for _, k := range []int{3, 5, 64} {
-		SetShardOverride(k)
-		if got := fingerprint(sc.Run(5)); got != def {
+		if got := fingerprint(startScenario(sc, 5, sc.kernelsFor(k)).Finish()); got != def {
 			t.Fatalf("override %d (invalid for 4 districts) changed output", k)
 		}
 	}
@@ -115,13 +110,37 @@ func TestShardOverrideLeavesUnshardedAlone(t *testing.T) {
 	}
 }
 
+// The override reaches every exported entry point: under override 2,
+// StartScenario, Scenario.Run and RunScenarioReplicated all replay the
+// K=2 run, which differs from the spec-default K=4 run.
+func TestShardOverrideReachesEveryEntryPoint(t *testing.T) {
+	sc := compileShardTestSpec(t)
+	want := fingerprint(startScenario(sc, 11, 2).Finish())
+	if want == fingerprint(startScenario(sc, 11, 4).Finish()) {
+		t.Fatal("K=2 and K=4 replay the same bytes; the check cannot tell them apart")
+	}
+	defer SetShardOverride(0)
+	SetShardOverride(2)
+	if got := fingerprint(StartScenario(sc, 11).Finish()); got != want {
+		t.Fatal("StartScenario ignored the override")
+	}
+	if got := fingerprint(sc.Run(11)); got != want {
+		t.Fatal("Scenario.Run ignored the override")
+	}
+	_, runs, err := RunScenarioReplicated(sc, 1, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(runs[0].Res); got != want {
+		t.Fatal("RunScenarioReplicated ignored the override")
+	}
+}
+
 // Sharded results carry no telemetry dump, and the spec's row schedule is
 // honored exactly.
 func TestShardedRunShapeAndNoDump(t *testing.T) {
 	sc := compileShardTestSpec(t)
-	defer SetShardOverride(0)
-	SetShardOverride(2)
-	res := sc.Run(11)
+	res := startScenario(sc, 11, 2).Finish()
 	if res.Dump != nil {
 		t.Fatal("sharded run produced a telemetry dump")
 	}
@@ -137,14 +156,12 @@ func TestShardedRunShapeAndNoDump(t *testing.T) {
 // the worker budget (replicate workers split across shard kernels).
 func TestShardedReplicatedWorkerInvariance(t *testing.T) {
 	sc := compileShardTestSpec(t)
-	defer SetShardOverride(0)
-	SetShardOverride(4)
-	base, _, err := RunScenarioReplicated(sc, 3, 42, 1)
+	base, _, err := runScenarioReplicated(sc, 3, 42, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 2, 8} {
-		got, _, err := RunScenarioReplicated(sc, 3, 42, w)
+		got, _, err := runScenarioReplicated(sc, 3, 42, w, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,9 +177,7 @@ func TestScenarioS3SmokePasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("S3S takes a few seconds")
 	}
-	defer SetShardOverride(0)
-	SetShardOverride(0)
-	res := scenarioS3S.Run(7)
+	res := startScenario(scenarioS3S, 7, scenarioS3S.Spec.Shards).Finish()
 	if !res.Pass() {
 		for _, v := range res.Verdicts {
 			t.Logf("%s pass=%v %s", v.Name, v.Pass, v.Detail)
