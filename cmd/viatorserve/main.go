@@ -16,14 +16,25 @@
 // time (one sim second per wall second), 10 runs them 10x faster, and 0
 // free-runs the kernel flat out. -run starts one run at boot so the
 // server is immediately scrapeable without an API call.
+//
+// SIGINT or SIGTERM stops the server gracefully: it stops accepting
+// connections, ends open streams, lets in-flight requests finish within
+// a fixed grace period and exits 0. A request still open when the grace
+// period ends is cut off, and the exit status is 1. Runs still executing
+// are abandoned where they stand.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"viator/internal/serve"
@@ -47,12 +58,18 @@ func (p sleepPacer) Pace(simDelta float64) {
 // long scrapes are unaffected: it stops counting once the headers are in.
 const readHeaderTimeout = 10 * time.Second
 
+// shutdownGrace bounds how long a stopping server waits for in-flight
+// requests before it closes their connections.
+const shutdownGrace = 5 * time.Second
+
 // newHTTPServer builds the listener the command serves h on.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run serves until ctx is cancelled, then shuts the listener down. Open
+// streams end with ctx: every request's context derives from it.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("viatorserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8077", "listen address")
@@ -80,7 +97,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "viatorserve listening on %s\n", *addr)
-	if err := newHTTPServer(*addr, s.Handler()).ListenAndServe(); err != nil {
+	srv := newHTTPServer(*addr, s.Handler())
+	srv.BaseContext = func(net.Listener) context.Context { return ctx }
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
+		fmt.Fprintf(stderr, "viatorserve: %v\n", err)
+		return 1
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(grace); err != nil {
+		srv.Close()
+		fmt.Fprintf(stderr, "viatorserve: shutdown: %v\n", err)
+		return 1
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(stderr, "viatorserve: %v\n", err)
 		return 1
 	}
@@ -88,5 +122,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }

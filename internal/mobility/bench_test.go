@@ -89,6 +89,20 @@ func BenchmarkConnectivityIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkConnectivityFirstRefresh measures a run's first refresh: a
+// fresh graph and scratch each iteration, so RefreshInto builds the
+// whole link table from nothing, as every scenario does when it arms
+// its arena. Building the edgeless graph is part of each iteration.
+func BenchmarkConnectivityFirstRefresh(b *testing.B) {
+	b.ReportAllocs()
+	frames := benchFrames()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sc ConnScratch
+		sc.RefreshInto(benchGraph(frames), frames[i%len(frames)], benchRadius)
+	}
+}
+
 // BenchmarkPartitionProbe measures Graph.Connected, the partition probe
 // every mobility refresh runs, on the S1-scale radio graph. About half
 // the frame cycle's frames are connected; the probe times the first one

@@ -13,11 +13,13 @@
 // Candidate pairs come from a uniform-grid spatial hash, so only a small
 // grid neighborhood of each node is visited: O(n·k). The first call on a
 // scratch reconciles the whole graph — every link down, in-range pairs
-// up with cost = distance. Later calls diff against the previous
-// refresh's neighbor sets and toggle only links whose endpoints actually
-// crossed radio range; costs are rewritten only for pairs still in range,
-// so a refresh where nothing moved leaves topo.Graph.Version untouched
-// and the routing control plane's pulse gate can skip recomputation.
+// up with cost = distance; on a graph with no links that is one
+// reservation and a Connect per link. Later calls diff against the
+// previous refresh's neighbor sets and toggle only links whose endpoints
+// actually crossed radio range; costs are rewritten only for pairs still
+// in range, so a refresh where nothing moved leaves topo.Graph.Version
+// untouched and the routing control plane's pulse gate can skip
+// recomputation.
 //
 // Both forms create links in the same (i<j) lexicographic order as the
 // brute-force O(n²) oracle the tests keep, so every link index,
@@ -165,7 +167,9 @@ type ConnScratch struct {
 	// the diff pass does not recompute them; the AB/BA arrays carry the
 	// i→j and j→i link indexes, so surviving and departing pairs touch
 	// their links directly instead of scanning the graph's adjacency
-	// (LinkBetween is only consulted when a pair appears).
+	// (LinkBetween is only consulted when a pair comes into range at a
+	// later refresh, or when a graph that already has links is
+	// reconciled).
 	curStart  []int32
 	curNbr    []int32
 	curDist   []float64
@@ -409,22 +413,50 @@ func (s *ConnScratch) sortSegment(lo, hi int32) {
 // link indexes for the next diff. Segments are sorted here — this path
 // creates links wholesale, so the lexicographic creation order the
 // determinism contract demands is established before touching the graph.
+//
+// On a graph with no links — every first refresh in a run — there is
+// nothing to flap and no link to reuse, so each pair is connected
+// directly, in the same order, after one Reserve sized from the gathered
+// pairs: the link table and every adjacency grow once instead of link by
+// link, and no LinkBetween scan runs.
 func (s *ConnScratch) reconcileAll(g *topo.Graph) int {
+	n := g.N()
+	fresh := g.Links() == 0
+	if fresh {
+		g.Reserve(s.outDegrees(n))
+	}
 	for i := 0; i < g.Links(); i++ {
 		g.SetUp(i, false)
 	}
-	n := g.N()
 	for i := 0; i < n; i++ {
 		s.sortSegment(s.curStart[i], s.curStart[i+1])
 		a := topo.NodeID(i)
 		for e := s.curStart[i]; e < s.curStart[i+1]; e++ {
 			b := topo.NodeID(s.curNbr[e])
 			d := s.curDist[e]
-			s.curAB[e] = ensureDirected(g, a, b, d)
-			s.curBA[e] = ensureDirected(g, b, a, d)
+			if fresh {
+				s.curAB[e] = int32(g.Connect(a, b, d))
+				s.curBA[e] = int32(g.Connect(b, a, d))
+			} else {
+				s.curAB[e] = ensureDirected(g, a, b, d)
+				s.curBA[e] = ensureDirected(g, b, a, d)
+			}
 		}
 	}
 	return 2 * len(s.curNbr)
+}
+
+// outDegrees counts, from the gathered pairs, the out-links each of the
+// n nodes gets when every pair is connected both ways.
+func (s *ConnScratch) outDegrees(n int) []int32 {
+	deg := make([]int32, n)
+	for i := 0; i < n; i++ {
+		deg[i] += s.curStart[i+1] - s.curStart[i]
+		for _, j := range s.curNbr[s.curStart[i]:s.curStart[i+1]] {
+			deg[j]++
+		}
+	}
+	return deg
 }
 
 // RefreshInto is the incremental connectivity refresh: candidate pairs

@@ -1,6 +1,8 @@
 package mobility
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"viator/internal/allocpin"
@@ -141,6 +143,26 @@ func linksIdentical(t *testing.T, want, got *topo.Graph, label string) {
 	}
 }
 
+// adjacencyIdentical asserts two graphs with identical link tables also
+// list each node's out-links in the same order: the up-link neighbour
+// order routing walks, and the first link between every linked pair,
+// up or down, that a refresh reuses.
+func adjacencyIdentical(t *testing.T, want, got *topo.Graph, label string) {
+	t.Helper()
+	for v := 0; v < want.N(); v++ {
+		id := topo.NodeID(v)
+		if w, g := want.Neighbors(id), got.Neighbors(id); !slices.Equal(w, g) {
+			t.Fatalf("%s: node %d out-links %v, oracle %v", label, v, g, w)
+		}
+	}
+	for i := 0; i < want.Links(); i++ {
+		l := want.Link(i)
+		if w, g := want.LinkBetween(l.From, l.To), got.LinkBetween(l.From, l.To); w != g {
+			t.Fatalf("%s: first link %d→%d is %d, oracle %d", label, l.From, l.To, g, w)
+		}
+	}
+}
+
 // snapshotLinks copies a graph's link table for change detection.
 func snapshotLinks(g *topo.Graph) []topo.Link {
 	out := make([]topo.Link, g.Links())
@@ -205,10 +227,10 @@ func (m *group) StepInto(dst []topo.Point, dt float64) []topo.Point {
 // for a spread fleet and a clustered group, random radii and dozens of
 // refreshes with range churn, the brute-force oracle, the full
 // spatial-hash reconcile gridRefresh and the incremental RefreshInto
-// produce identical link tables (set, cost, creation order) and
-// identical up-link counts; the two flap paths move Version identically,
-// and the incremental path moves Version exactly when link state or
-// costs actually changed.
+// produce identical link tables (set, cost, creation order), identical
+// out-link order at every node and identical up-link counts; the two
+// flap paths move Version identically, and the incremental path moves
+// Version exactly when link state or costs actually changed.
 func TestConnectivityPathsAgree(t *testing.T) {
 	const n = 60
 	models := []struct {
@@ -245,6 +267,8 @@ func TestConnectivityPathsAgree(t *testing.T) {
 					}
 					linksIdentical(t, gOracle, gGrid, "grid")
 					linksIdentical(t, gOracle, gInc, "incremental")
+					adjacencyIdentical(t, gOracle, gGrid, "grid")
+					adjacencyIdentical(t, gOracle, gInc, "incremental")
 					if gOracle.Version()-vO != gGrid.Version()-vG {
 						t.Fatalf("step %d: grid version moved %d, oracle %d",
 							step, gGrid.Version()-vG, gOracle.Version()-vO)
@@ -314,6 +338,35 @@ func TestRefreshIntoAllocFree(t *testing.T) {
 		pos = m.StepInto(pos, 0.5)
 		s.RefreshInto(g, pos, 30)
 	}, "(*RandomWaypoint).StepInto", "(*ConnScratch).RefreshInto")
+}
+
+// TestFirstRefreshAllocsFlat pins the one-step link table build: the
+// first refresh of a graph with no links reserves the table and every
+// adjacency once, so it allocates the same number of objects at 300
+// nodes as at 3000. The scratch is unseeded but already grown, so the
+// count is the graph's and the reservation's alone; growing the table
+// one Connect at a time allocates in proportion to the node count.
+func TestFirstRefreshAllocsFlat(t *testing.T) {
+	const radius = 25.0
+	allocs := func(n int) float64 {
+		// Constant density: about 20 neighbours a node at both sizes.
+		side := 10 * math.Sqrt(float64(n))
+		pos := NewRandomWaypoint(n, side, 1, 5, 0, sim.NewRNG(7)).Positions()
+		var s ConnScratch
+		first := func() {
+			g := topo.New()
+			g.AddNodes(n)
+			s.seeded = false
+			s.RefreshInto(g, pos, radius)
+		}
+		first() // grow both neighbour-set buffers the refresh swaps between
+		first()
+		return testing.AllocsPerRun(5, first)
+	}
+	small, large := allocs(300), allocs(3000)
+	if small != large {
+		t.Fatalf("first refresh allocates %v objects at n=300 but %v at n=3000", small, large)
+	}
 }
 
 func TestConnectivityDeterministicPartition(t *testing.T) {

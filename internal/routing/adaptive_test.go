@@ -209,7 +209,7 @@ func TestLazyMatchesOneShot(t *testing.T) {
 func TestPulseResetsPartialFrontier(t *testing.T) {
 	build := func() (*Adaptive, *topo.Graph, topo.NodeID) {
 		g := topo.Grid(5, 5)
-		iso := g.AddNode() // no links: unreachable from everywhere
+		iso := g.AddNodes(1) // no links: unreachable from everywhere
 		return NewAdaptive(g, 2), g, iso
 	}
 	a, g, iso := build()
@@ -249,14 +249,14 @@ func TestPulseSeesAddedNodes(t *testing.T) {
 	g := topo.Line(3)
 	a := NewAdaptive(g, 2)
 	a.Pulse()
-	n := g.AddNode()
+	n := g.AddNodes(1)
 	g.ConnectBoth(2, n, 1)
 	a.Pulse() // must recapture: the node grew the topology
 	if hop := a.NextHop("", 0, n); hop != 1 {
 		t.Fatalf("hop toward added node = %d, want 1", hop)
 	}
 	// A node with no links yet is unreachable, not a panic.
-	m := g.AddNode()
+	m := g.AddNodes(1)
 	a.Pulse()
 	if hop := a.NextHop("", 0, m); hop != -1 {
 		t.Fatalf("hop toward isolated node = %d, want -1", hop)
@@ -264,7 +264,7 @@ func TestPulseSeesAddedNodes(t *testing.T) {
 	// Routing toward a node added after the last pulse — i.e. before the
 	// capture knows it exists — is refused, not a panic, for src and dst
 	// alike.
-	w := g.AddNode()
+	w := g.AddNodes(1)
 	g.ConnectBoth(2, w, 1)
 	if hop := a.NextHop("", 0, w); hop != -1 {
 		t.Fatalf("pre-pulse hop toward new node = %d, want -1", hop)
@@ -305,7 +305,7 @@ func TestAdaptiveNextHopAllocationFree(t *testing.T) {
 // pinned: each cycle restarts two sink trees and a source tree.
 func TestAdaptiveNextHopPartialAllocationFree(t *testing.T) {
 	g := topo.Grid(8, 8)
-	iso := g.AddNode()
+	iso := g.AddNodes(1)
 	a := NewAdaptive(g, 2)
 	li := g.FindLink(0, 1)
 	cost := []float64{1, 3}

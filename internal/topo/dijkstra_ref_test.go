@@ -220,9 +220,9 @@ func refNextHop(ref *SPT, v NodeID) NodeID {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n, version: g.version}
-	c.adj = make([][]int, len(g.adj))
+	c.adj = make([][]int32, len(g.adj))
 	for i, a := range g.adj {
-		c.adj[i] = append([]int(nil), a...)
+		c.adj[i] = append([]int32(nil), a...)
 	}
 	c.link = append([]Link(nil), g.link...)
 	c.pos = append([]Point(nil), g.pos...)
@@ -349,7 +349,7 @@ func TestSettleUntilMatchesReference(t *testing.T) {
 		} else {
 			g = Grid(6, 6)
 		}
-		g.AddNode() // isolated: always unreachable
+		g.AddNodes(1) // isolated: always unreachable
 		var ov CostOverlay
 		g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 		n := g.N()
@@ -430,7 +430,7 @@ func TestSettleScratchRestsAtInf(t *testing.T) {
 		} else {
 			g = Grid(7, 7)
 		}
-		iso := g.AddNode() // isolated: always unreachable
+		iso := g.AddNodes(1) // isolated: always unreachable
 		var ov CostOverlay
 		g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 		n := g.N()
@@ -761,8 +761,8 @@ func TestVersionTracksLinkState(t *testing.T) {
 		t.Fatal("Connect must move Version")
 	}
 	v = g.Version()
-	g.AddNode()
+	g.AddNodes(1)
 	if g.Version() == v {
-		t.Fatal("AddNode must move Version")
+		t.Fatal("AddNodes must move Version")
 	}
 }

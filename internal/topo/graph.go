@@ -25,8 +25,12 @@ type Link struct {
 // Graph is a mutable directed graph with stable node identifiers.
 // It is not safe for concurrent mutation.
 type Graph struct {
-	n       int
-	adj     [][]int // per-node indexes into links, ascending: Connect appends to both
+	n int
+	// adj holds each node's out-link indexes into link, ascending:
+	// Connect appends to both. Reserve may carve several nodes' slices
+	// out of one buffer as capped windows, so a node's slice grows only
+	// by append, which moves it out of its window when it is full.
+	adj     [][]int32
 	link    []Link
 	pos     []Point // optional geometry, used by geometric generators
 	version uint64  // bumped on every topology change: node/link add, up/down, cost
@@ -44,23 +48,16 @@ func (p Point) Dist(q Point) float64 {
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
-// AddNode appends a node and returns its identifier. Like link changes,
-// growing the node set bumps Version — the routing pulse gate relies on
-// Version being a complete topology fingerprint.
-func (g *Graph) AddNode() NodeID {
-	g.adj = append(g.adj, nil)
-	g.pos = append(g.pos, Point{})
-	g.n++
-	g.version++
-	return NodeID(g.n - 1)
-}
-
-// AddNodes appends k nodes and returns the first new identifier.
+// AddNodes appends k nodes and returns the first new identifier. The
+// node arrays grow once. Like link changes, growing the node set moves
+// Version, by one a node — the routing pulse gate relies on Version
+// being a complete topology fingerprint.
 func (g *Graph) AddNodes(k int) NodeID {
 	first := NodeID(g.n)
-	for i := 0; i < k; i++ {
-		g.AddNode()
-	}
+	g.adj = append(g.adj, make([][]int32, k)...)
+	g.pos = append(g.pos, make([]Point, k)...)
+	g.n += k
+	g.version += uint64(k)
 	return first
 }
 
@@ -81,10 +78,45 @@ func (g *Graph) Connect(from, to NodeID, cost float64) int {
 	}
 	g.link = append(g.link, Link{From: from, To: to, Cost: cost, Up: true})
 	idx := len(g.link) - 1
-	g.adj[from] = append(g.adj[from], idx)
+	g.adj[from] = append(g.adj[from], int32(idx))
 	g.version++
 	return idx
 }
+
+// Reserve makes room for outDeg[v] more out-links at every node v, and
+// for their sum in the link table, each with a quarter of headroom, so
+// the Connect calls that follow grow nothing. Nodes that have no links
+// yet share one adjacency buffer, each holding a capped window of it: a
+// node that outgrows its window reallocates only its own slice. Reserve
+// changes no link and does not move Version.
+func (g *Graph) Reserve(outDeg []int32) {
+	total, shared := 0, 0
+	for v, d := range outDeg {
+		total += int(d)
+		if len(g.adj[v]) == 0 && cap(g.adj[v]) < int(d) {
+			shared += headroom(int(d))
+		}
+	}
+	if cap(g.link)-len(g.link) < total {
+		g.link = slices.Grow(g.link, headroom(total))
+	}
+	buf := make([]int32, shared)
+	for v, d := range outDeg {
+		a := g.adj[v]
+		switch {
+		case cap(a)-len(a) >= int(d):
+		case len(a) == 0:
+			w := headroom(int(d))
+			g.adj[v], buf = buf[:0:w], buf[w:]
+		default:
+			g.adj[v] = slices.Grow(a, headroom(int(d)))
+		}
+	}
+}
+
+// headroom is n plus the quarter Reserve adds on top of what it is asked
+// for: room for a later connectivity refresh's new links.
+func headroom(n int) int { return n + n/4 }
 
 // Version returns a counter that increases whenever the topology
 // changes: a node or link is added, a link is brought up or down, or a
@@ -140,7 +172,7 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 func (g *Graph) FindLink(from, to NodeID) int {
 	for _, li := range g.adj[from] {
 		if g.link[li].Up && g.link[li].To == to {
-			return li
+			return int(li)
 		}
 	}
 	return -1
@@ -154,7 +186,7 @@ func (g *Graph) FindLink(from, to NodeID) int {
 func (g *Graph) LinkBetween(from, to NodeID) int {
 	for _, li := range g.adj[from] {
 		if g.link[li].To == to {
-			return li
+			return int(li)
 		}
 	}
 	return -1

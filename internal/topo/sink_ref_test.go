@@ -95,7 +95,7 @@ func zeroCostGraph() *Graph {
 // across it tie.
 func gridWithTail() *Graph {
 	g := Grid(6, 6)
-	g.ConnectBoth(g.AddNode(), 0, 1)
+	g.ConnectBoth(g.AddNodes(1), 0, 1)
 	return g
 }
 
@@ -144,7 +144,7 @@ func TestSinkTreeMatchesSourceTrees(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
-			g.AddNode() // isolated: reaches nothing
+			g.AddNodes(1) // isolated: reaches nothing
 			var ov CostOverlay
 			g.CaptureInto(&ov, func(li int) float64 { return g.Link(li).Cost })
 			n := g.N()
@@ -245,7 +245,7 @@ func directCapture(g *Graph, costOf func(li int) float64) *CostOverlay {
 		for _, li := range g.adj[u] {
 			if l := &g.link[li]; l.Up {
 				o.to = append(o.to, int32(l.To))
-				o.cost = append(o.cost, costOf(li))
+				o.cost = append(o.cost, costOf(int(li)))
 			}
 		}
 	}

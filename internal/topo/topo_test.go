@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,8 +12,8 @@ import (
 
 func TestAddAndConnect(t *testing.T) {
 	g := New()
-	a := g.AddNode()
-	b := g.AddNode()
+	a := g.AddNodes(1)
+	b := g.AddNodes(1)
 	if g.N() != 2 {
 		t.Fatalf("n=%d", g.N())
 	}
@@ -29,6 +30,57 @@ func TestAddAndConnect(t *testing.T) {
 	}
 }
 
+func TestAddNodesMovesVersionPerNode(t *testing.T) {
+	g := New()
+	g.AddNodes(1)
+	v := g.Version()
+	if first := g.AddNodes(4); first != 1 || g.N() != 5 {
+		t.Fatalf("AddNodes(4) = %d, n = %d; want 1, 5", first, g.N())
+	}
+	if g.Version()-v != 4 {
+		t.Fatalf("AddNodes(4) moved Version by %d, want 4", g.Version()-v)
+	}
+	for id := NodeID(1); id < 5; id++ {
+		if len(g.adj[id]) != 0 || g.Pos(id) != (Point{}) {
+			t.Fatalf("new node %d: adjacency %v, position %v", id, g.adj[id], g.Pos(id))
+		}
+	}
+}
+
+// TestReserveWindowOverflowLeavesNeighbourIntact pins Reserve's shared
+// adjacency buffer: each edgeless node gets a capped window of it, so a
+// node that connects past its reservation reallocates its own slice and
+// cannot write into the next node's window.
+func TestReserveWindowOverflowLeavesNeighbourIntact(t *testing.T) {
+	g := New()
+	g.AddNodes(3)
+	v := g.Version()
+	g.Reserve([]int32{1, 1, 1}) // one out-link each: adjacent one-entry windows
+	if g.Version() != v || g.Links() != 0 {
+		t.Fatalf("Reserve changed the graph: version %d -> %d, %d links", v, g.Version(), g.Links())
+	}
+	if cap(g.link) < 3 || cap(g.adj[0]) != 1 || cap(g.adj[1]) != 1 || cap(g.adj[2]) != 1 {
+		t.Fatalf("reserved capacities: links %d, adjacency %d %d %d", cap(g.link), cap(g.adj[0]), cap(g.adj[1]), cap(g.adj[2]))
+	}
+	g.Connect(0, 1, 1)
+	g.Connect(1, 2, 1)
+	g.Connect(2, 0, 1)
+	over := g.Connect(0, 2, 1) // past node 0's window
+	for node, want := range [][]int32{{0, int32(over)}, {1}, {2}} {
+		if !slices.Equal(g.adj[node], want) {
+			t.Fatalf("node %d out-links %v, want %v", node, g.adj[node], want)
+		}
+	}
+	if got := g.Neighbors(1); !slices.Equal(got, []NodeID{2}) {
+		t.Fatalf("node 1 neighbours %v after node 0 overflowed, want [2]", got)
+	}
+	// A node that has links grows its own slice, keeping them.
+	g.Reserve([]int32{4, 0, 0})
+	if cap(g.adj[0])-len(g.adj[0]) < 4 || !slices.Equal(g.adj[0], []int32{0, int32(over)}) {
+		t.Fatalf("node 0 after a second Reserve: %v, room %d", g.adj[0], cap(g.adj[0])-len(g.adj[0]))
+	}
+}
+
 func TestSelfLoopPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -36,13 +88,13 @@ func TestSelfLoopPanics(t *testing.T) {
 		}
 	}()
 	g := New()
-	a := g.AddNode()
+	a := g.AddNodes(1)
 	g.Connect(a, a, 1)
 }
 
 func TestLinkDownHidesNeighbor(t *testing.T) {
 	g := New()
-	a, b := g.AddNode(), g.AddNode()
+	a, b := g.AddNodes(1), g.AddNodes(1)
 	li := g.Connect(a, b, 1)
 	g.SetUp(li, false)
 	if len(g.Neighbors(a)) != 0 || g.Degree(a) != 0 {
@@ -228,7 +280,7 @@ func TestCloneIsolation(t *testing.T) {
 	if !c.Link(0).Up {
 		t.Fatal("clone shares link state")
 	}
-	c.AddNode()
+	c.AddNodes(1)
 	if g.N() == c.N() {
 		t.Fatal("clone shares node count")
 	}
@@ -273,7 +325,7 @@ func TestDijkstraTriangleInequality(t *testing.T) {
 
 func TestReachableIncludesSource(t *testing.T) {
 	g := New()
-	g.AddNode()
+	g.AddNodes(1)
 	r := g.Reachable(0)
 	if !r[0] || len(r) != 1 {
 		t.Fatalf("reachable = %v", r)
@@ -336,8 +388,8 @@ func TestLinkBetweenMatchesAdjacencyScan(t *testing.T) {
 			}
 			want := -1
 			for _, li := range g.adj[from] {
-				if g.Link(li).To == NodeID(to) {
-					want = li
+				if g.Link(int(li)).To == NodeID(to) {
+					want = int(li)
 					break
 				}
 			}

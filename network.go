@@ -298,8 +298,13 @@ func (n *Network) dock(i int, sh *shuttle.Shuttle) {
 	}
 	n.DeliveredShuttles++
 	// Jets: forward replicas to random neighbors (epidemic spread).
+	// Sending a shuttle leaves the graph as it is, so one neighbor list
+	// serves every replica.
+	var nbrs []topo.NodeID
+	if len(res.Replicas) > 0 {
+		nbrs = n.G.Neighbors(topo.NodeID(i))
+	}
 	for _, rep := range res.Replicas {
-		nbrs := n.G.Neighbors(topo.NodeID(i))
 		if len(nbrs) == 0 {
 			break
 		}
